@@ -6,9 +6,22 @@
 //! recursive-descent reader and a deterministic writer for the JSON
 //! subset the repository's artifacts actually use: objects (with
 //! insertion-ordered keys), arrays, strings, numbers, booleans, and
-//! `null`. Parsing rejects duplicate keys, unknown escapes, and
-//! trailing garbage — an artifact either round-trips exactly or fails
-//! loudly.
+//! `null`. An artifact either round-trips exactly or fails loudly.
+//!
+//! Decoding is one pass, linear in the document's size. Inside a
+//! string the reader jumps to the next quote, backslash or control
+//! byte and copies the run before it whole, so every byte is looked at
+//! once (the input is a `&str`, already valid UTF-8, and all three
+//! stops are ASCII). [`JsonValue::parse`] rejects:
+//! - duplicate object keys, at every nesting level;
+//! - escapes other than `\"`, `\\` and `\uXXXX` (lone surrogates too);
+//! - raw control bytes (below `0x20`) inside strings, which RFC 8259
+//!   forbids and the renderer always escapes;
+//! - numbers outside the JSON grammar (`01`, `-01`, `1.`, `1.e5`, `+1`,
+//!   `.5`) and numbers that overflow to infinity (`1e400`), which could
+//!   not round-trip;
+//! - containers nested deeper than [`MAX_PARSE_DEPTH`];
+//! - trailing garbage after the document.
 //!
 //! 64-bit identity values (content hashes, checksums, fingerprints,
 //! nanosecond counters) do **not** fit a JSON `f64` losslessly, so they
@@ -164,21 +177,23 @@ impl JsonValue {
         }
     }
 
-    /// Parse one JSON document. Rejects duplicate object keys (at
-    /// every nesting level), unsupported escapes, trailing garbage,
-    /// and containers nested deeper than [`MAX_PARSE_DEPTH`] (the
-    /// recursive-descent parser uses the call stack, so unbounded
+    /// Parse one JSON document in a single pass, linear in its size.
+    /// Rejects duplicate object keys (at every nesting level),
+    /// unsupported escapes, raw control bytes in strings, numbers
+    /// outside the JSON grammar or beyond a finite `f64`, trailing
+    /// garbage, and containers nested deeper than [`MAX_PARSE_DEPTH`]
+    /// (the recursive-descent parser uses the call stack, so unbounded
     /// nesting in a hostile document would otherwise overflow it).
     ///
     /// # Errors
     ///
     /// A human-readable description of the first syntax violation.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut cursor = Cursor { bytes: input.as_bytes(), at: 0, depth: 0 };
+        let mut cursor = Cursor { text: input, at: 0, depth: 0 };
         cursor.skip_ws();
         let value = cursor.parse_value()?;
         cursor.skip_ws();
-        if cursor.at != cursor.bytes.len() {
+        if cursor.at != cursor.text.len() {
             return Err(format!("trailing garbage after the document at byte {}", cursor.at));
         }
         Ok(value)
@@ -215,7 +230,7 @@ fn render_string(out: &mut String, s: &str) {
 pub const MAX_PARSE_DEPTH: usize = 64;
 
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     at: usize,
     /// Containers currently open ([`MAX_PARSE_DEPTH`]-bounded).
     depth: usize,
@@ -234,7 +249,7 @@ impl Cursor<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.text.as_bytes().get(self.at).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,7 +273,7 @@ impl Cursor<'_> {
     }
 
     fn eat_keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
             true
         } else {
@@ -348,6 +363,16 @@ impl Cursor<'_> {
         let start = self.at;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte in one piece. All three stops are ASCII, so a run
+            // never ends inside a multibyte scalar and slicing the
+            // (already valid UTF-8) input at its ends cannot fail.
+            let run = self.at;
+            self.at += self.text.as_bytes()[run..]
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(self.text.len() - run);
+            out.push_str(&self.text[run..self.at]);
             match self.peek() {
                 Some(b'"') => {
                     self.at += 1;
@@ -371,14 +396,10 @@ impl Cursor<'_> {
                         other => return Err(format!("unsupported escape {other:?} in string")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte: the input
-                    // is a &str, so char boundaries are well defined.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| format!("invalid UTF-8 in string at byte {}", self.at))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                // RFC 8259 forbids raw control characters in strings;
+                // the renderer always escapes them.
+                Some(b) => {
+                    return Err(format!("raw control byte {b:#04x} in string at byte {}", self.at))
                 }
                 None => return Err(format!("unterminated string starting at byte {start}")),
             }
@@ -390,7 +411,7 @@ impl Cursor<'_> {
     /// accepted).
     fn parse_unicode_escape(&mut self) -> Result<char, String> {
         let start = self.at;
-        let Some(hex) = self.bytes.get(self.at..self.at + 4) else {
+        let Some(hex) = self.text.as_bytes().get(self.at..self.at + 4) else {
             return Err(format!("truncated \\u escape at byte {start}"));
         };
         self.at += 4;
@@ -402,13 +423,51 @@ impl Cursor<'_> {
             .ok_or_else(|| format!("\\u{hex} is not a Unicode scalar (byte {start})"))
     }
 
+    /// One number in the RFC 8259 grammar,
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, whose value
+    /// is a finite `f64` (an overflow to infinity would render back as
+    /// `null`, so it is rejected rather than silently changed).
     fn parse_number(&mut self) -> Result<f64, String> {
         let start = self.at;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
+        let bad = |what: &str| format!("bad number at byte {start}: {what}");
+        if self.peek() == Some(b'-') {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii digits");
-        text.parse::<f64>().map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+        let leading_zero = self.peek() == Some(b'0');
+        match self.skip_digits() {
+            0 => return Err(bad("no integer digits")),
+            n if n > 1 && leading_zero => return Err(bad("leading zero")),
+            _ => {}
+        }
+        if self.peek() == Some(b'.') {
+            self.at += 1;
+            if self.skip_digits() == 0 {
+                return Err(bad("no digits after the decimal point"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.at += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.at += 1;
+            }
+            if self.skip_digits() == 0 {
+                return Err(bad("no exponent digits"));
+            }
+        }
+        let text = &self.text[start..self.at];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(bad(&format!("{text} is not a finite f64"))),
+        }
+    }
+
+    /// Advance past a run of ASCII digits; returns how many there were.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.at;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.at += 1;
+        }
+        self.at - start
     }
 }
 
@@ -492,6 +551,127 @@ mod tests {
         assert!(JsonValue::parse("[1, 2,]").is_err(), "trailing comma");
         assert!(JsonValue::parse("{\"a\": \"\\n\"}").is_err(), "unsupported escape");
         assert!(JsonValue::parse("nul").is_err(), "truncated keyword");
+        for number in ["01", "-01", "1.", "1.e5", "1e400", "-1e400", "-", "1e", "1e+"] {
+            let err = JsonValue::parse(number).unwrap_err();
+            assert!(err.contains("bad number at byte 0"), "{number:?} must be rejected: {err}");
+            let err = JsonValue::parse(&format!("{{\"a\": {number}}}")).unwrap_err();
+            assert!(err.contains("at byte 6"), "{number:?} inside an object: {err}");
+        }
+        assert!(JsonValue::parse("+1").is_err() && JsonValue::parse(".5").is_err());
+        for raw in ["\"a\u{1}b\"", "\"tab\there\"", "\"\n\"", "\"\u{1f}\""] {
+            let err = JsonValue::parse(raw).unwrap_err();
+            assert!(err.contains("raw control byte"), "{raw:?} must be rejected: {err}");
+        }
+        let err = JsonValue::parse("{\"key\": \"ab\u{7}\"}").unwrap_err();
+        assert_eq!(err, "raw control byte 0x07 in string at byte 11", "names the offset");
+    }
+
+    #[test]
+    fn valid_json_numbers_parse_to_their_value() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("0.5", 0.5),
+            ("-10.25", -10.25),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-1", 2.5),
+            ("0.5e1", 5.0),
+            ("1e-400", 0.0),
+        ] {
+            assert_eq!(JsonValue::parse(text), Ok(JsonValue::Number(value)), "{text}");
+        }
+    }
+
+    #[test]
+    fn rendered_numbers_are_always_accepted_and_round_trip() {
+        let mut state = 0x5eed_0f64_u64 | 1;
+        let mut cases = vec![0.1, -0.1, 1e-300, -1e300, f64::MAX, f64::MIN_POSITIVE, 1e15, 2.5e-8];
+        while cases.len() < 4000 {
+            let n = f64::from_bits(crate::net::xorshift(&mut state));
+            if n.is_finite() {
+                cases.push(n);
+            }
+        }
+        for n in cases {
+            let text = JsonValue::Number(n).render();
+            let back = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{n:e} -> {text}: {e}"));
+            assert_eq!(back, JsonValue::Number(n), "{n:e} -> {text}");
+        }
+    }
+
+    /// A string drawn from every class the run scan treats differently:
+    /// ASCII, 2-, 3- and 4-byte scalars, the two escaped delimiters and
+    /// all 32 control characters, in runs of random length so that runs
+    /// end right before and right after escapes and multibyte scalars.
+    fn generated_string(state: &mut u64) -> String {
+        const CLASSES: [&[char]; 6] = [
+            &['a', 'Z', '0', ' ', '/', '~', '{', ']', ':', ','],
+            &['é', 'ß', 'ü', '\u{80}', '\u{7ff}'],
+            &['€', '中', '\u{800}', '\u{fffd}', '\u{ffff}'],
+            &['😀', '𝄞', '\u{10000}', '\u{10ffff}'],
+            &['"', '\\'],
+            &[], // stands for all 32 control characters
+        ];
+        let mut s = String::new();
+        for _ in 0..crate::net::xorshift(state) % 24 {
+            let class = (crate::net::xorshift(state) % 6) as usize;
+            for _ in 0..1 + crate::net::xorshift(state) % 3 {
+                let pick = crate::net::xorshift(state);
+                s.push(match CLASSES[class] {
+                    [] => char::from_u32((pick % 0x20) as u32).expect("control chars are scalars"),
+                    chars => chars[pick as usize % chars.len()],
+                });
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn generated_strings_round_trip_through_the_run_scan() {
+        // Fixed cases first: every run ends right before or right after
+        // an escape or a multibyte scalar.
+        let fixed = ["", "\"", "\\", "\\\"", "€\"", "\"😀", "a\\é", "😀\\😀", "\u{1}€", "中\u{1f}"];
+        let mut state = 0x0c0d_ec5a_u64 | 1;
+        let mut seen_controls = [false; 0x20];
+        for case in 0..3000 {
+            let s = match fixed.get(case) {
+                Some(s) => s.to_string(),
+                None => generated_string(&mut state),
+            };
+            s.chars().filter(|&c| (c as u32) < 0x20).for_each(|c| seen_controls[c as usize] = true);
+            let doc = JsonValue::Object(vec![
+                (s.clone(), JsonValue::Text(s.clone())),
+                ("list".into(), JsonValue::Array(vec![JsonValue::Text(s.clone()); 2])),
+            ]);
+            let text = doc.render();
+            assert_eq!(JsonValue::parse(&text), Ok(doc), "case {case}: {s:?}");
+
+            // Cut off the closing quote (and everything after it): the
+            // error still names the byte just past the opening quote.
+            let value = JsonValue::Text(s.clone()).render();
+            let open = "[0, ".len() + 1;
+            let err = JsonValue::parse(&format!("[0, {}", &value[..value.len() - 1])).unwrap_err();
+            assert_eq!(err, format!("unterminated string starting at byte {open}"), "case {case}");
+        }
+        assert!(seen_controls.iter().all(|&seen| seen), "every control character was generated");
+    }
+
+    #[test]
+    fn decoding_is_linear_in_document_size() {
+        // ~200k short strings, a few MB. The per-character scan this
+        // replaced re-validated the rest of the document for every
+        // character: 35 s for a tenth of this input in a debug build on a
+        // 2-vCPU virtual machine, and over an hour for all of it. A return
+        // of it shows up as a hang, not as a flaky timing assertion.
+        let strings: Vec<JsonValue> =
+            (0..200_000u64).map(|i| JsonValue::Text(format!("lib{i}.so·\"ü\""))).collect();
+        let doc = JsonValue::Array(strings);
+        let text = doc.render();
+        assert!(text.len() > 4_000_000, "{} bytes", text.len());
+        assert_eq!(JsonValue::parse(&text), Ok(doc));
     }
 
     #[test]

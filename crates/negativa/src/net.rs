@@ -765,7 +765,7 @@ impl Dialer for TcpDialer {
 
 /// One xorshift64 step — the workspace's stand-in for a PRNG; fully
 /// deterministic from the seed.
-fn xorshift(state: &mut u64) -> u64 {
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;

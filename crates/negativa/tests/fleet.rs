@@ -154,3 +154,23 @@ fn fleet_accounting_survives_a_cold_store_reopen_and_reverification() {
     assert!(verification.all_verified());
     fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn a_three_arch_fleet_plan_decodes_field_for_field_from_a_cold_store() {
+    // The fleet plan is the largest document the repository writes; it
+    // must come back from `plan.json` exactly as it was planned.
+    let root = test_root("plan-identity");
+    let debloater = Debloater::new(GpuModel::T4)
+        .with_plan_cache(Arc::new(PlanCache::new(4)))
+        .with_fleet(fleet());
+    let artifact = debloater
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(&workloads())
+        .expect("the fleet debloat verifies");
+    assert_eq!(artifact.key.fleet.members().len(), 3);
+
+    Store::at(&root).publish(&artifact).expect("publishing the fleet artifact succeeds");
+    let plan = Store::at(&root).open().unwrap().load_plan().expect("plan.json decodes");
+    assert_eq!(plan, *artifact.plan);
+    fs::remove_dir_all(&root).ok();
+}
