@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The manifest is *content-addressed*: every library entry carries the
-//! FNV-1a digest of its exact stored bytes ([`crate::codec::content_hash`]),
+//! XXH64 digest of its exact stored bytes ([`crate::codec::content_hash`]),
 //! which doubles as the object file name; `plan.json` is pinned the
 //! same way through [`StoreManifest::plan_hash`]. The manifest protects
 //! itself with an embedded **self-hash**: the digest of the manifest
@@ -44,10 +44,15 @@ use crate::report::LibraryReport;
 /// set of architectures one artifact serves), added the in-place
 /// element `rewrites` to each retain plan, and the
 /// `bytes_sliced_arch` / `bytes_sliced_compressed` /
-/// `compressed_rewritten` counters to each library entry. v1 manifests
-/// are rejected by the version gate with a typed "unsupported manifest
-/// format version" error, never a missing-field parse error.
-pub const FORMAT_VERSION: u32 = 2;
+/// `compressed_rewritten` counters to each library entry.
+///
+/// **v3** moved every content address (object names, `plan_hash`, the
+/// self-hash) from FNV-1a to XXH64 ([`crate::codec::content_hash`]);
+/// the schema is otherwise v2's. Older manifests are rejected by the
+/// version gate — checked before the self-hash — with a typed
+/// "unsupported manifest format version" error, never a self-hash
+/// mismatch or a missing-field parse error. They must be re-published.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File name of the store's index at the artifact root.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -71,8 +76,12 @@ pub const MANIFESTS_DIR: &str = "manifests";
 /// of [`FORMAT_VERSION`]: the index can evolve (new record fields, new
 /// GC metadata) without invalidating every artifact manifest it points
 /// at. Decoding rejects other versions through the same
-/// gate-before-schema rule as the manifest.
-pub const REGISTRY_FORMAT_VERSION: u32 = 1;
+/// gate-before-hash-and-schema rule as the manifest.
+///
+/// **v2** moved the index's self-hash and every object and manifest
+/// hash it records from FNV-1a to XXH64. A v1 registry is refused and
+/// must be re-published.
+pub const REGISTRY_FORMAT_VERSION: u32 = 2;
 
 const HASH_KEY: &str = "manifest_hash";
 
@@ -84,7 +93,7 @@ const REGISTRY_HASH_KEY: &str = "registry_hash";
 pub struct ManifestEntry {
     /// Shared object name, in bundle (provider-resolution) order.
     pub soname: String,
-    /// FNV-1a digest of the stored bytes; also the object file name
+    /// XXH64 digest of the stored bytes; also the object file name
     /// (`objects/<hash as 16 hex digits>.bin`).
     pub content_hash: u64,
     /// Exact stored length in bytes.
@@ -149,18 +158,28 @@ impl StoreManifest {
         text.replacen(&hash_field(0), &hash_field(hash), 1)
     }
 
-    /// Decode and integrity-check `MANIFEST.json` bytes: parse, verify
-    /// the embedded self-hash against the file content, and check the
-    /// format version.
+    /// Decode and integrity-check `MANIFEST.json` bytes: parse, check
+    /// the format version, and verify the embedded self-hash against
+    /// the file content.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violation (syntax,
-    /// missing/mistyped field, self-hash mismatch, or unsupported
-    /// version) — the store wraps it in a typed
+    /// unsupported version, missing/mistyped field, or self-hash
+    /// mismatch) — the store wraps it in a typed
     /// [`crate::store::StoreError::CorruptManifest`].
     pub fn decode(text: &str) -> Result<StoreManifest, String> {
         let doc = JsonValue::parse(text)?;
+        // Version gate first: an older manifest was self-hashed with
+        // another digest and must report "unsupported version", not a
+        // false "the file was modified"; a future one must not trip
+        // whatever missing-field error its changed schema hits first.
+        let version = get_usize(&doc, "format_version")? as u32;
+        if version != FORMAT_VERSION {
+            return Err(format!(
+                "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
+            ));
+        }
         let stored_hash =
             doc.get(HASH_KEY).and_then(JsonValue::as_u64).ok_or_else(|| missing(HASH_KEY))?;
         let stamped = hash_field(stored_hash);
@@ -173,15 +192,6 @@ impl StoreManifest {
             return Err(format!(
                 "manifest self-hash mismatch: stored {stored_hash:#018x}, content hashes to \
                  {actual:#018x} — the file was modified after publishing"
-            ));
-        }
-        // Version gate *before* schema decoding: a future-version
-        // manifest must report "unsupported version", not whatever
-        // missing-field error its changed schema happens to trip first.
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             ));
         }
         Self::from_json(&doc)
@@ -264,7 +274,7 @@ fn hash_field(hash: u64) -> String {
 /// rule, applied across artifacts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRef {
-    /// FNV-1a digest of the object bytes; also the pool file name.
+    /// XXH64 digest of the object bytes; also the pool file name.
     pub hash: u64,
     /// Exact stored length in bytes.
     pub byte_len: u64,
@@ -345,10 +355,10 @@ impl RegistryIndex {
         text.replacen(&registry_hash_field(0), &registry_hash_field(hash), 1)
     }
 
-    /// Decode and integrity-check `REGISTRY.json` bytes: parse, verify
-    /// the embedded self-hash, and gate the format version *before*
-    /// schema decoding — a future-version index reports "unsupported
-    /// version", never a missing-field error.
+    /// Decode and integrity-check `REGISTRY.json` bytes: parse, gate
+    /// the format version, then verify the embedded self-hash — an
+    /// index of another version reports "unsupported version", never a
+    /// self-hash mismatch or a missing-field error.
     ///
     /// # Errors
     ///
@@ -356,6 +366,13 @@ impl RegistryIndex {
     /// [`crate::store::StoreError::CorruptIndex`].
     pub fn decode(text: &str) -> Result<RegistryIndex, String> {
         let doc = JsonValue::parse(text)?;
+        let version = get_usize(&doc, "format_version")? as u32;
+        if version != REGISTRY_FORMAT_VERSION {
+            return Err(format!(
+                "unsupported registry index format version {version} (this build reads \
+                 {REGISTRY_FORMAT_VERSION})"
+            ));
+        }
         let stored_hash = doc
             .get(REGISTRY_HASH_KEY)
             .and_then(JsonValue::as_u64)
@@ -370,13 +387,6 @@ impl RegistryIndex {
             return Err(format!(
                 "registry index self-hash mismatch: stored {stored_hash:#018x}, content hashes \
                  to {actual:#018x} — the file was modified after it was written"
-            ));
-        }
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != REGISTRY_FORMAT_VERSION {
-            return Err(format!(
-                "unsupported registry index format version {version} (this build reads \
-                 {REGISTRY_FORMAT_VERSION})"
             ));
         }
         Ok(RegistryIndex {
@@ -1095,30 +1105,64 @@ mod tests {
         }
     }
 
+    /// The FNV-1a digest earlier builds stamped as the self-hash of v1
+    /// and v2 manifests and of v1 registry indexes — kept here only to
+    /// reproduce those files byte for byte.
+    fn legacy_fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash: u64, &b| {
+            (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Re-stamp an edited file's self-hash field (`field(hash)` renders
+    /// it under `key`) with `digest` over the zeroed rendering — what a
+    /// writer using that digest would have produced.
+    fn restamp_self_hash(
+        text: &str,
+        key: &str,
+        field: fn(u64) -> String,
+        digest: fn(&[u8]) -> u64,
+    ) -> String {
+        let mut text = text.to_owned();
+        let hash_start = text.find(&format!("\"{key}\":")).expect("self-hash field present");
+        text.replace_range(hash_start..hash_start + field(0).len(), &field(0));
+        let rehashed = digest(text.as_bytes());
+        text.replacen(&field(0), &field(rehashed), 1)
+    }
+
     #[test]
     fn v1_manifests_fail_with_the_version_error_not_a_parse_error() {
-        // Reconstruct what a v1 publisher wrote: `format_version` 1 and
-        // the old scalar `arch` field instead of v2's `fleet` array,
-        // with a correctly spliced self-hash — so the only thing that
-        // can object is the version gate, and it must fire *before*
-        // schema decoding trips over the missing v2 fields.
-        let mut old = sample_manifest().encode();
-        old = old.replacen("\"format_version\": 2", "\"format_version\": 1", 1);
-        let fleet_start = old.find("\"fleet\":").expect("v2 manifests carry a fleet field");
-        let fleet_end = fleet_start + old[fleet_start..].find(']').expect("fleet is an array") + 1;
-        old.replace_range(fleet_start..fleet_end, "\"arch\": 75");
-        let hash_start = old.find(&format!("\"{HASH_KEY}\":")).expect("self-hash field present");
-        old.replace_range(hash_start..hash_start + hash_field(0).len(), &hash_field(0));
-        let rehashed = content_hash(old.as_bytes());
-        let old = old.replacen(&hash_field(0), &hash_field(rehashed), 1);
+        // Reconstruct what earlier publishers wrote, self-hash included:
+        // v1 carried the old scalar `arch` field instead of the `fleet`
+        // array, v2 had today's schema; both stamped an FNV-1a
+        // self-hash. Only the version gate may object, and it must fire
+        // before the self-hash check (which would call the file
+        // modified) and before schema decoding (which would trip over
+        // missing fields).
+        let current = format!("\"format_version\": {FORMAT_VERSION}");
+        for version in [1, 2] {
+            let mut old = sample_manifest().encode().replacen(
+                &current,
+                &format!("\"format_version\": {version}"),
+                1,
+            );
+            if version == 1 {
+                let fleet_start = old.find("\"fleet\":").expect("manifests carry a fleet field");
+                let fleet_end =
+                    fleet_start + old[fleet_start..].find(']').expect("fleet is an array") + 1;
+                old.replace_range(fleet_start..fleet_end, "\"arch\": 75");
+            }
+            let old = restamp_self_hash(&old, HASH_KEY, hash_field, legacy_fnv1a);
 
-        let err = StoreManifest::decode(&old).unwrap_err();
-        assert!(
-            err.contains("unsupported manifest format version 1"),
-            "v1 must hit the version gate, got: {err}"
-        );
-        assert!(err.contains("this build reads 2"), "{err}");
-        assert!(!err.contains("missing required field"), "{err}");
+            let err = StoreManifest::decode(&old).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported manifest format version {version}")),
+                "v{version} must hit the version gate, got: {err}"
+            );
+            assert!(err.contains(&format!("this build reads {FORMAT_VERSION}")), "{err}");
+            assert!(!err.contains("self-hash mismatch"), "{err}");
+            assert!(!err.contains("missing required field"), "{err}");
+        }
     }
 
     fn sample_index() -> RegistryIndex {
@@ -1195,14 +1239,7 @@ mod tests {
             1,
         );
         next = next.replacen("\"artifact_id\"", "\"artifact_ref\"", 1);
-        let hash_start =
-            next.find(&format!("\"{REGISTRY_HASH_KEY}\":")).expect("self-hash field present");
-        next.replace_range(
-            hash_start..hash_start + registry_hash_field(0).len(),
-            &registry_hash_field(0),
-        );
-        let rehashed = content_hash(next.as_bytes());
-        let next = next.replacen(&registry_hash_field(0), &registry_hash_field(rehashed), 1);
+        let next = restamp_self_hash(&next, REGISTRY_HASH_KEY, registry_hash_field, content_hash);
 
         let err = RegistryIndex::decode(&next).unwrap_err();
         assert!(
@@ -1213,6 +1250,23 @@ mod tests {
             "future versions must hit the gate, got: {err}"
         );
         assert!(!err.contains("missing required field"), "{err}");
+
+        // A v1 index as earlier builds wrote it, FNV-1a self-hash and
+        // all: the gate must also fire before the self-hash check,
+        // which would otherwise call the file modified.
+        let old = sample_index().encode().replacen(
+            &format!("\"format_version\": {REGISTRY_FORMAT_VERSION}"),
+            "\"format_version\": 1",
+            1,
+        );
+        let old = restamp_self_hash(&old, REGISTRY_HASH_KEY, registry_hash_field, legacy_fnv1a);
+        let err = RegistryIndex::decode(&old).unwrap_err();
+        assert!(
+            err.contains("unsupported registry index format version 1"),
+            "a v1 index must hit the version gate, got: {err}"
+        );
+        assert!(err.contains(&format!("this build reads {REGISTRY_FORMAT_VERSION}")), "{err}");
+        assert!(!err.contains("self-hash mismatch"), "{err}");
     }
 
     #[test]

@@ -18,17 +18,21 @@
 //!   request re-reads the index so each response is a consistent
 //!   snapshot. Objects stream in bounded chunks via `get_object` with
 //!   **range reads** (offset + length), so an interrupted transfer
-//!   resumes instead of restarting.
+//!   resumes instead of restarting; the server seeks to the offset and
+//!   reads only that range, never the whole object.
 //! - **[`NetClient`] / [`RemoteRegistry`]** — the pulling side: each
 //!   request carries a per-request timeout and bounded retries with
 //!   exponential backoff plus deterministic xorshift jitter. Every
-//!   object is content-hash checked on completion; a mismatch throws
+//!   object is checked against its XXH64 content hash
+//!   ([`content_hash`]) on completion; a mismatch throws
 //!   the bytes away and retries — corruption is *never* installed. A
 //!   transfer cut mid-object resumes with a range read from the last
 //!   received offset ([`NetStats::range_resumes`] counts the wins).
 //! - **`RemoteSource`** — [`ObjectSource`] over the wire, so
 //!   [`Store::open_from`] consumes an artifact straight off a remote
-//!   registry with the exact hash-checking guarantees of a local open.
+//!   registry with the exact hash-checking guarantees of a local open;
+//!   its manifest read is checked against the record and re-fetched if
+//!   corrupt, exactly as a pull's is.
 //! - **Compatibility-keyed resolution** — the `resolve` verb returns
 //!   the best artifact whose [`fatbin::FleetSpec::runs_on`] the asking
 //!   architecture ([`Registry::resolve`]), so a node stops naming
@@ -49,7 +53,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1544,11 +1548,7 @@ impl RemoteRegistry {
     /// [`StoreError::Io`] naming the remote path.
     pub fn open(&self, artifact_id: &str) -> Result<StoredArtifact> {
         let record = self.record(artifact_id)?;
-        Store::open_from(Arc::new(RemoteSource {
-            client: self.client.clone(),
-            url: self.url.clone(),
-            record,
-        }))
+        Store::open_from(Arc::new(RemoteSource { remote: self.clone(), record }))
     }
 
     /// [`RemoteRegistry::open`] + [`StoredArtifact::verify`]: full
@@ -1577,21 +1577,21 @@ impl RemoteRegistry {
 }
 
 /// The wire-backed [`ObjectSource`]: store-relative paths resolved to
-/// protocol verbs — `MANIFEST.json` to the manifest verb, `plan.json`
-/// to a range-read of the plan's pool object, `objects/<hash>.bin` to
-/// a range-read of that object (its length pinned by the index
-/// record). The store layer hash-checks every byte on top of the
-/// client's own whole-object checks.
+/// protocol verbs — `MANIFEST.json` to the manifest verb (checked
+/// against the record's `manifest_hash` and re-fetched if corrupt, as
+/// a pull does), `plan.json` to a range-read of the plan's pool
+/// object, `objects/<hash>.bin` to a range-read of that object (its
+/// length pinned by the index record). The store layer hash-checks
+/// every byte on top of the client's own whole-object checks.
 struct RemoteSource {
-    client: Arc<NetClient>,
-    url: String,
+    remote: RemoteRegistry,
     record: RegistryRecord,
 }
 
 impl fmt::Debug for RemoteSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RemoteSource")
-            .field("url", &self.url)
+            .field("url", &self.remote.url)
             .field("artifact_id", &self.record.artifact_id)
             .finish_non_exhaustive()
     }
@@ -1599,23 +1599,15 @@ impl fmt::Debug for RemoteSource {
 
 impl ObjectSource for RemoteSource {
     fn describe(&self, relative: &str) -> String {
-        format!("{}/{}/{relative}", self.url, self.record.artifact_id)
+        format!("{}/{}/{relative}", self.remote.url, self.record.artifact_id)
     }
 
     fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
-        let into_io = io::Error::other;
         if relative == MANIFEST_FILE {
-            return match self
-                .client
-                .rpc(&Request::Manifest { artifact_id: self.record.artifact_id.clone() })
-                .map_err(into_io)?
-            {
-                Response::Manifest { bytes } => Ok(Some(bytes)),
-                Response::Error { code: ERR_NOT_FOUND_ARTIFACT, .. } => Ok(None),
-                Response::Error { code, text, num } => {
-                    Err(io::Error::other(remote_net_error(code, &text, num)))
-                }
-                other => Err(io::Error::other(unexpected(&other))),
+            return match self.remote.fetch_manifest(&self.record) {
+                Ok(bytes) => Ok(Some(bytes)),
+                Err(crate::NegativaError::Store(StoreError::MissingArtifact { .. })) => Ok(None),
+                Err(e) => Err(io::Error::other(e)),
             };
         }
         let object = if relative == PLAN_FILE {
@@ -1626,7 +1618,10 @@ impl ObjectSource for RemoteSource {
             self.record.referenced().find(|object| object.object_path() == relative).cloned()
         };
         let Some(object) = object else { return Ok(None) };
-        self.client.get_object(relative, object.hash, object.byte_len).map_err(into_io)
+        self.remote
+            .client
+            .get_object(relative, object.hash, object.byte_len)
+            .map_err(io::Error::other)
     }
 }
 
@@ -1804,8 +1799,15 @@ fn respond(
             // GC sweep cannot delete the object mid-serve.
             let _guard = shared.registry.read().expect("registry lock poisoned");
             let relative = ObjectRef { hash, byte_len: 0 }.object_path();
-            let bytes = match fs::read(shared.root.join(&relative)) {
-                Ok(bytes) => bytes,
+            let internal = |e: io::Error| Response::Error {
+                code: ERR_INTERNAL,
+                text: format!("reading {relative}: {e}"),
+                num: 0,
+            };
+            let (total_len, mut file) = match fs::File::open(shared.root.join(&relative))
+                .and_then(|file| Ok((file.metadata()?.len(), file)))
+            {
+                Ok(opened) => opened,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     return Response::Error {
                         code: ERR_NOT_FOUND_OBJECT,
@@ -1813,15 +1815,8 @@ fn respond(
                         num: hash,
                     }
                 }
-                Err(e) => {
-                    return Response::Error {
-                        code: ERR_INTERNAL,
-                        text: format!("reading {relative}: {e}"),
-                        num: 0,
-                    }
-                }
+                Err(e) => return internal(e),
             };
-            let total_len = bytes.len() as u64;
             if offset > total_len {
                 return Response::Error {
                     code: ERR_BAD_REQUEST,
@@ -1829,9 +1824,13 @@ fn respond(
                     num: 0,
                 };
             }
-            let len = (len as u64).min(MAX_FRAME_PAYLOAD as u64 / 2);
-            let end = (offset + len).min(total_len);
-            Response::Chunk { total_len, bytes: bytes[offset as usize..end as usize].to_vec() }
+            // Read only the requested range, never the whole object.
+            let len = (len as u64).min(MAX_FRAME_PAYLOAD as u64 / 2).min(total_len - offset);
+            let mut bytes = vec![0; len as usize];
+            match file.seek(SeekFrom::Start(offset)).and_then(|_| file.read_exact(&mut bytes)) {
+                Ok(()) => Response::Chunk { total_len, bytes },
+                Err(e) => internal(e),
+            }
         }
         Request::Want { record } => {
             let registry = shared.registry.read().expect("registry lock poisoned");
@@ -2044,5 +2043,53 @@ mod tests {
         assert!(!NetError::Remote { detail: String::new() }.is_retryable());
         assert!(!NetError::Corrupt { entry: String::new(), expected: 1, actual: 2 }.is_retryable());
         assert!(!NetError::RetriesExhausted { attempts: 3, last: String::new() }.is_retryable());
+    }
+
+    #[test]
+    fn get_object_serves_exactly_the_requested_range() {
+        let root = std::env::temp_dir().join(format!("negativa-net-range-{}", std::process::id()));
+        fs::remove_dir_all(&root).ok();
+        let registry = Registry::at(&root);
+        registry.ensure_layout().unwrap();
+        // Past the per-frame cap, so one object spans several chunks
+        // and a greedy request is clipped.
+        let cap = MAX_FRAME_PAYLOAD as usize / 2;
+        let mut state = 0x0bad_cafe;
+        let bytes: Vec<u8> = (0..cap + DEFAULT_CHUNK_LEN as usize + 17)
+            .map(|_| xorshift(&mut state) as u8)
+            .collect();
+        let object = ObjectRef { hash: content_hash(&bytes), byte_len: bytes.len() as u64 };
+        registry.pool_object(&object, &bytes).unwrap();
+        let shared = ServerShared {
+            registry: RwLock::new(registry),
+            root: root.clone(),
+            shutdown: AtomicBool::new(false),
+        };
+        let total_len = bytes.len() as u64;
+        let get = |hash: u64, offset: u64, len: u32| {
+            respond(&shared, &mut HashMap::new(), Request::GetObject { hash, offset, len })
+        };
+        let chunk = |range: std::ops::Range<usize>| Response::Chunk {
+            total_len,
+            bytes: bytes[range].to_vec(),
+        };
+
+        let len = DEFAULT_CHUNK_LEN;
+        let middle = bytes.len() / 2 + 3;
+        let last = bytes.len() - 1;
+        assert_eq!(get(object.hash, 0, len), chunk(0..len as usize));
+        assert_eq!(get(object.hash, middle as u64, len), chunk(middle..middle + len as usize));
+        assert_eq!(get(object.hash, last as u64, len), chunk(last..bytes.len()));
+        assert_eq!(get(object.hash, 0, u32::MAX), chunk(0..cap), "clipped to the frame cap");
+        assert_eq!(get(object.hash, total_len, len), chunk(bytes.len()..bytes.len()));
+        assert!(matches!(
+            get(object.hash, total_len + 1, len),
+            Response::Error { code: ERR_BAD_REQUEST, .. }
+        ));
+        assert!(matches!(
+            get(object.hash ^ 1, 0, len),
+            Response::Error { code: ERR_NOT_FOUND_OBJECT, num, .. } if num == object.hash ^ 1
+        ));
+        fs::remove_dir_all(&root).ok();
     }
 }

@@ -6,13 +6,14 @@
 
 use std::collections::HashSet;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use negativa_ml::manifest::OBJECTS_DIR;
-use negativa_ml::net::{FaultInjector, NetError, RetryPolicy, TcpDialer};
+use negativa_ml::net::{Dialer, FaultInjector, NetError, NetStream, RetryPolicy, TcpDialer};
 use negativa_ml::registry::Registry;
 use negativa_ml::store::{DirSource, ObjectSource, Store, StoreError};
 use negativa_ml::{
@@ -182,6 +183,94 @@ fn faulty_pull_converges_and_never_installs_corruption() {
     // byte-identical to the origin's and cold-verifies.
     assert_eq!(pool_bytes(&node_root), pool_bytes(&origin_root));
     assert!(node.verify(&record.artifact_id).unwrap().all_verified());
+}
+
+/// A [`Dialer`] that flips one byte of the first manifest it relays
+/// (across all its connections), then passes every frame through
+/// untouched — a single in-flight corruption framing cannot see.
+#[derive(Debug, Default)]
+struct FlipFirstManifest {
+    flipped: Arc<AtomicBool>,
+}
+
+impl Dialer for FlipFirstManifest {
+    fn dial(&self, addr: &str, timeout: Duration) -> io::Result<Box<dyn NetStream>> {
+        let inner = TcpDialer.dial(addr, timeout)?;
+        Ok(Box::new(FlipStream { inner, flipped: self.flipped.clone(), frame: Vec::new(), at: 0 }))
+    }
+}
+
+struct FlipStream {
+    inner: Box<dyn NetStream>,
+    flipped: Arc<AtomicBool>,
+    /// The frame being relayed and how much of it was handed out.
+    frame: Vec<u8>,
+    at: usize,
+}
+
+impl Read for FlipStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.at == self.frame.len() {
+            // Buffer one whole frame: the 12-byte header ends with the
+            // little-endian payload length.
+            let mut header = [0u8; 12];
+            self.inner.read_exact(&mut header)?;
+            let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+            let mut payload = vec![0u8; len];
+            self.inner.read_exact(&mut payload)?;
+            let is_manifest = payload.windows(15).any(|w| w == b"\"manifest_hash\"");
+            if is_manifest && !self.flipped.swap(true, Ordering::SeqCst) {
+                // The manifest's trailing newline: still valid UTF-8,
+                // only a hash check can tell.
+                *payload.last_mut().unwrap() ^= 0x01;
+            }
+            self.frame = [header.as_slice(), &payload].concat();
+            self.at = 0;
+        }
+        let n = buf.len().min(self.frame.len() - self.at);
+        buf[..n].copy_from_slice(&self.frame[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+impl Write for FlipStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn remote_opens_refetch_a_corrupted_manifest_instead_of_failing() {
+    let origin_root = test_root("flip-manifest-origin");
+    let (small, _) = artifacts();
+    let record = Registry::at(&origin_root).publish(small).unwrap();
+    let server = serve(&origin_root);
+
+    // `open` alone: the flipped manifest is caught against the record's
+    // `manifest_hash` and re-fetched, costing exactly one retry.
+    let dialer = Arc::new(FlipFirstManifest::default());
+    let remote =
+        RemoteRegistry::connect_with(&server.url(), dialer.clone(), test_policy()).unwrap();
+    let opened = remote.open(&record.artifact_id).expect("the open converges");
+    assert!(dialer.flipped.load(Ordering::SeqCst), "the stub corrupted a manifest");
+    assert_eq!(remote.stats().retries, 1, "one re-fetch, nothing else: {:?}", remote.stats());
+    assert_eq!(opened.manifest().entries.len(), record.objects.len());
+
+    // `verify` over a fresh corrupting transport converges and re-runs
+    // every contributing workload.
+    let remote = RemoteRegistry::connect_with(
+        &server.url(),
+        Arc::new(FlipFirstManifest::default()),
+        test_policy(),
+    )
+    .unwrap();
+    assert!(remote.verify(&record.artifact_id).unwrap().all_verified());
+    assert_eq!(remote.stats().retries, 1);
 }
 
 #[test]
