@@ -472,7 +472,7 @@ impl Cursor<'_> {
 }
 
 /// XXH64 (seed 0) over raw bytes — the content hash behind the
-/// artifact store's addressing. Independent of
+/// artifact registry's addressing. Independent of
 /// [`simml::namegen::stable_hash`] (which folds *strings* with
 /// separators); this one hashes exact byte streams, so any single-bit
 /// change in a stored file changes the digest. The body consumes

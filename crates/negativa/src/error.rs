@@ -45,9 +45,9 @@ pub enum NegativaError {
     /// the admission queue shed it under load, or the service shut down
     /// before answering. See [`crate::service::ServiceError`].
     Service(crate::service::ServiceError),
-    /// The on-disk artifact store refused or failed an operation:
-    /// missing or corrupt entries, content-hash mismatches, or a
-    /// publish into a root holding a different artifact. See
+    /// The on-disk artifact registry refused or failed an operation:
+    /// missing or corrupt entries, content-hash mismatches, or torn
+    /// writes. See
     /// [`crate::store::StoreError`].
     Store(crate::store::StoreError),
     /// The wire transport failed: a malformed or wrong-version frame,

@@ -74,26 +74,25 @@
 //! the ROADMAP's serve-at-scale direction: debloating as a resident
 //! operational service with backpressure, not a one-shot tool.
 //!
-//! ## The packaging layer
+//! ## The packaging and distribution layer
 //!
-//! A debloat's end product is a *shippable, smaller bundle*. The
-//! [`store`] module persists one — compacted bytes as content-addressed
-//! objects, the [`BundlePlan`] as `plan.json`, and a self-hashed
-//! `MANIFEST.json` with per-workload baseline checksums — and verifies
-//! it again from a cold process: [`store::Store::verify`] checks every
-//! content hash and re-runs every contributing workload against its
-//! recorded baseline. Produce artifacts with
-//! [`DebloatSession::debloat_many_artifact`] /
-//! [`Debloater::debloat_and_publish`], or let a long-lived service
-//! auto-publish every executed batch
-//! ([`service::DebloatServiceBuilder::publish_root`]). The on-disk
-//! formats live in [`manifest`], encoded through the shared
-//! dependency-free JSON codec in [`codec`].
+//! A debloat's end product is a *shippable, smaller bundle*. Produce
+//! one with [`DebloatSession::debloat_many_artifact`] and publish it
+//! with [`Registry::publish`], or let a long-lived service auto-publish
+//! every executed batch
+//! ([`service::DebloatServiceBuilder::publish_registry`]). A
+//! [`registry`] root is the one on-disk format: compacted bytes and the
+//! encoded [`BundlePlan`] as content-addressed pool objects, plus a
+//! self-hashed manifest per artifact with its per-workload baseline
+//! checksums. [`Registry::open`] hands back a [`StoredArtifact`]
+//! ([`store`]) whose [`StoredArtifact::verify`] checks every content
+//! hash and re-runs every contributing workload against its recorded
+//! baseline from a cold process. The on-disk formats live in
+//! [`manifest`], encoded through the shared dependency-free JSON codec
+//! in [`codec`].
 //!
-//! ## The distribution layer
-//!
-//! Above the store, [`registry`] holds *many* artifacts over one
-//! shared content-addressed object pool (byte-identical libraries two
+//! One registry holds *many* artifacts over one shared
+//! content-addressed object pool (byte-identical libraries two
 //! artifacts both ship are stored once), ships between registries as
 //! a want-list delta (only the objects the receiver lacks move,
 //! hash-checked on both ends), garbage-collects by refcounting over
@@ -173,7 +172,7 @@ pub use service::{
     DebloatRequest, DebloatResponse, DebloatService, ServiceError, ServiceHandle, ServiceStats,
     Ticket,
 };
-pub use store::{Store, StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
+pub use store::{StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
 pub use verify::{verify, verify_indexed};
 
 /// Result alias used throughout this crate.
@@ -256,8 +255,8 @@ const VERIFY_MEMO_CAP: usize = 256;
 /// (and their clones): one proven [`RunOutcome`] per
 /// ([`plan::workload_fingerprint`], [`plan::config_fingerprint`],
 /// [`plan::bundle_fingerprint`]) triple. The bundle fingerprint folds
-/// the per-library content hashes — the same digests the store's
-/// manifest entries record — so a hit means *these exact bytes* were
+/// the per-library content hashes — the same digests an artifact
+/// manifest's entries record — so a hit means *these exact bytes* were
 /// already verified for this workload under this config, and runs are
 /// deterministic in exactly that triple. This closes the last
 /// in-process duplicate run: identical (workload, bundle) pairs are
@@ -495,30 +494,6 @@ impl Debloater {
         self.session(framework).debloat_many_full(workloads)
     }
 
-    /// Debloat a shared bundle against `workloads` and **publish** the
-    /// verified result — compacted bytes, plan, baselines, reduction
-    /// stats — to the on-disk artifact `store` in one step, returning
-    /// the report alongside the written manifest. This is the packaging
-    /// hook behind the `ship` binary; a separate process can later
-    /// [`store::Store::verify`] the artifact cold.
-    ///
-    /// # Errors
-    ///
-    /// As [`Debloater::debloat_many`] for the pipeline, plus
-    /// [`store::StoreError`] (inside [`NegativaError::Store`]) if the
-    /// store refuses the publish (e.g. the root already holds a
-    /// different artifact).
-    pub fn debloat_and_publish(
-        &self,
-        workloads: &[Workload],
-        store: &store::Store,
-    ) -> Result<(MultiDebloatReport, StoreManifest)> {
-        let framework = shared_framework(workloads)?;
-        let artifact = self.session(framework).debloat_many_artifact(workloads)?;
-        let manifest = store.publish(&artifact)?;
-        Ok((artifact.report, manifest))
-    }
-
     /// The grouped entry point behind the service's batch stage:
     /// debloat several workload *sets* at once, deduplicating sets that
     /// share a plan identity — framework, GPU architecture, workload
@@ -592,7 +567,7 @@ impl Debloater {
 /// the full plan identity, the normalized workloads, the (shared) plan,
 /// the verified report, and the compacted libraries. Produced by
 /// [`DebloatSession::debloat_many_artifact`]; consumed by
-/// [`store::Store::publish`].
+/// [`Registry::publish`].
 #[derive(Debug, Clone)]
 pub struct DebloatArtifact {
     /// Full plan identity of this debloat.
@@ -948,11 +923,11 @@ impl DebloatSession {
     }
 
     /// Like [`DebloatSession::debloat_many_full`], additionally keeping
-    /// everything the on-disk artifact store persists: the plan
+    /// everything a registry publish persists: the plan
     /// identity, the normalized workloads, and the (shared) plan next
     /// to the report and the compacted libraries. The packaging entry
-    /// point behind [`Debloater::debloat_and_publish`] and the
-    /// service's auto-publish hook.
+    /// point behind [`Registry::publish`] and the service's
+    /// auto-publish hook.
     ///
     /// # Errors
     ///
@@ -1067,7 +1042,7 @@ impl DebloatSession {
     /// discipline as the locate and compact passes. On top of that,
     /// unique runs are memoized **across** verify passes on the
     /// debloater's shared cache, keyed by (workload, config, bundle
-    /// *content* fingerprint — the same per-library hashes the store's
+    /// *content* fingerprint — the same per-library hashes an artifact
     /// manifest records): re-verifying a pair already proven against
     /// byte-identical debloated libraries costs a lookup, not a run. A
     /// memo hit is consumed only when its outcome reproduced exactly

@@ -1,18 +1,17 @@
-//! The artifact store's on-disk schema: `MANIFEST.json` and
-//! `plan.json`, encoded/decoded through the shared [`crate::codec`].
-//!
-//! A published artifact is a directory:
+//! The on-disk schema of a registry root, encoded/decoded through the
+//! shared [`crate::codec`]:
 //!
 //! ```text
 //! <root>/
-//!   MANIFEST.json            versioned, self-hashed index (this module)
-//!   plan.json                the serialized BundlePlan, hash-pinned by the manifest
-//!   objects/<hash>.bin       one compacted library per file, named by content hash
+//!   REGISTRY.json            versioned, self-hashed index of every artifact
+//!   manifests/<id>.json      one versioned, self-hashed manifest per artifact
+//!   objects/<hash>.bin       the shared pool: compacted libraries and encoded
+//!                            plans (`plan.json`), one file per content hash
 //! ```
 //!
-//! The manifest is *content-addressed*: every library entry carries the
+//! A manifest is *content-addressed*: every library entry carries the
 //! XXH64 digest of its exact stored bytes ([`crate::codec::content_hash`]),
-//! which doubles as the object file name; `plan.json` is pinned the
+//! which doubles as the object file name; the plan is pinned the
 //! same way through [`StoreManifest::plan_hash`]. The manifest protects
 //! itself with an embedded **self-hash**: the digest of the manifest
 //! bytes rendered with the `manifest_hash` field zeroed, spliced into
@@ -37,7 +36,7 @@ use crate::locate::{ElementRewrite, LocateStats, RetainPlan, RewriteKind};
 use crate::plan::{BundlePlan, PlanKey, WorkloadBaseline};
 use crate::report::LibraryReport;
 
-/// On-disk format version of `MANIFEST.json` and `plan.json`. Bumped on
+/// On-disk format version of artifact manifests and plans. Bumped on
 /// any incompatible schema change; decoding rejects other versions.
 ///
 /// **v2** replaced the single `arch` scalar with a `fleet` array (the
@@ -54,22 +53,20 @@ use crate::report::LibraryReport;
 /// mismatch or a missing-field parse error. They must be re-published.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// File name of the store's index at the artifact root.
-pub const MANIFEST_FILE: &str = "MANIFEST.json";
-
-/// File name of the serialized [`BundlePlan`] at the artifact root.
+/// Name of the serialized [`BundlePlan`] entry: its document name, and
+/// the entry typed errors name when the plan object fails its checks.
 pub const PLAN_FILE: &str = "plan.json";
 
-/// Directory holding the content-addressed library objects.
+/// Directory holding the content-addressed pool objects.
 pub const OBJECTS_DIR: &str = "objects";
 
 /// File name of the registry tier's self-hashed index at a registry
 /// root; see [`crate::registry`].
 pub const REGISTRY_FILE: &str = "REGISTRY.json";
 
-/// Directory holding one `MANIFEST.json` per artifact at a registry
-/// root (`manifests/<artifact-id>.json`), each pinned by its index
-/// record's [`RegistryRecord::manifest_hash`].
+/// Directory holding one manifest per artifact at a registry root
+/// (`manifests/<artifact-id>.json`), each pinned by its index record's
+/// [`RegistryRecord::manifest_hash`].
 pub const MANIFESTS_DIR: &str = "manifests";
 
 /// On-disk format version of `REGISTRY.json`. Versioned independently
@@ -103,10 +100,16 @@ pub struct ManifestEntry {
 }
 
 impl ManifestEntry {
-    /// Relative path of this entry's object file within the store.
+    /// Relative path of this entry's object file within a registry root.
     pub fn object_path(&self) -> String {
-        format!("{OBJECTS_DIR}/{:016x}.bin", self.content_hash)
+        object_path(self.content_hash)
     }
+}
+
+/// Relative path of the pool object named by `hash`
+/// (`objects/<hash as 16 hex digits>.bin`).
+pub(crate) fn object_path(hash: u64) -> String {
+    format!("{OBJECTS_DIR}/{hash:016x}.bin")
 }
 
 /// One contributing workload: the re-runnable spec plus the baseline
@@ -122,19 +125,20 @@ pub struct WorkloadRecord {
     pub baseline_checksum: u64,
 }
 
-/// The decoded content of `MANIFEST.json`: the artifact's plan
+/// The decoded content of an artifact manifest: the artifact's plan
 /// identity, its content-addressed library entries, and the workload
 /// records verification replays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreManifest {
     /// On-disk format version ([`FORMAT_VERSION`]).
     pub version: u32,
-    /// Full plan identity of the published debloat — what
-    /// [`crate::store::Store::publish`] refuses to silently replace.
+    /// Full plan identity of the published debloat; its
+    /// [`PlanKey::artifact_id`] names the artifact in a registry.
     pub key: PlanKey,
     /// GPU the debloat targeted.
     pub gpu: GpuModel,
-    /// Content hash of the stored `plan.json` bytes.
+    /// Content hash of the encoded plan (`plan.json`), which names its
+    /// pool object.
     pub plan_hash: u64,
     /// Distinct kernels in the union usage.
     pub used_kernels: usize,
@@ -147,7 +151,7 @@ pub struct StoreManifest {
 }
 
 impl StoreManifest {
-    /// Encode to the exact `MANIFEST.json` bytes, embedding the
+    /// Encode to the exact manifest bytes, embedding the
     /// self-hash: the file is rendered with a zeroed `manifest_hash`,
     /// hashed, and the digest spliced into the fixed-width placeholder
     /// (offsets never move).
@@ -158,7 +162,7 @@ impl StoreManifest {
         text.replacen(&hash_field(0), &hash_field(hash), 1)
     }
 
-    /// Decode and integrity-check `MANIFEST.json` bytes: parse, check
+    /// Decode and integrity-check manifest bytes: parse, check
     /// the format version, and verify the embedded self-hash against
     /// the file content.
     ///
@@ -166,7 +170,7 @@ impl StoreManifest {
     ///
     /// A human-readable description of the first violation (syntax,
     /// unsupported version, missing/mistyped field, or self-hash
-    /// mismatch) — the store wraps it in a typed
+    /// mismatch) — the caller wraps it in a typed
     /// [`crate::store::StoreError::CorruptManifest`].
     pub fn decode(text: &str) -> Result<StoreManifest, String> {
         let doc = JsonValue::parse(text)?;
@@ -270,8 +274,8 @@ fn hash_field(hash: u64) -> String {
 
 /// One object in a registry's shared pool, as referenced by an index
 /// record: the content hash that names the pool file and the exact
-/// length presence checks verify against (the store's object-reuse
-/// rule, applied across artifacts).
+/// length presence checks verify against (the object-reuse rule of
+/// [`crate::store`], applied across artifacts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRef {
     /// XXH64 digest of the object bytes; also the pool file name.
@@ -282,11 +286,9 @@ pub struct ObjectRef {
 
 impl ObjectRef {
     /// Relative path of this object within a registry root
-    /// (`objects/<hash as 16 hex digits>.bin` — identical to the
-    /// single-artifact store's object naming, so a store entry and a
-    /// pool entry for the same bytes are the same file name).
+    /// (`objects/<hash as 16 hex digits>.bin`).
     pub fn object_path(&self) -> String {
-        format!("{OBJECTS_DIR}/{:016x}.bin", self.hash)
+        object_path(self.hash)
     }
 }
 
@@ -299,7 +301,7 @@ pub struct RegistryRecord {
     /// [`crate::plan::PlanKey::artifact_id`] — the record's lookup key
     /// and its manifest's file stem under [`MANIFESTS_DIR`].
     pub artifact_id: String,
-    /// Content hash of the artifact's encoded `MANIFEST.json` bytes,
+    /// Content hash of the artifact's encoded manifest bytes,
     /// pinning exactly which manifest file the index points at.
     pub manifest_hash: u64,
     /// The serialized plan's object in the shared pool — plans are
@@ -461,7 +463,7 @@ pub fn encode_plan(plan: &BundlePlan) -> String {
 ///
 /// # Errors
 ///
-/// A description of the first syntax or schema violation; the store
+/// A description of the first syntax or schema violation; the caller
 /// wraps it in [`crate::store::StoreError::CorruptPlan`].
 pub fn decode_plan(text: &str) -> Result<BundlePlan, String> {
     let doc = JsonValue::parse(text)?;

@@ -29,10 +29,11 @@
 //!   transfer cut mid-object resumes with a range read from the last
 //!   received offset ([`NetStats::range_resumes`] counts the wins).
 //! - **`RemoteSource`** — [`ObjectSource`] over the wire, so
-//!   [`Store::open_from`] consumes an artifact straight off a remote
-//!   registry with the exact hash-checking guarantees of a local open;
-//!   its manifest read is checked against the record and re-fetched if
-//!   corrupt, exactly as a pull's is.
+//!   [`RemoteRegistry::open`] consumes an artifact straight off a
+//!   remote registry as a [`StoredArtifact`] with the exact
+//!   hash-checking guarantees of a local open; its manifest read is
+//!   checked against the record and re-fetched if corrupt, exactly as
+//!   a pull's is.
 //! - **Compatibility-keyed resolution** — the `resolve` verb returns
 //!   the best artifact whose [`fatbin::FleetSpec::runs_on`] the asking
 //!   architecture ([`Registry::resolve`]), so a node stops naming
@@ -64,9 +65,9 @@ use std::time::Duration;
 use fatbin::SmArch;
 
 use crate::codec::content_hash;
-use crate::manifest::{ObjectRef, RegistryRecord, MANIFEST_FILE, PLAN_FILE};
+use crate::manifest::{ObjectRef, RegistryRecord};
 use crate::registry::{manifest_relative, ArtifactOffer, Registry, ShipReport};
-use crate::store::{ObjectSource, Store, StoreError, StoreVerification, StoredArtifact};
+use crate::store::{decode_manifest, ObjectSource, StoreError, StoreVerification, StoredArtifact};
 use crate::Result;
 
 /// Frame magic: every frame starts with these four bytes.
@@ -1538,17 +1539,19 @@ impl RemoteRegistry {
     }
 
     /// Consume one remote artifact without pulling it into a local
-    /// pool: [`Store::open_from`] over a wire-backed [`ObjectSource`],
-    /// every manifest, plan, and object byte still hash-checked by the
-    /// store layer.
+    /// pool: the manifest is fetched once and checked against the
+    /// record, then a [`StoredArtifact`] reads every plan and object
+    /// byte through a wire-backed [`ObjectSource`], still hash-checked.
     ///
     /// # Errors
     ///
-    /// As [`Store::open_from`]; transport failures surface as
+    /// As [`Registry::open`]; transport failures surface as
     /// [`StoreError::Io`] naming the remote path.
     pub fn open(&self, artifact_id: &str) -> Result<StoredArtifact> {
         let record = self.record(artifact_id)?;
-        Store::open_from(Arc::new(RemoteSource { remote: self.clone(), record }))
+        let path = format!("{}/{}", self.url, manifest_relative(artifact_id));
+        let manifest = decode_manifest(self.fetch_manifest(&record)?, path)?;
+        Ok(StoredArtifact::new(Arc::new(RemoteSource { remote: self.clone(), record }), manifest))
     }
 
     /// [`RemoteRegistry::open`] + [`StoredArtifact::verify`]: full
@@ -1576,12 +1579,9 @@ impl RemoteRegistry {
     }
 }
 
-/// The wire-backed [`ObjectSource`]: store-relative paths resolved to
-/// protocol verbs — `MANIFEST.json` to the manifest verb (checked
-/// against the record's `manifest_hash` and re-fetched if corrupt, as
-/// a pull does), `plan.json` to a range-read of the plan's pool
-/// object, `objects/<hash>.bin` to a range-read of that object (its
-/// length pinned by the index record). The store layer hash-checks
+/// The wire-backed [`ObjectSource`]: `objects/<hash>.bin` resolved to
+/// a range-read of that referenced object (the plan included, its
+/// length pinned by the index record). [`StoredArtifact`] hash-checks
 /// every byte on top of the client's own whole-object checks.
 struct RemoteSource {
     remote: RemoteRegistry,
@@ -1603,21 +1603,11 @@ impl ObjectSource for RemoteSource {
     }
 
     fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
-        if relative == MANIFEST_FILE {
-            return match self.remote.fetch_manifest(&self.record) {
-                Ok(bytes) => Ok(Some(bytes)),
-                Err(crate::NegativaError::Store(StoreError::MissingArtifact { .. })) => Ok(None),
-                Err(e) => Err(io::Error::other(e)),
-            };
-        }
-        let object = if relative == PLAN_FILE {
-            Some(self.record.plan)
-        } else {
-            // `objects/<16-hex>.bin` → the referenced object of that
-            // hash; anything unreferenced does not exist remotely.
-            self.record.referenced().find(|object| object.object_path() == relative).cloned()
+        // Anything the record does not reference does not exist remotely.
+        let Some(object) = self.record.referenced().find(|object| object.object_path() == relative)
+        else {
+            return Ok(None);
         };
-        let Some(object) = object else { return Ok(None) };
         self.remote
             .client
             .get_object(relative, object.hash, object.byte_len)

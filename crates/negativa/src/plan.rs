@@ -92,9 +92,8 @@ impl PlanKey {
     }
 
     /// A filesystem- and log-friendly rendering of this identity, used
-    /// by the artifact store to name per-identity directories and by
-    /// [`crate::store::StoreError::PlanKeyMismatch`] to say *which* two
-    /// artifacts collided: `torch-sm75-<workloads hex>-<config hex>`
+    /// as the artifact id that names a registry record and its
+    /// manifest file: `torch-sm75-<workloads hex>-<config hex>`
     /// (single-member fleet, unchanged from the pre-fleet format) or
     /// `torch-sm75x80x90-...` (multi-member).
     pub fn artifact_id(&self) -> String {
@@ -144,7 +143,7 @@ pub fn workload_fingerprint(workload: &Workload) -> u64 {
 }
 
 /// A stable fingerprint of a bundle's *content*: the per-library
-/// content hashes — exactly what the store's manifest entries record —
+/// content hashes — exactly what an artifact manifest's entries record —
 /// folded in roster order. Two bundles fingerprint equal iff every
 /// library's bytes are identical, so a verification outcome measured
 /// against one bundle is valid for any bundle with the same

@@ -1,17 +1,18 @@
-//! The **registry tier** — a multi-artifact store over one shared
-//! content-addressed object pool, for fleets that *pull* debloated
-//! bundles instead of re-running the pipeline per node.
+//! The **registry** — the one on-disk format for debloated artifacts:
+//! many artifacts over one shared content-addressed object pool, for
+//! fleets that *pull* debloated bundles instead of re-running the
+//! pipeline per node.
 //!
-//! Where a [`Store`] root holds exactly one
-//! artifact, a registry root holds many, all drawing on a single
-//! `objects/` pool: plans and compacted libraries alike live at
+//! A registry root holds any number of artifacts, all drawing on a
+//! single `objects/` pool: plans and compacted libraries alike live at
 //! `objects/<content-hash>.bin`, each artifact's self-hashed manifest
 //! at `manifests/<artifact-id>.json`, and the schema-versioned,
 //! self-hashed `REGISTRY.json` index — written last and atomically —
-//! maps every live artifact to the object hashes it references.
+//! maps every live artifact to the object hashes it references. A
+//! publish torn before the index landed leaves no consumable record.
 //!
-//! Everything here is the store's object-reuse rule (see
-//! [`crate::store`] module docs) applied across artifacts:
+//! Everything here is the object-reuse rule (see [`crate::store`]
+//! module docs) applied across artifacts:
 //!
 //! - **Cross-identity dedup** — two fleet artifacts that keep the same
 //!   compacted library byte-for-byte share one pool file;
@@ -29,14 +30,12 @@
 //!   whose libraries are still referenced by a live artifact loses
 //!   nothing.
 //!
-//! Consumption is [`Registry::open`]: the registry hands
-//! [`Store::open_from`](crate::store::Store::open_from) a
-//! registry-backed [`ObjectSource`] that resolves the single-artifact
-//! paths (`MANIFEST.json`, `plan.json`, `objects/<hash>.bin`) into the
-//! pooled layout, so an opened artifact — plan seeding via
-//! [`StoredArtifact::install_plan`], bundle loading, full cold
-//! verification — behaves exactly like a local store directory, every
-//! byte still content-hash checked. A cold node pulls once, opens, and
+//! Consumption is [`Registry::open`]: the manifest is read once and
+//! checked against its index record, then handed to a
+//! [`StoredArtifact`] reading the pool through an [`ObjectSource`], so
+//! plan seeding via [`StoredArtifact::install_plan`], bundle loading,
+//! and full cold verification all run with every byte content-hash
+//! checked. A cold node pulls once, opens, and
 //! seeds its [`PlanCache`](crate::plan::PlanCache) with **zero** new
 //! detection runs.
 //!
@@ -45,7 +44,6 @@
 //! are fine, and every object write stays atomic (temp + rename).
 
 use std::collections::HashSet;
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -58,11 +56,11 @@ use fatbin::{FleetSpec, SmArch};
 use crate::codec::content_hash;
 use crate::manifest::{
     encode_plan, ObjectRef, RegistryIndex, RegistryRecord, StoreManifest, MANIFESTS_DIR,
-    MANIFEST_FILE, OBJECTS_DIR, PLAN_FILE, REGISTRY_FILE,
+    OBJECTS_DIR, REGISTRY_FILE,
 };
 use crate::store::{
-    display, manifest_for, object_present_at, write_atomic_at, ObjectSource, Store, StoreError,
-    StoreVerification, StoredArtifact,
+    decode_manifest, display, manifest_for, object_present_at, write_atomic_at, ObjectSource,
+    StoreError, StoreVerification, StoredArtifact,
 };
 use crate::{DebloatArtifact, Result};
 
@@ -305,15 +303,13 @@ impl Registry {
         Ok(record)
     }
 
-    /// Open one pooled artifact for consumption — the registry-backed
-    /// form of [`Store::open`](crate::store::Store::open). The
-    /// manifest's bytes are first checked against the index's recorded
-    /// hash, then every plan and object read goes through a
-    /// registry-backed [`ObjectSource`] with full per-read hash
-    /// checking, so the returned handle gives exactly the local-store
-    /// guarantees: [`StoredArtifact::load_bundle`],
-    /// [`StoredArtifact::install_plan`] (cold [`PlanCache`] seeding
-    /// with zero detections), and [`StoredArtifact::verify`].
+    /// Open one pooled artifact for consumption. The manifest is read
+    /// once, checked against the index's recorded hash, and decoded
+    /// (format version and self-hash); every plan and object read then
+    /// goes straight into the pool with full per-read hash checking:
+    /// [`StoredArtifact::load_bundle`], [`StoredArtifact::install_plan`]
+    /// (cold [`PlanCache`] seeding with zero detections), and
+    /// [`StoredArtifact::verify`].
     ///
     /// [`PlanCache`]: crate::plan::PlanCache
     ///
@@ -322,34 +318,11 @@ impl Registry {
     /// [`StoreError::MissingArtifact`] for an id the index does not
     /// hold, [`StoreError::MissingManifest`] /
     /// [`StoreError::HashMismatch`] for a missing or index-divergent
-    /// manifest, plus everything [`Store::open_from`] checks.
+    /// manifest, [`StoreError::CorruptManifest`] for one failing its
+    /// format version or self-hash.
     pub fn open(&self, artifact_id: &str) -> Result<StoredArtifact> {
-        let record = self.record(artifact_id)?;
-        let relative = manifest_relative(artifact_id);
-        let path = self.root.join(&relative);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(StoreError::MissingManifest { path: display(&path) }.into())
-            }
-            Err(e) => {
-                return Err(StoreError::Io { path: display(&path), detail: e.to_string() }.into())
-            }
-        };
-        let actual = content_hash(&bytes);
-        if actual != record.manifest_hash {
-            return Err(StoreError::HashMismatch {
-                entry: relative,
-                expected: record.manifest_hash,
-                actual,
-            }
-            .into());
-        }
-        Store::open_from(Arc::new(RegistrySource {
-            root: self.root.clone(),
-            artifact_id: artifact_id.to_owned(),
-            plan_relative: record.plan.object_path(),
-        }))
+        let manifest = self.manifest(&self.record(artifact_id)?)?;
+        Ok(StoredArtifact::new(Arc::new(RegistrySource { root: self.root.clone() }), manifest))
     }
 
     /// [`Registry::open`] + [`StoredArtifact::verify`]: full cold
@@ -438,8 +411,8 @@ impl Registry {
         RegistryCounters::add(&self.counters.objects_delta_skipped, report.objects_skipped);
         RegistryCounters::add(&self.counters.bytes_delta_skipped, report.bytes_skipped);
 
-        // Manifest + record install, in the store's torn-publish-safe
-        // order: content first, the consumable record last.
+        // Manifest + record install, in torn-publish-safe order:
+        // content first, the consumable record last.
         let manifest_bytes = self.manifest_bytes(&offer.record)?;
         to.install_shipped(&offer.record, &manifest_bytes)?;
         Ok(report)
@@ -485,11 +458,11 @@ impl Registry {
 
     /// One artifact's manifest bytes, hash-checked against its index
     /// record — what a ship (local or wire) sends alongside the
-    /// objects.
+    /// objects, and what [`Registry::open`] decodes.
     ///
     /// # Errors
     ///
-    /// [`StoreError::MissingEntry`] if the manifest file is gone,
+    /// [`StoreError::MissingManifest`] if the manifest file is gone,
     /// [`StoreError::HashMismatch`] if it diverged from the record.
     pub(crate) fn manifest_bytes(&self, record: &RegistryRecord) -> Result<Vec<u8>> {
         let relative = manifest_relative(&record.artifact_id);
@@ -497,9 +470,7 @@ impl Registry {
         let manifest_bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(
-                    StoreError::MissingEntry { entry: relative, path: display(&path) }.into()
-                )
+                return Err(StoreError::MissingManifest { path: display(&path) }.into())
             }
             Err(e) => {
                 return Err(StoreError::Io { path: display(&path), detail: e.to_string() }.into())
@@ -569,17 +540,14 @@ impl Registry {
     /// manifest's plan key (the index record itself only carries the
     /// object references).
     fn record_fleet(&self, record: &RegistryRecord) -> Result<FleetSpec> {
+        Ok(self.manifest(record)?.key.fleet)
+    }
+
+    /// One record's manifest: read once, checked against the record's
+    /// hash, then decoded (format version and self-hash).
+    fn manifest(&self, record: &RegistryRecord) -> Result<StoreManifest> {
         let bytes = self.manifest_bytes(record)?;
-        let text = String::from_utf8(bytes).map_err(|_| StoreError::CorruptManifest {
-            path: display(&self.root.join(manifest_relative(&record.artifact_id))),
-            detail: "not valid UTF-8".into(),
-        })?;
-        let manifest =
-            StoreManifest::decode(&text).map_err(|detail| StoreError::CorruptManifest {
-                path: display(&self.root.join(manifest_relative(&record.artifact_id))),
-                detail,
-            })?;
-        Ok(manifest.key.fleet)
+        decode_manifest(bytes, display(&self.root.join(manifest_relative(&record.artifact_id))))
     }
 
     /// [`Registry::push`] from the receiver's point of view: pull
@@ -759,7 +727,7 @@ impl Registry {
     }
 
     /// Upsert one record and rewrite the index atomically (written
-    /// last — the store's torn-publish discipline).
+    /// last — the torn-publish discipline).
     pub(crate) fn install_record(&self, record: RegistryRecord) -> Result<()> {
         let mut index = self.index()?;
         index.records.retain(|existing| existing.artifact_id != record.artifact_id);
@@ -805,44 +773,20 @@ fn now_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// The registry-backed [`ObjectSource`]: resolves the single-artifact
-/// store paths a [`StoredArtifact`] asks for into the pooled layout —
-/// `MANIFEST.json` to `manifests/<id>.json`, `plan.json` to the plan's
-/// pool object, and `objects/<hash>.bin` straight into the shared pool
-/// (the pool uses the store's own object paths, so library reads need
-/// no translation at all).
+/// The registry-backed [`ObjectSource`]: every object an opened
+/// artifact reads — its plan included — is a pool file under the root.
+#[derive(Debug)]
 struct RegistrySource {
     root: PathBuf,
-    artifact_id: String,
-    plan_relative: String,
-}
-
-impl RegistrySource {
-    fn resolve(&self, relative: &str) -> String {
-        match relative {
-            MANIFEST_FILE => manifest_relative(&self.artifact_id),
-            PLAN_FILE => self.plan_relative.clone(),
-            other => other.to_owned(),
-        }
-    }
-}
-
-impl fmt::Debug for RegistrySource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RegistrySource")
-            .field("root", &self.root)
-            .field("artifact_id", &self.artifact_id)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ObjectSource for RegistrySource {
     fn describe(&self, relative: &str) -> String {
-        display(&self.root.join(self.resolve(relative)))
+        display(&self.root.join(relative))
     }
 
     fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.root.join(self.resolve(relative))) {
+        match fs::read(self.root.join(relative)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),

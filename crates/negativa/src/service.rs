@@ -86,7 +86,6 @@ use crate::plan::{PlanCache, PlanKey};
 use crate::pool::WorkerPool;
 use crate::registry::Registry;
 use crate::report::MultiDebloatReport;
-use crate::store::Store;
 use crate::{shared_framework, DebloatSession, Debloater, NegativaError, Result};
 
 /// How often the batcher re-attempts dispatch while batches are waiting
@@ -168,7 +167,7 @@ pub struct DebloatResponse {
 /// [`DebloatService::stats`].
 ///
 /// Every field except `queue_depth` and `executing` (point-in-time
-/// gauges that move with the pipeline) and `store_root` (fixed
+/// gauges that move with the pipeline) and `registry_root` (fixed
 /// configuration) is a lifetime counter that only grows.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceStats {
@@ -195,14 +194,6 @@ pub struct ServiceStats {
     /// ([`ServiceStats::mean_batch_size`]) — the amortization factor
     /// the batcher achieved.
     pub batched_requests: u64,
-    /// Batches whose verified result was also published to the on-disk
-    /// artifact store ([`DebloatServiceBuilder::publish_root`]); always
-    /// 0 without a publish root.
-    pub published: u64,
-    /// Publish attempts that failed (the batch's requesters still got
-    /// their responses — persistence is a side channel, never a reason
-    /// to fail a served request).
-    pub publish_failed: u64,
     /// Library bytes deep-copied by executed batches' compactions
     /// (copy-on-write: at most one whole-file copy per library per
     /// batch, no matter how many requesters the batch served).
@@ -217,14 +208,6 @@ pub struct ServiceStats {
     /// re-planning (usage diff + touched-library relocation), in
     /// nanoseconds; 0 until a changed workload set rides a prior plan.
     pub plan_diff_ns: u64,
-    /// Object bytes the auto-publish stores actually read from disk
-    /// ([`crate::store::StoreStats::bytes_read`], summed over every
-    /// per-batch publish); always 0 without a publish root.
-    pub store_bytes_read: u64,
-    /// Object bytes the auto-publish stores served refcount-shared
-    /// instead of re-reading
-    /// ([`crate::store::StoreStats::bytes_shared`], summed).
-    pub store_bytes_shared: u64,
     /// Payload bytes executed batches removed because the element's
     /// architecture runs on no fleet member
     /// ([`crate::LibraryReport::bytes_sliced_arch`], summed); always 0
@@ -238,25 +221,14 @@ pub struct ServiceStats {
     /// Compressed elements executed batches rewrote in place
     /// ([`crate::LibraryReport::compressed_rewritten`], summed).
     pub compressed_rewritten: u64,
-    /// Objects auto-publishing found already present under their
-    /// content-hash name and did not rewrite
-    /// ([`crate::store::StoreStats::objects_skipped`], summed) — a hot
-    /// identity republished per batch skips all of its objects on every
-    /// batch after the first.
-    pub store_objects_skipped: u64,
-    /// Root directory executed batches are published under, if the
-    /// service was built with [`DebloatServiceBuilder::publish_root`]
-    /// (each plan identity gets its own store at
-    /// `<root>/<`[`PlanKey::artifact_id`]`>`).
-    pub store_root: Option<PathBuf>,
     /// Batches whose verified result was also published into the
     /// shared-pool registry
     /// ([`DebloatServiceBuilder::publish_registry`]); always 0 without
     /// a registry root.
     pub registry_published: u64,
-    /// Registry publish attempts that failed (best-effort, like
-    /// [`ServiceStats::publish_failed`] — the requesters still got
-    /// their responses).
+    /// Registry publish attempts that failed (the batch's requesters
+    /// still got their responses — persistence is a side channel, never
+    /// a reason to fail a served request).
     pub registry_publish_failed: u64,
     /// Objects registry publishes newly wrote into the shared pool
     /// ([`crate::registry::RegistryStats::objects_pooled`], summed over
@@ -269,9 +241,7 @@ pub struct ServiceStats {
     pub registry_objects_deduped: u64,
     /// The registry root executed batches publish into, if the service
     /// was built with [`DebloatServiceBuilder::publish_registry`]. All
-    /// identities share this one root (and its object pool) — unlike
-    /// [`ServiceStats::store_root`], which holds one store per
-    /// identity.
+    /// identities share this one root and its object pool.
     pub registry_root: Option<PathBuf>,
 }
 
@@ -326,7 +296,6 @@ pub struct DebloatServiceBuilder {
     cache: Option<Arc<PlanCache>>,
     cache_capacity: usize,
     plan_ttl: Option<Duration>,
-    publish_root: Option<PathBuf>,
     publish_registry: Option<PathBuf>,
 }
 
@@ -416,30 +385,18 @@ impl DebloatServiceBuilder {
         self
     }
 
-    /// Auto-publish every successfully executed batch to an on-disk
-    /// artifact store under `root`: each plan identity gets its own
-    /// store directory at `<root>/<`[`PlanKey::artifact_id`]`>`, so a
-    /// long-lived service continuously materializes shippable,
-    /// re-verifiable bundles as a side effect of serving traffic.
-    /// Publishing is best-effort bookkeeping ([`ServiceStats::published`]
-    /// / [`ServiceStats::publish_failed`]): a publish failure never
-    /// fails the request it rode on.
-    pub fn publish_root(mut self, root: impl Into<PathBuf>) -> Self {
-        self.publish_root = Some(root.into());
-        self
-    }
-
     /// Auto-publish every successfully executed batch into the
     /// **registry** at `root` ([`crate::registry::Registry`]): all
     /// served identities share one content-addressed object pool, so a
     /// service cycling through related workload sets pools their
     /// common libraries once and fleet nodes can
     /// [`pull`](crate::registry::Registry::pull) any of them with
-    /// delta shipping. Best-effort like
-    /// [`DebloatServiceBuilder::publish_root`]
+    /// delta shipping. A long-lived service thereby materializes
+    /// shippable, re-verifiable bundles as a side effect of serving
+    /// traffic. Publishing is best-effort bookkeeping
     /// ([`ServiceStats::registry_published`] /
-    /// [`ServiceStats::registry_publish_failed`]); both targets may be
-    /// configured at once.
+    /// [`ServiceStats::registry_publish_failed`]): a publish failure
+    /// never fails the request it rode on.
     pub fn publish_registry(mut self, root: impl Into<PathBuf>) -> Self {
         self.publish_registry = Some(root.into());
         self
@@ -469,7 +426,6 @@ impl DebloatServiceBuilder {
             fleet,
             config: self.config,
             queue_capacity: self.queue_capacity,
-            publish_root: self.publish_root,
             publish_registry: self.publish_registry,
             sessions: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
@@ -481,8 +437,6 @@ impl DebloatServiceBuilder {
             executing: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            publish_failed: AtomicU64::new(0),
             registry_published: AtomicU64::new(0),
             registry_publish_failed: AtomicU64::new(0),
             registry_objects_pooled: AtomicU64::new(0),
@@ -490,9 +444,6 @@ impl DebloatServiceBuilder {
             bytes_copied: AtomicU64::new(0),
             bytes_shared: AtomicU64::new(0),
             plan_diff_ns: AtomicU64::new(0),
-            store_bytes_read: AtomicU64::new(0),
-            store_bytes_shared: AtomicU64::new(0),
-            store_objects_skipped: AtomicU64::new(0),
             bytes_sliced_arch: AtomicU64::new(0),
             bytes_sliced_compressed: AtomicU64::new(0),
             compressed_rewritten: AtomicU64::new(0),
@@ -576,11 +527,8 @@ struct ServiceShared {
     fleet: FleetSpec,
     config: RunConfig,
     queue_capacity: usize,
-    /// Root for per-identity artifact stores; `None` disables
-    /// auto-publishing.
-    publish_root: Option<PathBuf>,
     /// Root of the shared-pool registry batches publish into; `None`
-    /// disables registry publishing.
+    /// disables auto-publishing.
     publish_registry: Option<PathBuf>,
     /// One pinned session per framework, created on first request.
     sessions: Mutex<HashMap<FrameworkKind, DebloatSession>>,
@@ -594,8 +542,6 @@ struct ServiceShared {
     executing: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    published: AtomicU64,
-    publish_failed: AtomicU64,
     registry_published: AtomicU64,
     registry_publish_failed: AtomicU64,
     registry_objects_pooled: AtomicU64,
@@ -603,9 +549,6 @@ struct ServiceShared {
     bytes_copied: AtomicU64,
     bytes_shared: AtomicU64,
     plan_diff_ns: AtomicU64,
-    store_bytes_read: AtomicU64,
-    store_bytes_shared: AtomicU64,
-    store_objects_skipped: AtomicU64,
     bytes_sliced_arch: AtomicU64,
     bytes_sliced_compressed: AtomicU64,
     compressed_rewritten: AtomicU64,
@@ -822,23 +765,9 @@ fn execute(shared: &ServiceShared, batch: Batch) {
         // Auto-publish the verified artifact before fanning out. A
         // persistence failure is counted, never propagated: the
         // requesters' debloat succeeded.
-        if let Some(root) = &shared.publish_root {
-            let store = Store::at(root.join(artifact.key.artifact_id()));
-            match store.publish(&artifact) {
-                Ok(_) => shared.published.fetch_add(1, Ordering::Relaxed),
-                Err(_) => shared.publish_failed.fetch_add(1, Ordering::Relaxed),
-            };
-            // Each batch gets a fresh Store handle, so its stats are
-            // exactly this publish's delta — fold them into the
-            // service-lifetime ledger.
-            let io = store.stats();
-            shared.store_bytes_read.fetch_add(io.bytes_read, Ordering::Relaxed);
-            shared.store_bytes_shared.fetch_add(io.bytes_shared, Ordering::Relaxed);
-            shared.store_objects_skipped.fetch_add(io.objects_skipped, Ordering::Relaxed);
-        }
-        // Registry publishing: all identities into one shared pool,
-        // same best-effort contract. A fresh Registry handle per batch
-        // makes its stats exactly this publish's delta.
+        // All identities publish into one shared pool. A fresh
+        // Registry handle per batch makes its stats exactly this
+        // publish's delta.
         if let Some(root) = &shared.publish_registry {
             let registry = Registry::at(root);
             match registry.publish(&artifact) {
@@ -1011,7 +940,6 @@ impl DebloatService {
             cache: None,
             cache_capacity: PlanCache::DEFAULT_CAPACITY,
             plan_ttl: None,
-            publish_root: None,
             publish_registry: None,
         }
     }
@@ -1046,18 +974,12 @@ impl DebloatService {
             executing: self.shared.executing.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
             batched_requests: self.shared.batched_requests.load(Ordering::Relaxed),
-            published: self.shared.published.load(Ordering::Relaxed),
-            publish_failed: self.shared.publish_failed.load(Ordering::Relaxed),
             bytes_copied: self.shared.bytes_copied.load(Ordering::Relaxed),
             bytes_shared: self.shared.bytes_shared.load(Ordering::Relaxed),
             plan_diff_ns: self.shared.plan_diff_ns.load(Ordering::Relaxed),
-            store_bytes_read: self.shared.store_bytes_read.load(Ordering::Relaxed),
-            store_bytes_shared: self.shared.store_bytes_shared.load(Ordering::Relaxed),
-            store_objects_skipped: self.shared.store_objects_skipped.load(Ordering::Relaxed),
             bytes_sliced_arch: self.shared.bytes_sliced_arch.load(Ordering::Relaxed),
             bytes_sliced_compressed: self.shared.bytes_sliced_compressed.load(Ordering::Relaxed),
             compressed_rewritten: self.shared.compressed_rewritten.load(Ordering::Relaxed),
-            store_root: self.shared.publish_root.clone(),
             registry_published: self.shared.registry_published.load(Ordering::Relaxed),
             registry_publish_failed: self.shared.registry_publish_failed.load(Ordering::Relaxed),
             registry_objects_pooled: self.shared.registry_objects_pooled.load(Ordering::Relaxed),

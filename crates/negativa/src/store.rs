@@ -1,74 +1,66 @@
-//! The on-disk **artifact store** — the packaging layer of the
-//! ROADMAP: persist a verified debloat (compacted library bytes, the
-//! [`BundlePlan`], per-workload baseline checksums, and reduction
-//! stats) under one directory, so the bundle can be *shipped* and
-//! *re-verified out of process*.
+//! The **opened-artifact view** of the packaging layer and its typed
+//! errors.
 //!
-//! One store root holds one artifact, identified by its full plan
-//! identity ([`PlanKey`]). The layout is content-addressed (see
-//! [`crate::manifest`]): every compacted library lives in
-//! `objects/<content-hash>.bin`, `plan.json` carries the serialized
-//! plan, and the self-hashed `MANIFEST.json` indexes both — written
-//! last and atomically (temp file + rename), so a torn publish leaves a
-//! directory without a manifest, never a manifest pointing at missing
-//! or half-written bytes. Single-byte corruption anywhere is detected
-//! with a typed [`StoreError`]: a flipped library byte fails the entry's
-//! content hash, a flipped plan byte fails [`StoreManifest::plan_hash`],
-//! and a flipped manifest byte fails its embedded self-hash.
+//! A verified debloat (compacted library bytes, the [`BundlePlan`],
+//! per-workload baseline checksums, and reduction stats) is persisted
+//! in a registry root ([`crate::registry`]): every library and the
+//! encoded plan live as content-addressed pool objects under
+//! `objects/<content-hash>.bin`, and a self-hashed manifest
+//! ([`StoreManifest`]) indexes them. [`StoredArtifact`] is one such
+//! artifact opened for consumption, reading through an
+//! [`ObjectSource`] — a local registry root
+//! ([`crate::registry::Registry::open`]) or a remote one over the wire
+//! ([`crate::net::RemoteRegistry::open`]). Single-byte corruption
+//! anywhere is detected with a typed [`StoreError`]: a flipped library
+//! byte fails the entry's content hash, a flipped plan byte fails
+//! [`StoreManifest::plan_hash`], and a flipped manifest byte fails its
+//! index record's hash and its embedded self-hash.
 //!
 //! ## The object-reuse rule
 //!
 //! An object file's *name* is its content hash and every write lands
 //! atomically (temp + rename), so a file that exists at
-//! `objects/<hash>.bin` with the manifest-recorded length holds exactly
-//! the bytes that hash to `<hash>` — there is never a reason to write
-//! it again. [`Store::publish`] exploits this in both directions
-//! ([`StoreStats::objects_skipped`] counts the wins): republishing the
-//! same identity over an intact root writes nothing, and a root that
-//! already holds some of the objects (e.g. two plan identities sharing
-//! untouched libraries, or a future registry pooling objects across
-//! artifacts) only writes the missing ones. Reads are symmetric:
-//! [`StoredArtifact::load_bundle`] reads and hash-checks each unique
-//! content hash **once**, caches the buffer, and hands out
+//! `objects/<hash>.bin` with the recorded length holds exactly the
+//! bytes that hash to `<hash>` — there is never a reason to write it
+//! again. Publishing exploits this
+//! ([`crate::registry::RegistryStats::objects_deduped`] counts the
+//! wins): republishing an intact identity writes no object, and
+//! artifacts sharing untouched libraries pool them once. Reads are
+//! symmetric: [`StoredArtifact::load_bundle`] reads and hash-checks
+//! each unique content hash **once**, caches the buffer, and hands out
 //! refcount-shared [`ElfImage`]s ([`ElfImage::shares_bytes_with`]) for
-//! every further request of the same hash ([`StoreStats::bytes_read`]
-//! vs [`StoreStats::bytes_shared`]). Any future registry tier layering
-//! a shared object pool across stores must preserve exactly this rule:
-//! hash-named, atomically renamed, length-checked — then presence
-//! alone proves content.
+//! every further request of the same hash.
 //!
-//! [`Store::publish`] is idempotent for one identity and **refuses** to
-//! replace a different one ([`StoreError::PlanKeyMismatch`]) — a store
-//! root is never silently repurposed. [`Store::verify`] is the cold
-//! half of the contract: it reopens everything from disk, checks every
-//! hash, reconstructs the bundle, and re-runs *every* contributing
-//! workload, demanding each reproduce its recorded baseline checksum.
-//! The `ship` / `verify_artifact` façade binaries run exactly this
-//! split across two processes in CI.
+//! [`StoredArtifact::verify`] is the cold half of the contract: it
+//! checks every hash, reconstructs the bundle, and re-runs *every*
+//! contributing workload, demanding each reproduce its recorded
+//! baseline checksum. `registry publish` / `registry verify` run
+//! exactly this split across two processes in CI.
 //!
 //! ```
-//! use negativa_ml::store::Store;
-//! use negativa_ml::Debloater;
+//! use negativa_ml::{Debloater, Registry};
 //! use simcuda::GpuModel;
 //! use simml::{FrameworkKind, ModelKind, Operation, Workload};
 //!
 //! # fn main() -> Result<(), negativa_ml::NegativaError> {
 //! let root = std::env::temp_dir().join(format!("negativa-doc-store-{}", std::process::id()));
-//! let store = Store::at(&root);
+//! let registry = Registry::at(&root);
 //!
-//! // Publish: one union debloat, persisted with plan + manifest.
+//! // Publish: one union debloat, persisted as pool objects + manifest.
 //! let workload = Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2,
 //!                                Operation::Inference);
-//! let (report, manifest) = Debloater::new(GpuModel::T4)
-//!     .debloat_and_publish(std::slice::from_ref(&workload), &store)?;
-//! assert!(report.all_verified());
-//! assert_eq!(manifest.entries.len(), report.libraries.len());
+//! let artifact = Debloater::new(GpuModel::T4)
+//!     .session(FrameworkKind::PyTorch)
+//!     .debloat_many_artifact(std::slice::from_ref(&workload))?;
+//! assert!(artifact.report.all_verified());
+//! let record = registry.publish(&artifact)?;
+//! assert_eq!(record.objects.len(), artifact.libraries.len());
 //!
 //! // Reopen cold and re-verify: every stored hash checks out and every
 //! // workload reproduces its recorded baseline checksum.
-//! let artifact = store.open()?;
-//! assert_eq!(artifact.manifest().key, manifest.key);
-//! let verification = store.verify()?;
+//! let opened = registry.open(&record.artifact_id)?;
+//! assert_eq!(opened.plan_key(), artifact.key);
+//! let verification = opened.verify()?;
 //! assert!(verification.all_verified());
 //! # std::fs::remove_dir_all(&root).ok();
 //! # Ok(())
@@ -79,8 +71,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use simelf::ElfImage;
@@ -88,14 +79,13 @@ use simml::{cached_bundle, cached_indexes, FrameworkBundle, GeneratedLibrary, Ru
 
 use crate::codec::content_hash;
 use crate::manifest::{
-    encode_plan, ManifestEntry, StoreManifest, WorkloadRecord, FORMAT_VERSION, MANIFEST_FILE,
-    OBJECTS_DIR, PLAN_FILE,
+    object_path, ManifestEntry, StoreManifest, WorkloadRecord, FORMAT_VERSION, PLAN_FILE,
 };
 use crate::plan::{config_fingerprint, BundlePlan, PlanCache, PlanKey};
 use crate::verify::verify_indexed;
 use crate::{DebloatArtifact, NegativaError, Result};
 
-/// Why the artifact store could not publish or load an artifact.
+/// Why an artifact could not be published, shipped, or loaded.
 /// Carried inside [`NegativaError::Store`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -107,31 +97,32 @@ pub enum StoreError {
         /// The underlying I/O error, rendered.
         detail: String,
     },
-    /// The store root has no `MANIFEST.json` — nothing was published
-    /// here, or a publish was torn before the manifest (written last)
-    /// landed.
+    /// An indexed artifact has no manifest file
+    /// (`manifests/<artifact-id>.json`) — it was deleted, or a write
+    /// was torn before the manifest landed.
     MissingManifest {
         /// The manifest path that does not exist.
         path: String,
     },
     /// The manifest references an entry whose backing file is gone —
-    /// the telltale of a partially deleted or torn store.
+    /// the telltale of a partially deleted pool or a torn write.
     MissingEntry {
         /// The entry's name (library soname or `plan.json`).
         entry: String,
         /// The file path that should have held its bytes.
         path: String,
     },
-    /// `MANIFEST.json` exists but fails parsing, schema validation, or
-    /// its embedded self-hash — it was corrupted after publishing.
+    /// An artifact manifest exists but fails parsing, schema
+    /// validation, or its embedded self-hash — it was corrupted after
+    /// publishing.
     CorruptManifest {
         /// The manifest path.
         path: String,
         /// What exactly failed.
         detail: String,
     },
-    /// `plan.json` passed its content-hash check but does not decode —
-    /// a schema mismatch rather than bit rot.
+    /// The plan object passed its content-hash check but does not
+    /// decode — a schema mismatch rather than bit rot.
     CorruptPlan {
         /// The plan path.
         path: String,
@@ -148,15 +139,8 @@ pub enum StoreError {
         /// What the bytes on disk actually hash to.
         actual: u64,
     },
-    /// [`Store::publish`] found the root already holding an artifact
-    /// with a *different* plan identity and refused to overwrite it.
-    PlanKeyMismatch {
-        /// Identity of the artifact already in the store.
-        existing: String,
-        /// Identity of the artifact that was being published.
-        publishing: String,
-    },
-    /// [`Store::verify`] was asked to replay workloads under a
+    /// [`StoredArtifact::verify_with_config`] was asked to replay
+    /// workloads under a
     /// [`RunConfig`] whose fingerprint differs from the one the
     /// baselines were recorded with — the checksums would be
     /// incomparable, so verification refuses to start.
@@ -221,7 +205,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io { path, detail } => write!(f, "store I/O error at {path}: {detail}"),
             StoreError::MissingManifest { path } => {
-                write!(f, "no artifact manifest at {path} (nothing published, or a torn publish)")
+                write!(f, "no artifact manifest at {path} (deleted, or a torn publish)")
             }
             StoreError::MissingEntry { entry, path } => {
                 write!(f, "store entry {entry} is missing its backing file {path}")
@@ -236,11 +220,6 @@ impl fmt::Display for StoreError {
                 f,
                 "content hash mismatch for stored entry {entry}: manifest records \
                  {expected:#018x}, bytes on disk hash to {actual:#018x}"
-            ),
-            StoreError::PlanKeyMismatch { existing, publishing } => write!(
-                f,
-                "store already holds artifact {existing}; refusing to overwrite it with \
-                 {publishing} (use a fresh directory per plan identity)"
             ),
             StoreError::ConfigMismatch { stored, provided } => write!(
                 f,
@@ -274,16 +253,15 @@ impl std::error::Error for StoreError {}
 
 /// Read-only transport a [`StoredArtifact`] loads its content through.
 ///
-/// An opened artifact never writes; everything it needs is three kinds
-/// of read, all addressed by *store-relative* path: `MANIFEST.json`,
-/// `plan.json`, and `objects/<hash>.bin`. Abstracting that read path
-/// lets one `StoredArtifact` implementation serve both layouts: a
-/// plain single-artifact store directory ([`DirSource`]) and a
-/// registry root whose objects live in a shared pool keyed by content
-/// hash ([`crate::registry::Registry::open`]). Every byte an
-/// implementation returns is still content-hash checked by the caller
-/// — a transport can lose bytes or serve stale ones, but it can never
-/// forge them.
+/// An opened artifact never writes, and its manifest is read and
+/// checked by whoever opens it; everything else it needs is a
+/// pool-relative object read (`objects/<hash>.bin`, the plan
+/// included). Abstracting that read lets one `StoredArtifact`
+/// implementation serve a local registry root
+/// ([`crate::registry::Registry::open`]) and a remote one
+/// ([`crate::net::RemoteRegistry::open`]). Every byte an implementation
+/// returns is still content-hash checked by the caller — a transport
+/// can lose bytes or serve stale ones, but it can never forge them.
 pub trait ObjectSource: fmt::Debug + Send + Sync {
     /// Where `relative` resolves for this transport, for error
     /// messages ([`StoreError::MissingEntry::path`] and friends).
@@ -299,255 +277,9 @@ pub trait ObjectSource: fmt::Debug + Send + Sync {
     fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>>;
 }
 
-/// The local-directory [`ObjectSource`]: every store-relative path
-/// resolves directly under one root — the layout [`Store::publish`]
-/// writes.
-#[derive(Debug, Clone)]
-pub struct DirSource {
-    root: PathBuf,
-}
-
-impl DirSource {
-    /// A source reading the single-artifact store layout under `root`.
-    pub fn new(root: impl Into<PathBuf>) -> DirSource {
-        DirSource { root: root.into() }
-    }
-}
-
-impl ObjectSource for DirSource {
-    fn describe(&self, relative: &str) -> String {
-        display(&self.root.join(relative))
-    }
-
-    fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.root.join(relative)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Cumulative I/O accounting for one [`Store`] (shared across its
-/// clones and every [`StoredArtifact`] it opens): how much object
-/// traffic the zero-copy rules turned into no-ops. Snapshot via
-/// [`Store::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Object bytes actually read from disk (and content-hash checked)
-    /// by [`StoredArtifact::load_bundle`] — once per unique content
-    /// hash per opened artifact.
-    pub bytes_read: u64,
-    /// Object bytes served refcount-shared from an already-read buffer
-    /// instead of re-read and re-hashed — repeat loads of a hash cost a
-    /// clone of an `Arc`, not disk I/O.
-    pub bytes_shared: u64,
-    /// Objects [`Store::publish`] found already present at their
-    /// recorded length under their content-hash name and therefore did
-    /// not rewrite (see the module docs' object-reuse rule). A fully
-    /// intact republish skips every entry.
-    pub objects_skipped: u64,
-}
-
-/// The atomics behind [`StoreStats`], `Arc`-shared so clones of a
-/// [`Store`] and the artifacts it opens all account to one ledger.
-#[derive(Debug, Default)]
-struct StoreCounters {
-    bytes_read: AtomicU64,
-    bytes_shared: AtomicU64,
-    objects_skipped: AtomicU64,
-}
-
-/// A directory that holds (or will hold) one published debloat
-/// artifact; see the [module docs](self).
-#[derive(Debug, Clone)]
-pub struct Store {
-    root: PathBuf,
-    counters: Arc<StoreCounters>,
-}
-
-impl Store {
-    /// A store rooted at `root`. Nothing is touched until
-    /// [`Store::publish`] or [`Store::open`].
-    pub fn at(root: impl Into<PathBuf>) -> Store {
-        Store { root: root.into(), counters: Arc::new(StoreCounters::default()) }
-    }
-
-    /// Snapshot of the store's cumulative zero-copy I/O accounting,
-    /// covering this handle, its clones, and every artifact opened
-    /// through them.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            bytes_read: self.counters.bytes_read.load(Ordering::Relaxed),
-            bytes_shared: self.counters.bytes_shared.load(Ordering::Relaxed),
-            objects_skipped: self.counters.objects_skipped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// True if the root holds a published manifest (it may still be
-    /// corrupt; [`Store::open`] decides that).
-    pub fn exists(&self) -> bool {
-        self.root.join(MANIFEST_FILE).is_file()
-    }
-
-    /// Persist `artifact` under the root: every compacted library as a
-    /// content-addressed object, the plan as `plan.json`, and the
-    /// self-hashed `MANIFEST.json` — written last and atomically, so a
-    /// crash mid-publish never leaves a manifest pointing at missing
-    /// bytes. Re-publishing the *same* plan identity is idempotent
-    /// (bytes are deterministic) — and cheap: a root whose manifest
-    /// already matches and whose entries are all present at their
-    /// recorded lengths returns the existing manifest without rewriting
-    /// a byte, so a service republishing its hot identity per batch
-    /// pays a few `stat` calls, not a multi-MB rewrite. A root already
-    /// holding a *different* identity is refused.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::PlanKeyMismatch`] if the root holds another
-    /// artifact, [`StoreError::CorruptManifest`] if it holds an
-    /// unreadable one (never silently overwritten), and
-    /// [`StoreError::Io`] for filesystem failures.
-    pub fn publish(&self, artifact: &DebloatArtifact) -> Result<StoreManifest> {
-        if self.exists() {
-            let existing = self.read_manifest()?;
-            if existing.key != artifact.key {
-                return Err(StoreError::PlanKeyMismatch {
-                    existing: existing.key.artifact_id(),
-                    publishing: artifact.key.artifact_id(),
-                }
-                .into());
-            }
-            // Same identity, intact layout: nothing to do. A store with
-            // a missing or truncated file falls through to the
-            // per-object path below, which repairs it.
-            if self.entries_look_intact(&existing) {
-                self.counters
-                    .objects_skipped
-                    .fetch_add(existing.entries.len() as u64, Ordering::Relaxed);
-                return Ok(existing);
-            }
-        }
-        let objects = self.root.join(OBJECTS_DIR);
-        fs::create_dir_all(&objects).map_err(|e| io_error(&objects, &e))?;
-
-        let plan_text = encode_plan(&artifact.plan);
-        let manifest = manifest_for(artifact, &plan_text);
-        for (entry, library) in manifest.entries.iter().zip(&artifact.libraries) {
-            // Object-reuse rule (module docs): the filename is the
-            // content hash and writes are atomic, so presence at the
-            // recorded length proves the bytes are already these bytes.
-            if self.object_present(&entry.object_path(), entry.byte_len) {
-                self.counters.objects_skipped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.write_atomic(&entry.object_path(), library.image.bytes())?;
-            }
-        }
-
-        self.write_atomic(PLAN_FILE, plan_text.as_bytes())?;
-        self.write_atomic(MANIFEST_FILE, manifest.encode().as_bytes())?;
-        Ok(manifest)
-    }
-
-    /// Open the artifact published at the root: read `MANIFEST.json`,
-    /// check its embedded self-hash and format version, and return a
-    /// handle for loading and verifying the stored content.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::MissingManifest`] if nothing was published here,
-    /// [`StoreError::CorruptManifest`] if the manifest fails parsing or
-    /// its self-hash, [`StoreError::Io`] for filesystem failures.
-    pub fn open(&self) -> Result<StoredArtifact> {
-        Self::open_with(Arc::new(DirSource::new(self.root.clone())), self.counters.clone())
-    }
-
-    /// Open an artifact through any read-only transport — the
-    /// distribution-tier form of [`Store::open`]. The manifest is read
-    /// and integrity-checked through `source`, and every later plan or
-    /// object load goes through the same transport, so a cold node can
-    /// consume an artifact straight out of a registry's shared pool
-    /// (or any future remote transport) with the exact verification
-    /// guarantees of a local store directory.
-    ///
-    /// # Errors
-    ///
-    /// As [`Store::open`], with paths rendered by
-    /// [`ObjectSource::describe`].
-    pub fn open_from(source: Arc<dyn ObjectSource>) -> Result<StoredArtifact> {
-        Self::open_with(source, Arc::new(StoreCounters::default()))
-    }
-
-    fn open_with(
-        source: Arc<dyn ObjectSource>,
-        counters: Arc<StoreCounters>,
-    ) -> Result<StoredArtifact> {
-        let manifest = read_manifest_from(source.as_ref())?;
-        Ok(StoredArtifact {
-            source,
-            manifest,
-            counters,
-            objects: Arc::new(Mutex::new(HashMap::new())),
-        })
-    }
-
-    /// [`Store::open`] + [`StoredArtifact::load_bundle`]: the stored
-    /// compacted libraries, every content hash checked.
-    ///
-    /// # Errors
-    ///
-    /// As [`Store::open`] and [`StoredArtifact::load_bundle`].
-    pub fn load_bundle(&self) -> Result<Vec<GeneratedLibrary>> {
-        self.open()?.load_bundle()
-    }
-
-    /// [`Store::open`] + [`StoredArtifact::verify`]: the full cold
-    /// re-verification under the default [`RunConfig`].
-    ///
-    /// # Errors
-    ///
-    /// As [`StoredArtifact::verify`].
-    pub fn verify(&self) -> Result<StoreVerification> {
-        self.open()?.verify()
-    }
-
-    fn read_manifest(&self) -> Result<StoreManifest> {
-        read_manifest_from(&DirSource::new(self.root.clone()))
-    }
-
-    /// Cheap layout check behind idempotent republish: the manifest's
-    /// files all exist at their recorded lengths (metadata only — full
-    /// content hashing is [`Store::verify`]'s job).
-    fn entries_look_intact(&self, manifest: &StoreManifest) -> bool {
-        manifest
-            .entries
-            .iter()
-            .all(|entry| self.object_present(&entry.object_path(), entry.byte_len))
-            && fs::metadata(self.root.join(PLAN_FILE)).is_ok()
-    }
-
-    /// True if `relative` exists at exactly `byte_len` bytes — which,
-    /// for a hash-named, atomically renamed object file, proves it
-    /// already holds the content being published (module docs).
-    fn object_present(&self, relative: &str, byte_len: u64) -> bool {
-        object_present_at(&self.root, relative, byte_len)
-    }
-
-    /// Write `bytes` to `relative` through a uniquely named temp file +
-    /// rename; see [`write_atomic_at`].
-    fn write_atomic(&self, relative: &str, bytes: &[u8]) -> Result<()> {
-        write_atomic_at(&self.root, relative, bytes)
-    }
-}
-
-/// The presence half of the object-reuse rule, shared with the
-/// registry tier: a hash-named, atomically renamed file that exists at
-/// exactly `byte_len` bytes already holds the content being written.
+/// The presence half of the object-reuse rule: a hash-named,
+/// atomically renamed file that exists at exactly `byte_len` bytes
+/// already holds the content being written.
 pub(crate) fn object_present_at(root: &Path, relative: &str, byte_len: u64) -> bool {
     fs::metadata(root.join(relative)).is_ok_and(|m| m.len() == byte_len)
 }
@@ -570,9 +302,7 @@ pub(crate) fn write_atomic_at(root: &Path, relative: &str, bytes: &[u8]) -> Resu
 }
 
 /// Build the manifest that persists `artifact`: one content-addressed
-/// entry per compacted library plus the plan's content hash — shared
-/// by [`Store::publish`] and the registry tier so the two layouts can
-/// never drift on what an artifact's on-disk identity is.
+/// entry per compacted library plus the plan's content hash.
 pub(crate) fn manifest_for(artifact: &DebloatArtifact, plan_text: &str) -> StoreManifest {
     let mut entries = Vec::with_capacity(artifact.libraries.len());
     for (library, report) in artifact.libraries.iter().zip(&artifact.report.libraries) {
@@ -605,14 +335,10 @@ pub(crate) fn manifest_for(artifact: &DebloatArtifact, plan_text: &str) -> Store
     }
 }
 
-/// Read and integrity-check `MANIFEST.json` through a transport.
-fn read_manifest_from(source: &dyn ObjectSource) -> Result<StoreManifest> {
-    let path = source.describe(MANIFEST_FILE);
-    let bytes = match source.fetch(MANIFEST_FILE) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return Err(StoreError::MissingManifest { path }.into()),
-        Err(e) => return Err(StoreError::Io { path, detail: e.to_string() }.into()),
-    };
+/// Decode manifest bytes already checked against their index record,
+/// verifying the embedded self-hash and format version; `path` names
+/// the manifest in the error.
+pub(crate) fn decode_manifest(bytes: Vec<u8>, path: String) -> Result<StoreManifest> {
     let text = String::from_utf8(bytes).map_err(|_| StoreError::CorruptManifest {
         path: path.clone(),
         detail: "not valid UTF-8".into(),
@@ -630,7 +356,9 @@ pub(crate) fn display(path: &Path) -> String {
 }
 
 /// One opened artifact: the decoded, integrity-checked manifest plus
-/// the root it loads content from. Created by [`Store::open`].
+/// the transport it loads content from. Created by
+/// [`crate::registry::Registry::open`] and
+/// [`crate::net::RemoteRegistry::open`].
 ///
 /// The handle carries a per-content-hash object cache: across all its
 /// [`StoredArtifact::load_bundle`] calls (and clones — the cache is
@@ -641,11 +369,16 @@ pub(crate) fn display(path: &Path) -> String {
 pub struct StoredArtifact {
     source: Arc<dyn ObjectSource>,
     manifest: StoreManifest,
-    counters: Arc<StoreCounters>,
     objects: Arc<Mutex<HashMap<u64, Arc<Vec<u8>>>>>,
 }
 
 impl StoredArtifact {
+    /// An artifact whose `manifest` the caller already read and
+    /// checked, loading its plan and objects through `source`.
+    pub fn new(source: Arc<dyn ObjectSource>, manifest: StoreManifest) -> StoredArtifact {
+        StoredArtifact { source, manifest, objects: Arc::new(Mutex::new(HashMap::new())) }
+    }
+
     /// The decoded manifest.
     pub fn manifest(&self) -> &StoreManifest {
         &self.manifest
@@ -656,9 +389,9 @@ impl StoredArtifact {
         self.manifest.key
     }
 
-    /// Load the stored [`BundlePlan`], checking `plan.json` against the
-    /// manifest's content hash first. The result is field-for-field
-    /// identical to the plan that was published.
+    /// Load the stored [`BundlePlan`], checking the plan object against
+    /// the manifest's content hash first. The result is
+    /// field-for-field identical to the plan that was published.
     ///
     /// # Errors
     ///
@@ -666,8 +399,9 @@ impl StoredArtifact {
     /// naming `plan.json`, or [`StoreError::CorruptPlan`] if the bytes
     /// hash correctly but fail decoding (a schema bug, not bit rot).
     pub fn load_plan(&self) -> Result<BundlePlan> {
-        let bytes = self.read_entry(PLAN_FILE, PLAN_FILE, self.manifest.plan_hash, None)?;
-        let path = || self.source.describe(PLAN_FILE);
+        let relative = object_path(self.manifest.plan_hash);
+        let bytes = self.read_entry(PLAN_FILE, &relative, self.manifest.plan_hash, None)?;
+        let path = || self.source.describe(&relative);
         let text = String::from_utf8(bytes).map_err(|_| StoreError::CorruptPlan {
             path: path(),
             detail: "not valid UTF-8".into(),
@@ -695,12 +429,10 @@ impl StoredArtifact {
     /// and pairing them with the framework's deterministic library
     /// manifests ([`FrameworkBundle::from_images`]).
     ///
-    /// Zero-copy: each unique content hash is read from disk (and
-    /// hash-checked) at most once per handle; every image for that hash
-    /// — within one load and across repeat loads — shares the same
-    /// buffer, so a second `load_bundle` costs refcount bumps, not I/O.
-    /// [`Store::stats`] accounts the split as
-    /// [`StoreStats::bytes_read`] vs [`StoreStats::bytes_shared`].
+    /// Zero-copy: each unique content hash is read (and hash-checked)
+    /// at most once per handle; every image for that hash — within one
+    /// load and across repeat loads — shares the same buffer, so a
+    /// second `load_bundle` costs refcount bumps, not I/O.
     ///
     /// # Errors
     ///
@@ -725,7 +457,6 @@ impl StoredArtifact {
     fn object_bytes(&self, entry: &ManifestEntry) -> Result<Arc<Vec<u8>>> {
         let mut cache = self.objects.lock().expect("store object cache poisoned");
         if let Some(bytes) = cache.get(&entry.content_hash) {
-            self.counters.bytes_shared.fetch_add(entry.byte_len, Ordering::Relaxed);
             return Ok(bytes.clone());
         }
         let bytes = Arc::new(self.read_entry(
@@ -734,7 +465,6 @@ impl StoredArtifact {
             entry.content_hash,
             Some(entry.byte_len),
         )?);
-        self.counters.bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         cache.insert(entry.content_hash, bytes.clone());
         Ok(bytes)
     }
@@ -749,7 +479,8 @@ impl StoredArtifact {
         self.verify_with_config(&RunConfig::default())
     }
 
-    /// The store's correctness contract, reproduced from disk: check
+    /// The packaging correctness contract, reproduced from stored
+    /// bytes: check
     /// the plan's content hash, load the bundle (every library hash
     /// checked), and re-run **every** contributing workload on the
     /// stored bytes, demanding each reproduce the baseline checksum the
@@ -860,8 +591,8 @@ pub struct VerifiedWorkload {
     pub verified_checksum: u64,
 }
 
-/// The result of [`Store::verify`]: one record per contributing
-/// workload, all reproduced from a cold open of the store.
+/// The result of [`StoredArtifact::verify`]: one record per
+/// contributing workload, all reproduced from a cold open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreVerification {
     /// Per-workload verification records, in manifest order.
@@ -870,9 +601,9 @@ pub struct StoreVerification {
 
 impl StoreVerification {
     /// True if every workload reproduced its recorded baseline
-    /// checksum. Always true for results [`Store::verify`] returns — a
-    /// mismatch aborts with a typed error — but recorded per workload
-    /// so callers can audit the guarantee.
+    /// checksum. Always true for results [`StoredArtifact::verify`]
+    /// returns — a mismatch aborts with a typed error — but recorded
+    /// per workload so callers can audit the guarantee.
     pub fn all_verified(&self) -> bool {
         self.workloads.iter().all(|w| w.baseline_checksum == w.verified_checksum)
     }
@@ -889,14 +620,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("libtorch_cuda.so"), "{msg}");
         assert!(msg.contains("0x0000000000000001"), "{msg}");
-
-        let e = StoreError::PlanKeyMismatch {
-            existing: "torch-sm75-aa-bb".into(),
-            publishing: "tf-sm75-cc-dd".into(),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("refusing to overwrite"), "{msg}");
-        assert!(msg.contains("torch-sm75-aa-bb") && msg.contains("tf-sm75-cc-dd"), "{msg}");
 
         let e = StoreError::ConfigMismatch { stored: 0xab, provided: 0xcd };
         assert!(e.to_string().contains("0x00000000000000ab"), "{e}");

@@ -2,15 +2,15 @@
 //! fleet keeps the best compatible SASS flavor per member, slices
 //! elements no member can run (payload zeroed *and* header-flagged),
 //! rewrites kept compressed elements in place with their unused kernels
-//! removed — and the whole thing survives a cold artifact-store reopen.
+//! removed — and the whole thing survives a cold reopen out of a
+//! registry.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use fatbin::{extract_from_elf, ElementKind};
-use negativa_ml::store::Store;
-use negativa_ml::{Debloater, FleetSpec, PlanCache, SmArch};
+use negativa_ml::{Debloater, FleetSpec, PlanCache, Registry, SmArch};
 use simcuda::GpuModel;
 use simml::{FrameworkKind, ModelKind, Operation, Workload};
 
@@ -129,11 +129,14 @@ fn fleet_accounting_survives_a_cold_store_reopen_and_reverification() {
     let totals = artifact.report.totals();
     assert!(totals.fleet_slice_bytes_removed() > 0);
 
-    Store::at(&root).publish(&artifact).expect("publishing the fleet artifact succeeds");
+    let record =
+        Registry::at(&root).publish(&artifact).expect("publishing the fleet artifact succeeds");
 
-    // Cold consumer: a fresh Store handle reconstructs the fleet-scoped
-    // identity and the per-library slicing counters from disk alone.
-    let opened = Store::at(&root).open().expect("the published store opens cold");
+    // Cold consumer: a fresh Registry handle reconstructs the
+    // fleet-scoped identity and the per-library slicing counters from
+    // disk alone.
+    let opened =
+        Registry::at(&root).open(&record.artifact_id).expect("the published artifact opens cold");
     let manifest = opened.manifest();
     assert_eq!(manifest.key, artifact.key);
     assert_eq!(manifest.key.fleet, debloater.fleet());
@@ -150,7 +153,9 @@ fn fleet_accounting_survives_a_cold_store_reopen_and_reverification() {
     // Out-of-process-style re-verification: every content hash checks
     // out and every contributing workload reproduces its baseline from
     // the sliced, rewritten bytes.
-    let verification = Store::at(&root).verify().expect("the fleet artifact re-verifies cold");
+    let verification = Registry::at(&root)
+        .verify(&record.artifact_id)
+        .expect("the fleet artifact re-verifies cold");
     assert!(verification.all_verified());
     fs::remove_dir_all(&root).ok();
 }
@@ -169,8 +174,13 @@ fn a_three_arch_fleet_plan_decodes_field_for_field_from_a_cold_store() {
         .expect("the fleet debloat verifies");
     assert_eq!(artifact.key.fleet.members().len(), 3);
 
-    Store::at(&root).publish(&artifact).expect("publishing the fleet artifact succeeds");
-    let plan = Store::at(&root).open().unwrap().load_plan().expect("plan.json decodes");
+    let record =
+        Registry::at(&root).publish(&artifact).expect("publishing the fleet artifact succeeds");
+    let plan = Registry::at(&root)
+        .open(&record.artifact_id)
+        .unwrap()
+        .load_plan()
+        .expect("plan.json decodes");
     assert_eq!(plan, *artifact.plan);
     fs::remove_dir_all(&root).ok();
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use negativa_ml::manifest::OBJECTS_DIR;
 use negativa_ml::net::{Dialer, FaultInjector, NetError, NetStream, RetryPolicy, TcpDialer};
 use negativa_ml::registry::Registry;
-use negativa_ml::store::{DirSource, ObjectSource, Store, StoreError};
+use negativa_ml::store::{ObjectSource, StoreError, StoredArtifact};
 use negativa_ml::{
     DebloatArtifact, Debloater, NegativaError, PlanCache, RegistryServer, RemoteRegistry, SmArch,
 };
@@ -448,27 +448,26 @@ fn transport_failures_exhaust_into_a_typed_error() {
     }
 }
 
-/// An [`ObjectSource`] that serves every pool object one byte short —
-/// the transport-level truncation the store must catch by length
-/// before hashing.
+/// An [`ObjectSource`] that reads a registry root but serves every pool
+/// object one byte short — the transport-level truncation an opened
+/// artifact must catch by length before hashing.
 #[derive(Debug)]
 struct ShortSource {
-    inner: DirSource,
+    root: PathBuf,
 }
 
 impl ObjectSource for ShortSource {
     fn describe(&self, relative: &str) -> String {
-        self.inner.describe(relative)
+        self.root.join(relative).display().to_string()
     }
 
     fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
-        let mut bytes = match self.inner.fetch(relative)? {
-            Some(bytes) => bytes,
-            None => return Ok(None),
+        let mut bytes = match fs::read(self.root.join(relative)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
         };
-        if relative.starts_with(OBJECTS_DIR) {
-            bytes.pop();
-        }
+        bytes.pop();
         Ok(Some(bytes))
     }
 }
@@ -477,15 +476,16 @@ impl ObjectSource for ShortSource {
 fn truncated_objects_surface_typed_through_store_and_registry() {
     let (small, _) = artifacts();
 
-    // A source that under-serves objects: `Store::open_from` itself
-    // succeeds (the manifest is intact) but consuming any object is a
-    // typed truncation naming expected and actual lengths — caught by
-    // the length gate, not misreported as a hash mismatch.
-    let store_root = test_root("trunc-store");
-    let store = Store::at(&store_root);
-    let manifest = store.publish(small).unwrap();
+    // A source that under-serves objects: opening succeeds (the
+    // manifest is intact) but consuming any object is a typed
+    // truncation naming expected and actual lengths — caught by the
+    // length gate, not misreported as a hash mismatch.
+    let short_root = test_root("trunc-short");
+    let short = Registry::at(&short_root);
+    let published = short.publish(small).unwrap();
+    let manifest = short.open(&published.artifact_id).unwrap().manifest().clone();
     let artifact =
-        Store::open_from(Arc::new(ShortSource { inner: DirSource::new(&store_root) })).unwrap();
+        StoredArtifact::new(Arc::new(ShortSource { root: short_root.clone() }), manifest.clone());
     let err = store_error(artifact.load_bundle().unwrap_err());
     match err {
         StoreError::TruncatedObject { entry, expected_len, actual_len } => {

@@ -3,13 +3,12 @@
 //! incremental re-planning produces the exact plan a from-scratch run
 //! would (even across library-roster drift), pooled bundle generation
 //! and pooled deduplicated verification are byte-identical to serial,
-//! and the artifact store reads each unique content hash once.
+//! and an opened artifact reads each unique content hash once.
 
 use std::sync::Arc;
 
 use negativa_ml::plan::{self, BundlePlan};
-use negativa_ml::store::Store;
-use negativa_ml::{Debloater, NegativaError, Parallelism, PlanCache, WorkerPool};
+use negativa_ml::{Debloater, NegativaError, Parallelism, PlanCache, Registry, WorkerPool};
 use simcuda::GpuModel;
 use simml::{FrameworkBundle, FrameworkKind, ModelKind, Operation, Workload};
 
@@ -266,45 +265,41 @@ fn verification_memo_spans_passes_and_stays_byte_identical() {
     );
 }
 
-/// The store's read side of the object-reuse rule: each unique content
-/// hash is read once per opened artifact, and every image handed out
-/// for that hash shares the one buffer.
+/// The read side of the object-reuse rule: each unique content hash is
+/// read once per opened artifact, and every image handed out for that
+/// hash — within one load and across repeat loads — shares the one
+/// buffer.
 #[test]
 fn reopened_store_bundles_share_bytes_per_content_hash() {
     let root = std::env::temp_dir().join(format!("negativa-zc-store-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    let store = Store::at(&root);
-    let (report, manifest) = Debloater::new(GpuModel::T4)
-        .debloat_and_publish(&[mobilenet()], &store)
-        .expect("publish verifies");
-    assert!(report.all_verified());
-    assert_eq!(store.stats().objects_skipped, 0, "a fresh publish writes every object");
+    let artifact = Debloater::new(GpuModel::T4)
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(&[mobilenet()])
+        .expect("the debloat verifies");
+    assert!(artifact.report.all_verified());
+    let record = Registry::at(&root).publish(&artifact).expect("publish");
 
-    let artifact = store.open().expect("reopen");
-    let first = artifact.load_bundle().expect("first load");
-    let total: u64 = manifest.entries.iter().map(|entry| entry.byte_len).sum();
-    let after_first = store.stats();
-    assert!(after_first.bytes_read > 0);
-    assert_eq!(
-        after_first.bytes_read + after_first.bytes_shared,
-        total,
-        "the first load pays disk I/O once per unique hash, sharing any repeats"
-    );
-
-    let second = artifact.load_bundle().expect("second load");
-    let after_second = store.stats();
-    assert_eq!(after_second.bytes_read, after_first.bytes_read, "repeat loads never hit disk");
-    assert_eq!(
-        after_second.bytes_shared,
-        after_first.bytes_shared + total,
-        "every repeat byte is served shared"
-    );
-    for (a, b) in first.iter().zip(&second) {
+    let opened = Registry::at(&root).open(&record.artifact_id).expect("reopen");
+    let entries = &opened.manifest().entries;
+    let first = opened.load_bundle().expect("first load");
+    let second = opened.load_bundle().expect("second load");
+    assert_eq!(first, artifact.libraries, "the shared buffers hold the published bytes");
+    for (i, a) in first.iter().enumerate() {
         assert!(
-            a.image.shares_bytes_with(&b.image),
-            "{}: images of one content hash must share one buffer",
+            a.image.shares_bytes_with(&second[i].image),
+            "{}: images of one content hash must share one buffer across loads",
             a.manifest.soname
         );
+        for (j, b) in first.iter().enumerate().skip(i + 1) {
+            assert_eq!(
+                a.image.shares_bytes_with(&b.image),
+                entries[i].content_hash == entries[j].content_hash,
+                "{} / {}: within one load, exactly the repeats of a hash share a buffer",
+                a.manifest.soname,
+                b.manifest.soname
+            );
+        }
     }
     std::fs::remove_dir_all(&root).ok();
 }

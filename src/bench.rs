@@ -7,7 +7,7 @@
 //! The report is deliberately a *flat* JSON object of scalars — easy to
 //! diff across commits, easy to plot. Parsing rides the workspace's
 //! shared dependency-free JSON codec ([`negativa_ml::codec`], the same
-//! one behind the artifact store's `MANIFEST.json`); this module then
+//! one behind the registry's manifests and index); this module then
 //! holds the document to the bench report's flat-scalar shape and key
 //! schema.
 

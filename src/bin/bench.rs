@@ -29,10 +29,11 @@
 //!   `verify_parallel_speedup` the old/new ratio (floored at 1.0 by
 //!   `bench_check`; dedup alone carries the floor on single-core
 //!   runners, extra cores add to it).
-//! * **store I/O** — `store_open_ns` times a cold `Store::open` +
-//!   `load_bundle` of a just-published artifact;
-//!   `store_objects_deduped` counts the objects a republish over the
-//!   same identity found already present and did not rewrite.
+//! * **artifact I/O** — `store_open_ns` times a cold `Registry::open`
+//!   and `load_bundle` of an artifact just published into the origin
+//!   registry; `store_objects_deduped` counts the pool objects (its
+//!   libraries and its plan) an intact republish of that artifact
+//!   found already present and did not rewrite.
 //! * **registry tier** — two same-fleet artifacts with overlapping
 //!   workload sets publish into one origin registry
 //!   (`registry_objects_deduped` / `registry_dedup_ratio` count the
@@ -75,7 +76,6 @@ use negativa_repro::bench::{percentile, render, validate, BenchValue};
 use negativa_repro::cuda::GpuModel;
 use negativa_repro::ml::{FrameworkKind, ModelKind, Operation, Workload};
 use negativa_repro::negativa::service::DebloatService;
-use negativa_repro::negativa::store::Store;
 use negativa_repro::negativa::verify::verify_indexed;
 use negativa_repro::negativa::{
     Debloater, FaultInjector, FleetSpec, PlanCache, Registry, RegistryServer, RemoteRegistry,
@@ -196,29 +196,6 @@ fn main() {
         .expect("three timed runs");
     let verify_parallel_speedup = verify_serial_ns as f64 / verify_ns.max(1) as f64;
 
-    // Store I/O: publish once into a scratch root, time the cold
-    // open + load (each unique content hash read exactly once), then
-    // republish over the same identity — the object-reuse rule makes
-    // that zero object writes, counted by the store's stats.
-    let store_root =
-        std::env::temp_dir().join(format!("negativa-bench-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&store_root).ok();
-    let store_artifact = pooled_session
-        .debloat_many_artifact(std::slice::from_ref(&workload))
-        .expect("store-bench debloat verifies");
-    let store = Store::at(&store_root);
-    store.publish(&store_artifact).expect("store-bench publish");
-    let started = Instant::now();
-    let opened = store.open().expect("reopen the published artifact");
-    let loaded = opened.load_bundle().expect("every content hash checks out");
-    let store_open_ns = started.elapsed().as_nanos();
-    assert!(!loaded.is_empty());
-    let republisher = Store::at(&store_root);
-    republisher.publish(&store_artifact).expect("republish over the same identity");
-    let store_objects_deduped = republisher.stats().objects_skipped;
-    assert!(store_objects_deduped > 0, "an intact republish must skip every object");
-    std::fs::remove_dir_all(&store_root).ok();
-
     // Registry tier: the single-workload artifact and a superset
     // artifact publish into one origin pool (their untouched libraries
     // are byte-identical, so the pool stores them once), then a cold
@@ -230,9 +207,30 @@ fn main() {
         std::env::temp_dir().join(format!("negativa-bench-mirror-{}", std::process::id()));
     std::fs::remove_dir_all(&registry_root).ok();
     std::fs::remove_dir_all(&mirror_root).ok();
+    let small_artifact = pooled_session
+        .debloat_many_artifact(std::slice::from_ref(&workload))
+        .expect("registry-bench debloat verifies");
     let origin = Registry::at(&registry_root);
     let small_record =
-        origin.publish(&store_artifact).expect("publish the single-workload artifact");
+        origin.publish(&small_artifact).expect("publish the single-workload artifact");
+
+    // Artifact I/O: time a cold open + load of the just-published
+    // artifact (each unique content hash read exactly once), then
+    // republish it through a fresh handle — the object-reuse rule makes
+    // that zero object writes, counted by that handle's stats.
+    let started = Instant::now();
+    let opened = Registry::at(&registry_root)
+        .open(&small_record.artifact_id)
+        .expect("reopen the published artifact");
+    let loaded = opened.load_bundle().expect("every content hash checks out");
+    let store_open_ns = started.elapsed().as_nanos();
+    assert!(!loaded.is_empty());
+    let republisher = Registry::at(&registry_root);
+    republisher.publish(&small_artifact).expect("republish over the same identity");
+    let republished = republisher.stats();
+    assert_eq!(republished.objects_pooled, 0, "an intact republish writes no object");
+    let store_objects_deduped = republished.objects_deduped;
+
     let big_set = vec![
         workload.clone(),
         Workload::paper(FrameworkKind::PyTorch, ModelKind::Transformer, Operation::Train),

@@ -30,9 +30,8 @@
 //!   than it first; then sweep the pool, reclaiming objects no
 //!   remaining record references.
 //! * `verify <dir> [artifact_id]` — re-run one or all artifacts from
-//!   the pooled bytes alone, against the recorded baseline checksums
-//!   (`verify_artifact <dir>` does the same and auto-detects the
-//!   layout).
+//!   the pooled bytes alone, against the recorded baseline checksums;
+//!   an empty registry is a failure, not a vacuous pass.
 //!
 //! Every failure exits non-zero with the typed error, so the
 //! subcommands compose into CI pipelines — the workflow pushes from

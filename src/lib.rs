@@ -25,14 +25,13 @@
 //!   requests costs one detection and one compaction), a per-framework
 //!   partitioned plan cache with single-flight planning and optional
 //!   TTL refresh, and a bounded worker pool shared across batches.
-//!   Below it, the [`negativa::store`] artifact store persists a
-//!   verified debloat — content-addressed library objects, the
-//!   serialized plan, and a self-hashed manifest with per-workload
-//!   baseline checksums — and re-verifies it from a cold process (the
-//!   `ship` / `verify_artifact` binaries run exactly that split in CI).
-//!   The [`negativa::registry`] tier generalizes the store to many
-//!   artifacts over one shared content-addressed object pool:
-//!   libraries two artifacts both ship are stored once, `push`/`pull`
+//!   Below it, the [`negativa::registry`] persists verified debloats —
+//!   content-addressed library and plan objects in one shared pool,
+//!   plus a self-hashed manifest per artifact with per-workload
+//!   baseline checksums — and re-verifies them from a cold process
+//!   through [`negativa::StoredArtifact`] (`registry publish` /
+//!   `registry verify` run exactly that split in CI). Libraries two
+//!   artifacts both ship are stored once, `push`/`pull`
 //!   move only the objects the receiving registry lacks (a want-list
 //!   delta), refcounting GC reclaims what no surviving record
 //!   references, and a cold node seeds its plan cache straight from a
@@ -44,7 +43,7 @@
 //!   artifact whose fleet runs on that GPU) with bounded retries,
 //!   range-read resumption, and whole-object hash checks — CI
 //!   round-trips `registry serve` / `pull --from tcp://…` /
-//!   `verify_artifact` as separate OS processes.
+//!   `registry verify` as separate OS processes.
 //!
 //! # Quickstart
 //!
