@@ -1,4 +1,5 @@
-//! Property tests: builder → parser round-trips and range algebra laws.
+//! Property tests: builder → parser round-trips, range algebra laws, and
+//! occupancy accounting against a byte-serial oracle.
 //!
 //! The build environment is offline, so instead of the `proptest` crate
 //! these properties are driven by a small deterministic xorshift PRNG:
@@ -7,7 +8,7 @@
 //! `proptest` configuration used.
 
 use simelf::range::{complement_within, covered_bytes, covers, normalize};
-use simelf::{Elf, ElfBuilder, FileRange, SymbolKind};
+use simelf::{Elf, ElfBuilder, ElfImage, FileRange, OccupancyReport, SymbolKind};
 
 /// xorshift64* — deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -191,5 +192,97 @@ fn zeroing_complement_preserves_kept_bytes() {
         // The image still parses and its symbols are intact.
         let reparsed = Elf::parse(img.bytes()).unwrap();
         assert_eq!(reparsed.symbols().unwrap().len(), bodies.len(), "seed {seed}");
+    }
+}
+
+/// Byte-serial reference for [`ElfImage::occupancy`].
+fn oracle_occupancy(bytes: &[u8], block_size: u64) -> OccupancyReport {
+    let mut report =
+        OccupancyReport { block_size, file_len: bytes.len() as u64, ..OccupancyReport::default() };
+    for block in bytes.chunks(block_size as usize) {
+        let nonzero = block.iter().filter(|&&b| b != 0).count() as u64;
+        report.nonzero_bytes += nonzero;
+        if nonzero > 0 {
+            report.occupied_blocks += 1;
+            report.occupied_bytes += block.len() as u64;
+        }
+    }
+    report
+}
+
+/// Byte-serial reference for [`ElfImage::nonzero_in`].
+fn oracle_nonzero_in(bytes: &[u8], range: FileRange) -> u64 {
+    let end = (range.end as usize).min(bytes.len());
+    let start = (range.start as usize).min(end);
+    bytes[start..end].iter().filter(|&&b| b != 0).count() as u64
+}
+
+const PAGE: u64 = 4096;
+const BLOCK_SIZES: [u64; 7] = [1, 3, 7, 8, 9, 4096, 4097];
+
+/// `occupancy` at every block size, and `nonzero_in` over the whole
+/// image, every unaligned window around `focus`, and windows that run
+/// past the end, all equal the byte-serial oracle.
+fn assert_matches_oracle(bytes: &[u8], focus: u64, what: &str) {
+    let img = ElfImage::from_bytes("libocc.so", bytes.to_vec());
+    let len = img.len();
+    for bs in BLOCK_SIZES {
+        assert_eq!(img.occupancy(bs), oracle_occupancy(bytes, bs), "{what}: block size {bs}");
+    }
+    let mut ranges = vec![FileRange::new(0, len), FileRange::new(len, len + 8)];
+    for lead in 0..9 {
+        for tail in [0, 1, 8, 9, 17] {
+            let start = focus.saturating_sub(lead);
+            ranges.push(FileRange::new(start, (focus + tail).min(len + 3)));
+        }
+    }
+    for r in ranges {
+        assert_eq!(img.nonzero_in(r), oracle_nonzero_in(bytes, r), "{what}: nonzero_in {r}");
+    }
+}
+
+#[test]
+fn occupancy_and_nonzero_in_match_a_byte_serial_oracle() {
+    const LENGTHS: [u64; 9] = [0, 1, 7, 8, 9, 4095, 4096, 4097, 3 * PAGE + 17];
+    for (i, len) in LENGTHS.into_iter().enumerate() {
+        let mut rng = Rng::new(i as u64 ^ 0x0CC0);
+        let n = len as usize;
+        let at = rng.range(0, len.max(1)) as usize;
+        let mut single = vec![0u8; n];
+        if n > 0 {
+            single[at] = rng.range(1, 256) as u8;
+        }
+        let sparse: Vec<u8> = (0..n)
+            .map(|_| if rng.range(0, 64) == 0 { rng.range(1, 256) as u8 } else { 0 })
+            .collect();
+        // Dense, with a zero byte one time in eight so words mix both kinds.
+        let dense: Vec<u8> =
+            (0..n).map(|_| if rng.range(0, 8) == 0 { 0 } else { rng.next() as u8 }).collect();
+        for (fill, bytes) in
+            [("zero", vec![0u8; n]), ("single", single), ("sparse", sparse), ("dense", dense)]
+        {
+            assert_matches_oracle(&bytes, at as u64, &format!("len {len}, {fill} fill"));
+        }
+    }
+}
+
+/// A lone byte whose value sits on an edge of the word-wise count: only
+/// the lowest bit (`0x01`), all low bits (`0x7f`, the largest carry that
+/// must not spill into the next byte), only the high bit (`0x80`), and
+/// every bit (`0xff`).
+#[test]
+fn a_lone_edge_byte_is_counted_at_every_offset() {
+    // A short image for the offsets inside the first words, a three-page
+    // one for the page edges.
+    let near_start = (0..64).map(|offset| (64 + 17, offset));
+    let page_edges = (1..=3)
+        .flat_map(|page| [page * PAGE - 1, page * PAGE, page * PAGE + 1])
+        .map(|offset| (3 * PAGE + 17, offset));
+    for (len, offset) in near_start.chain(page_edges) {
+        for value in [0x01u8, 0x7f, 0x80, 0xff] {
+            let mut bytes = vec![0u8; len as usize];
+            bytes[offset as usize] = value;
+            assert_matches_oracle(&bytes, offset, &format!("{value:#04x} at {offset} of {len}"));
+        }
     }
 }

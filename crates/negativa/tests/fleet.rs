@@ -112,6 +112,35 @@ fn a_single_member_fleet_is_byte_identical_to_the_default_path() {
 }
 
 #[test]
+fn one_fleet_artifact_occupies_less_than_three_single_arch_artifacts() {
+    // The scenario of the `bench` binary's fleet-size floor: the host code
+    // and PTX ship once in a fleet artifact, not once per deployment GPU.
+    let workload =
+        Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2, Operation::Inference);
+    let fleet_debloater = Debloater::new(GpuModel::T4)
+        .with_plan_cache(Arc::new(PlanCache::new(4)))
+        .with_fleet(fleet());
+    let fleet_report = fleet_debloater.debloat_many(std::slice::from_ref(&workload)).unwrap();
+    assert!(fleet_report.all_verified());
+    let fleet_bytes = fleet_report.totals().file_after;
+
+    let single_arch_bytes: u64 = [GpuModel::T4, GpuModel::A100, GpuModel::H100]
+        .into_iter()
+        .map(|gpu| {
+            let single = Debloater::new(gpu).with_plan_cache(Arc::new(PlanCache::new(4)));
+            let report = single.debloat_many(std::slice::from_ref(&workload)).unwrap();
+            assert!(report.all_verified(), "{gpu:?}");
+            report.totals().file_after
+        })
+        .sum();
+    assert!(
+        fleet_bytes < single_arch_bytes,
+        "one fleet artifact ({fleet_bytes} B) must undercut three single-arch artifacts \
+         ({single_arch_bytes} B)"
+    );
+}
+
+#[test]
 fn fleet_accounting_survives_a_cold_store_reopen_and_reverification() {
     let root = test_root("cold-reopen");
     let debloater = Debloater::new(GpuModel::T4)
