@@ -1,6 +1,6 @@
-//! A minimal, dependency-free JSON codec shared by the artifact
-//! store's on-disk formats ([`crate::manifest`]) and the façade's
-//! bench-report schema (`negativa_repro::bench`).
+//! A minimal, dependency-free JSON codec behind the registry's on-disk
+//! formats ([`crate::manifest`]) and the benchmark declaration that
+//! perfbench reads (`BENCHMARK.json`).
 //!
 //! The workspace is offline by design, so this is a strict
 //! recursive-descent reader and a deterministic writer for the JSON
@@ -223,7 +223,7 @@ fn render_string(out: &mut String, s: &str) {
 }
 
 /// Deepest container nesting [`JsonValue::parse`] accepts. Every
-/// format this crate reads (manifests, plans, bench records) stays in
+/// format this crate reads (manifests, plans, `BENCHMARK.json`) stays in
 /// single digits; the bound exists so a hostile or corrupt document
 /// fails with a typed error instead of exhausting the parser's call
 /// stack.

@@ -46,15 +46,14 @@
 //!    the locate and compact passes, in input order with first-error
 //!    semantics preserved.
 //!
-//! [`Debloater`] composes the phases behind three entry points:
-//! [`Debloater::debloat`] for one workload,
-//! [`Debloater::debloat_many`] for several workloads sharing one bundle
-//! (the paper's deployment scenario: one framework installation serving
-//! many jobs — compact once, against the union of everything observed),
-//! and [`Debloater::debloat_grouped`] for several workload *sets* at
-//! once, deduplicating sets that share a plan identity into one
-//! detection + compaction + verification whose result fans back out to
-//! every set (stamped [`MultiDebloatReport::batched`]).
+//! Two entry points compose the phases. [`Debloater::debloat_many`]
+//! debloats one or more workloads sharing one bundle (the paper's
+//! deployment scenario: one framework installation serving many jobs —
+//! compact once, against the union of everything observed) and returns
+//! the [`MultiDebloatReport`]. [`DebloatSession::debloat_many_artifact`]
+//! runs the same pipeline on a pinned session and returns everything it
+//! produced — plan identity, normalized workloads, plan, report and the
+//! compacted libraries — as a [`DebloatArtifact`].
 //!
 //! ## The service layer
 //!
@@ -78,13 +77,10 @@
 //!
 //! A debloat's end product is a *shippable, smaller bundle*. Produce
 //! one with [`DebloatSession::debloat_many_artifact`] and publish it
-//! with [`Registry::publish`], or let a long-lived service auto-publish
-//! every executed batch
-//! ([`service::DebloatServiceBuilder::publish_registry`]). A
-//! [`registry`] root is the one on-disk format: compacted bytes and the
-//! encoded [`BundlePlan`] as content-addressed pool objects, plus a
-//! self-hashed manifest per artifact with its per-workload baseline
-//! checksums. [`Registry::open`] hands back a [`StoredArtifact`]
+//! with [`Registry::publish`]. A [`registry`] root is the one on-disk
+//! format: compacted bytes and the encoded [`BundlePlan`] as
+//! content-addressed pool objects, plus a self-hashed manifest per
+//! artifact with its per-workload baseline checksums. [`Registry::open`] hands back a [`StoredArtifact`]
 //! ([`store`]) whose [`StoredArtifact::verify`] checks every content
 //! hash and re-runs every contributing workload against its recorded
 //! baseline from a cold process. The on-disk formats live in
@@ -116,9 +112,9 @@
 //! # fn main() -> Result<(), negativa_ml::NegativaError> {
 //! let workload = Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2,
 //!                                Operation::Inference);
-//! let report = Debloater::new(GpuModel::T4).debloat(&workload)?;
+//! let report = Debloater::new(GpuModel::T4).debloat_many(&[workload])?;
 //! assert!(report.totals().file_reduction_pct() > 30.0);
-//! assert!(report.debloated.elapsed_ns < report.baseline.elapsed_ns);
+//! assert!(report.workloads[0].time_reduction_pct() > 0.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -167,13 +163,13 @@ pub use pool::{Parallelism, PoolStats, WorkerPool};
 pub use registry::{
     ArtifactOffer, ExpireReport, GcReport, Registry, RegistryStats, ShipReport, WantList,
 };
-pub use report::{DebloatReport, LibraryReport, MultiDebloatReport, Totals, WorkloadVerification};
+pub use report::{LibraryReport, MultiDebloatReport, Totals, WorkloadVerification};
 pub use service::{
     DebloatRequest, DebloatResponse, DebloatService, ServiceError, ServiceHandle, ServiceStats,
     Ticket,
 };
 pub use store::{StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
-pub use verify::{verify, verify_indexed};
+pub use verify::verify_indexed;
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, NegativaError>;
@@ -424,142 +420,26 @@ impl Debloater {
         }
     }
 
-    /// Run the full pipeline for one workload and return the analysis
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// [`NegativaError::EmptyDevices`] if the workload names no devices,
-    /// [`NegativaError::Workload`] if the bundle cannot execute at all,
-    /// [`NegativaError::OverCompaction`] / [`NegativaError::ChecksumMismatch`]
-    /// if verification rejects the debloated bundle (no report is
-    /// produced — a failed verification means the originals must stay).
-    pub fn debloat(&self, workload: &Workload) -> Result<DebloatReport> {
-        self.debloat_full(workload).map(|(report, _)| report)
-    }
-
-    /// Like [`Debloater::debloat`], additionally returning the verified
-    /// debloated libraries for downstream use (packaging, re-running).
-    pub fn debloat_full(
-        &self,
-        workload: &Workload,
-    ) -> Result<(DebloatReport, Vec<GeneratedLibrary>)> {
-        let session = self.session(workload.framework);
-        let normalized = session.normalize(workload)?;
-        let (_, plan, source) =
-            session.plan_cached_normalized(std::slice::from_ref(&normalized))?;
-        let (libraries, debloated) = session.apply(&plan)?;
-        let verified =
-            session.verify_all(std::slice::from_ref(&normalized), &plan, &debloated)?.remove(0);
-        let base = &plan.baselines[0];
-        let report = DebloatReport {
-            workload: base.label.clone(),
-            gpu: self.gpu,
-            baseline: base.baseline.clone(),
-            detection: base.detection.clone(),
-            debloated: verified.metrics,
-            used_kernels: plan.used_kernels,
-            used_host_fns: plan.used_host_fns,
-            checksum: verified.checksum,
-            plan_cache_hit: source.cache_hit(),
-            bytes_copied: libraries.iter().map(|l| l.bytes_copied).sum(),
-            bytes_shared: libraries.iter().map(|l| l.bytes_shared).sum(),
-            plan_diff_ns: source.plan_diff_ns(),
-            libraries,
-        };
-        Ok((report, debloated))
-    }
-
-    /// Debloat one shared bundle against the **union** usage of several
-    /// workloads — the paper's multi-workload deployment scenario. Usage
-    /// is detected per workload (and per rank for distributed ones),
-    /// unioned via [`UsageMap::merge`], compacted once, and the result
-    /// is verified against *every* workload's own baseline checksum.
+    /// Debloat one shared bundle against the **union** usage of one or
+    /// more workloads — the paper's multi-workload deployment scenario.
+    /// Usage is detected per workload (and per rank for distributed
+    /// ones), unioned via [`UsageMap::merge`], compacted once, and the
+    /// result is verified against *every* workload's own baseline
+    /// checksum. [`DebloatSession::debloat_many_artifact`] returns the
+    /// compacted libraries and plan as well.
     ///
     /// # Errors
     ///
     /// [`NegativaError::InvalidWorkloadSet`] for an empty set or one
-    /// mixing frameworks; otherwise as [`Debloater::debloat`].
+    /// mixing frameworks, [`NegativaError::EmptyDevices`] if a workload
+    /// names no devices, [`NegativaError::Workload`] if the bundle
+    /// cannot execute at all, [`NegativaError::OverCompaction`] /
+    /// [`NegativaError::ChecksumMismatch`] if verification rejects the
+    /// debloated bundle (no report is produced — a failed verification
+    /// means the originals must stay).
     pub fn debloat_many(&self, workloads: &[Workload]) -> Result<MultiDebloatReport> {
-        self.debloat_many_full(workloads).map(|(report, _)| report)
-    }
-
-    /// Like [`Debloater::debloat_many`], additionally returning the
-    /// verified debloated libraries.
-    pub fn debloat_many_full(
-        &self,
-        workloads: &[Workload],
-    ) -> Result<(MultiDebloatReport, Vec<GeneratedLibrary>)> {
         let framework = shared_framework(workloads)?;
-        self.session(framework).debloat_many_full(workloads)
-    }
-
-    /// The grouped entry point behind the service's batch stage:
-    /// debloat several workload *sets* at once, deduplicating sets that
-    /// share a plan identity — framework, GPU architecture, workload
-    /// and config fingerprints ([`PlanKey`]) — into **one** detection,
-    /// plan, compaction, and verification serving the whole group.
-    ///
-    /// Results come back in input order, each stamped with its batch
-    /// provenance ([`MultiDebloatReport::batched`] /
-    /// [`MultiDebloatReport::batch_size`]). Because grouping is by full
-    /// plan identity — never by framework alone — every set receives
-    /// libraries byte-identical to what an individual
-    /// [`Debloater::debloat_many_full`] call on that set would produce;
-    /// batching is pure amortization, invisible in the output. Sets of
-    /// different frameworks may be mixed freely (each set must still be
-    /// single-framework internally); each framework's sets run against
-    /// one pinned session. Duplicate sets receive clones of the shared
-    /// result — and because [`simelf::ElfImage`] bytes are
-    /// copy-on-write handles, those clones are reference-count bumps:
-    /// a group of N sets costs O(1) full-image copies (the single
-    /// compaction), never O(N). The [`service::DebloatService`]
-    /// additionally shares the whole library vector behind one `Arc`
-    /// per batch.
-    ///
-    /// # Errors
-    ///
-    /// The first error any set produces (validation or pipeline), in
-    /// group order; the whole call aborts. The resident
-    /// [`service::DebloatService`] instead answers failures per
-    /// request.
-    pub fn debloat_grouped(
-        &self,
-        sets: &[Vec<Workload>],
-    ) -> Result<Vec<(MultiDebloatReport, Vec<GeneratedLibrary>)>> {
-        let mut sessions: HashMap<FrameworkKind, DebloatSession> = HashMap::new();
-        // Group set indices by plan identity, preserving first-arrival
-        // order so one-detection-per-group is also deterministic.
-        let mut order: Vec<PlanKey> = Vec::new();
-        let mut groups: HashMap<PlanKey, Vec<usize>> = HashMap::new();
-        for (i, set) in sets.iter().enumerate() {
-            let framework = shared_framework(set)?;
-            let session = sessions.entry(framework).or_insert_with(|| self.session(framework));
-            let normalized: Vec<Workload> =
-                set.iter().map(|w| session.normalize(w)).collect::<Result<_>>()?;
-            let key = PlanKey::for_fleet(framework, self.fleet, &self.config, &normalized);
-            let members = groups.entry(key).or_default();
-            if members.is_empty() {
-                order.push(key);
-            }
-            members.push(i);
-        }
-        let mut out: Vec<Option<(MultiDebloatReport, Vec<GeneratedLibrary>)>> =
-            sets.iter().map(|_| None).collect();
-        for key in order {
-            let members = &groups[&key];
-            let set = &sets[members[0]];
-            let session = &sessions[&set[0].framework];
-            let (mut report, libraries) = session.debloat_many_full(set)?;
-            report.batch_size = members.len();
-            report.batched = members.len() > 1;
-            let (&last, rest) = members.split_last().expect("groups are never empty");
-            for &i in rest {
-                out[i] = Some((report.clone(), libraries.clone()));
-            }
-            out[last] = Some((report, libraries));
-        }
-        Ok(out.into_iter().map(|slot| slot.expect("every set belongs to one group")).collect())
+        Ok(self.session(framework).debloat_many_artifact(workloads)?.report)
     }
 }
 
@@ -668,7 +548,7 @@ impl DebloatSession {
     ///
     /// [`NegativaError::InvalidWorkloadSet`] for an empty set;
     /// normalization and execution errors as documented on
-    /// [`DebloatSession::normalize`] and [`Debloater::debloat`].
+    /// [`DebloatSession::normalize`] and [`Debloater::debloat_many`].
     pub fn detect(&self, workloads: &[Workload]) -> Result<Detection> {
         let normalized: Vec<Workload> =
             workloads.iter().map(|w| self.normalize(w)).collect::<Result<_>>()?;
@@ -905,29 +785,13 @@ impl DebloatSession {
     }
 
     /// Debloat this session's bundle against the union usage of
-    /// `workloads` — the session-level core of
-    /// [`Debloater::debloat_many_full`], shared with the service layer.
-    /// Plans through the session's cache (single-flight), compacts once
-    /// through the bounded pool, verifies every workload's baseline
-    /// checksum, and returns the report plus the verified libraries.
-    ///
-    /// # Errors
-    ///
-    /// As [`Debloater::debloat_many`].
-    pub fn debloat_many_full(
-        &self,
-        workloads: &[Workload],
-    ) -> Result<(MultiDebloatReport, Vec<GeneratedLibrary>)> {
-        let artifact = self.debloat_many_artifact(workloads)?;
-        Ok((artifact.report, artifact.libraries))
-    }
-
-    /// Like [`DebloatSession::debloat_many_full`], additionally keeping
-    /// everything a registry publish persists: the plan
-    /// identity, the normalized workloads, and the (shared) plan next
-    /// to the report and the compacted libraries. The packaging entry
-    /// point behind [`Registry::publish`] and the service's
-    /// auto-publish hook.
+    /// `workloads` — the core of [`Debloater::debloat_many`], shared
+    /// with the service's executors. Plans through the session's cache
+    /// (single-flight), compacts once through the bounded pool, verifies
+    /// every workload's baseline checksum, and returns everything a
+    /// registry publish persists: the plan identity, the normalized
+    /// workloads, and the (shared) plan next to the report and the
+    /// verified libraries.
     ///
     /// # Errors
     ///

@@ -20,9 +20,8 @@
 //! plan under the same single-flight guarantee instead of serving
 //! outdated baselines forever. The long-lived
 //! [`crate::service::DebloatService`] owns one; standalone
-//! [`crate::Debloater`]s default to the process-wide instance behind
-//! the [`cache_lookup`] / [`cache_insert`] / [`plan_cache_stats`] free
-//! functions, which remain for API compatibility.
+//! [`crate::Debloater`]s default to the process-wide instance,
+//! [`process_cache`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,8 +259,7 @@ pub fn locate_all_incremental(
     })
 }
 
-/// Plan-cache counters; see [`PlanCache::stats`] (per instance) and
-/// [`plan_cache_stats`] (the process-wide default instance).
+/// Plan-cache counters; see [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Lookups served from the cache — including single-flight waiters
@@ -293,8 +291,8 @@ pub struct PlanCacheStats {
     /// reported divergence.
     pub incremental_fallbacks: u64,
     /// Cumulative nanoseconds spent inside successful incremental
-    /// re-planning closures. Comparing this against full-plan times is
-    /// the bench's before/after record for the diff path.
+    /// re-planning closures (perfbench reports it per re-plan as
+    /// `plan.diff_ms`).
     pub plan_diff_ns: u64,
 }
 
@@ -809,22 +807,6 @@ pub fn process_cache() -> Arc<PlanCache> {
     CACHE.get_or_init(|| Arc::new(PlanCache::default())).clone()
 }
 
-/// Counters of the process-wide default cache (monotonic since process
-/// start).
-pub fn plan_cache_stats() -> PlanCacheStats {
-    process_cache().stats()
-}
-
-/// [`PlanCache::lookup`] on the process-wide default cache.
-pub fn cache_lookup(key: &PlanKey) -> Option<Arc<BundlePlan>> {
-    process_cache().lookup(key)
-}
-
-/// [`PlanCache::insert`] on the process-wide default cache.
-pub fn cache_insert(key: PlanKey, plan: Arc<BundlePlan>) {
-    process_cache().insert(key, plan);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,13 +945,14 @@ mod tests {
     #[test]
     fn cache_round_trips_and_counts() {
         let k = key(0xdead_beef_0001);
-        let before = plan_cache_stats();
-        assert!(cache_lookup(&k).is_none());
+        let cache = process_cache();
+        let before = cache.stats();
+        assert!(cache.lookup(&k).is_none());
         let p = plan(1);
-        cache_insert(k, p.clone());
-        let found = cache_lookup(&k).expect("inserted plan must be found");
+        cache.insert(k, p.clone());
+        let found = cache.lookup(&k).expect("inserted plan must be found");
         assert!(Arc::ptr_eq(&found, &p));
-        let after = plan_cache_stats();
+        let after = cache.stats();
         assert!(after.hits > before.hits);
         assert!(after.misses > before.misses);
     }

@@ -2,11 +2,14 @@
 //!
 //! Aggregates per-library compaction outcomes and the three measured
 //! runs (baseline, detection, verification) into the numbers the paper
-//! reports: host/device/file size reductions per library and in total,
-//! peak-memory and execution-time deltas, and the detector's profiling
-//! overhead. All sizes are page-granular occupied bytes — the effective
-//! footprint after hole punching — in real (generated) bytes; every
-//! percentage is scale-invariant.
+//! reports. There is one report type, [`MultiDebloatReport`], for a
+//! debloat of one or more workloads: host/device/file size reductions
+//! per library ([`LibraryReport`]) and in total ([`Totals`]), and per
+//! workload ([`WorkloadVerification`]) the peak-memory and
+//! execution-time deltas and the detector's profiling overhead. All
+//! sizes are page-granular occupied bytes — the effective footprint
+//! after hole punching — in real (generated) bytes; every percentage is
+//! scale-invariant.
 //!
 //! Every field here is **deterministic**: serial and pooled execution,
 //! grouped and unbatched service paths, and deduplicated verification
@@ -157,9 +160,9 @@ pub struct Totals {
 }
 
 impl Totals {
-    /// Sum per-library reports into bundle-wide totals — shared by the
-    /// report types here and by tooling that reassembles stats from a
-    /// stored artifact's manifest entries.
+    /// Sum per-library reports into bundle-wide totals — shared by
+    /// [`MultiDebloatReport::totals`] and by tooling that reassembles
+    /// stats from a stored artifact's manifest entries.
     pub fn sum(libraries: &[LibraryReport]) -> Totals {
         let mut t = Totals::default();
         for lib in libraries {
@@ -177,8 +180,7 @@ impl Totals {
     }
 
     /// Bytes the fleet slicing removed in total — the arch-slice and
-    /// compressed-rewrite contributions combined (the bench's
-    /// `fleet_slice_bytes_removed`).
+    /// compressed-rewrite contributions combined.
     pub fn fleet_slice_bytes_removed(&self) -> u64 {
         self.bytes_sliced_arch + self.bytes_sliced_compressed
     }
@@ -196,124 +198,6 @@ impl Totals {
     /// Bundle device code reduction in percent.
     pub fn device_reduction_pct(&self) -> f64 {
         reduction_pct(self.device_before, self.device_after)
-    }
-}
-
-/// The complete result of one debloat pipeline run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DebloatReport {
-    /// Workload label (e.g. `PyTorch/Train/MobileNetV2`).
-    pub workload: String,
-    /// GPU the debloat targeted.
-    pub gpu: GpuModel,
-    /// Per-library outcomes, in bundle order.
-    pub libraries: Vec<LibraryReport>,
-    /// Metrics of the original bundle without any profiler attached.
-    pub baseline: WorkloadMetrics,
-    /// Metrics of the original bundle with the kernel detector attached
-    /// (the paper's §4.6 overhead comparison).
-    pub detection: WorkloadMetrics,
-    /// Metrics of the verification run on the debloated bundle.
-    pub debloated: WorkloadMetrics,
-    /// Distinct kernels observed in use across the bundle.
-    pub used_kernels: usize,
-    /// Distinct host functions observed in use across the bundle.
-    pub used_host_fns: usize,
-    /// The verified output checksum (identical before and after).
-    pub checksum: u64,
-    /// True if the retain plan came from the process-wide plan cache —
-    /// the baseline and detection runs were skipped and their metrics
-    /// here are the cached originals.
-    pub plan_cache_hit: bool,
-    /// Bytes the compaction deep-copied across the bundle to detach the
-    /// debloated libraries from the shared originals (copy-on-write:
-    /// at most one whole-file copy per library, regardless of how many
-    /// consumers the result fans out to).
-    pub bytes_copied: u64,
-    /// Bytes the debloated libraries still share with the original
-    /// bundle images (libraries whose plan had nothing to zero).
-    pub bytes_shared: u64,
-    /// Wall time of the incremental re-plan that produced this plan
-    /// (usage diff + touched-library relocation), in nanoseconds; 0
-    /// when the plan was served from cache or computed from scratch.
-    pub plan_diff_ns: u64,
-}
-
-impl DebloatReport {
-    /// Sum the per-library sizes.
-    pub fn totals(&self) -> Totals {
-        Totals::sum(&self.libraries)
-    }
-
-    /// Execution-time reduction of the debloated bundle vs baseline, in
-    /// percent.
-    pub fn time_reduction_pct(&self) -> f64 {
-        reduction_pct(self.baseline.elapsed_ns, self.debloated.elapsed_ns)
-    }
-
-    /// Peak host memory reduction vs baseline, in percent.
-    pub fn host_memory_reduction_pct(&self) -> f64 {
-        reduction_pct(self.baseline.peak_host_bytes, self.debloated.peak_host_bytes)
-    }
-
-    /// Peak GPU memory reduction (worst device) vs baseline, in percent.
-    pub fn device_memory_reduction_pct(&self) -> f64 {
-        let max = |m: &WorkloadMetrics| m.peak_device_bytes.iter().copied().max().unwrap_or(0);
-        reduction_pct(max(&self.baseline), max(&self.debloated))
-    }
-
-    /// Virtual-time overhead of running with the detector attached, in
-    /// percent over baseline.
-    pub fn detection_overhead_pct(&self) -> f64 {
-        if self.baseline.elapsed_ns == 0 {
-            return 0.0;
-        }
-        (self.detection.elapsed_ns as f64 - self.baseline.elapsed_ns as f64) * 100.0
-            / self.baseline.elapsed_ns as f64
-    }
-
-    /// A human-readable multi-line summary (paper-table flavored):
-    /// absolute sizes at paper scale (via
-    /// [`simml::scale::real_bytes_to_paper_mb`]) alongside every
-    /// percentage, plus the debloated run's load/steady time split.
-    pub fn summary(&self) -> String {
-        let t = self.totals();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Debloat {} on {} — file {}, host {}, device {}\n",
-            self.workload,
-            self.gpu,
-            mb_line(t.file_before, t.file_after),
-            mb_line(t.host_before, t.host_after),
-            mb_line(t.device_before, t.device_after),
-        ));
-        let (load_ns, steady_ns) = self.debloated.load_time_split_ns();
-        out.push_str(&format!(
-            "  used: {} kernels, {} host fns; time {} (load/steady {:.2}/{:.2} ms), \
-             host mem {}, GPU mem {}, detector overhead {:+.1}%\n",
-            self.used_kernels,
-            self.used_host_fns,
-            delta_pct(self.time_reduction_pct()),
-            load_ns as f64 / 1e6,
-            steady_ns as f64 / 1e6,
-            delta_pct(self.host_memory_reduction_pct()),
-            delta_pct(self.device_memory_reduction_pct()),
-            self.detection_overhead_pct(),
-        ));
-        for lib in &self.libraries {
-            out.push_str(&format!(
-                "  {:<32} file {}  host {:>7}  device {:>7}  fns {}/{}  elems {}/{}\n",
-                lib.soname,
-                mb_line(lib.file_before, lib.file_after),
-                delta_pct(lib.host_reduction_pct()),
-                delta_pct(lib.device_reduction_pct()),
-                lib.used_functions,
-                lib.total_functions,
-                lib.kept_elements,
-                lib.total_elements,
-            ));
-        }
-        out
     }
 }
 
@@ -341,6 +225,33 @@ impl WorkloadVerification {
     /// output bit-for-bit.
     pub fn verified(&self) -> bool {
         self.baseline_checksum == self.verified_checksum
+    }
+
+    /// Execution-time reduction of the debloated bundle vs baseline, in
+    /// percent.
+    pub fn time_reduction_pct(&self) -> f64 {
+        reduction_pct(self.baseline.elapsed_ns, self.debloated.elapsed_ns)
+    }
+
+    /// Peak host memory reduction vs baseline, in percent.
+    pub fn host_memory_reduction_pct(&self) -> f64 {
+        reduction_pct(self.baseline.peak_host_bytes, self.debloated.peak_host_bytes)
+    }
+
+    /// Peak GPU memory reduction (worst device) vs baseline, in percent.
+    pub fn device_memory_reduction_pct(&self) -> f64 {
+        let max = |m: &WorkloadMetrics| m.peak_device_bytes.iter().copied().max().unwrap_or(0);
+        reduction_pct(max(&self.baseline), max(&self.debloated))
+    }
+
+    /// Virtual-time overhead of running with the detector attached, in
+    /// percent over baseline (the paper's §4.6 comparison).
+    pub fn detection_overhead_pct(&self) -> f64 {
+        if self.baseline.elapsed_ns == 0 {
+            return 0.0;
+        }
+        (self.detection.elapsed_ns as f64 - self.baseline.elapsed_ns as f64) * 100.0
+            / self.baseline.elapsed_ns as f64
     }
 }
 
@@ -397,14 +308,19 @@ impl MultiDebloatReport {
         self.workloads.iter().all(WorkloadVerification::verified)
     }
 
-    /// A human-readable multi-line summary: bundle totals once, then one
-    /// verification line per workload.
+    /// A human-readable multi-line summary (paper-table flavored):
+    /// bundle totals once, at paper scale (via
+    /// [`simml::scale::real_bytes_to_paper_mb`]) beside every
+    /// percentage; one line per library; then per workload its
+    /// verification line and the debloated run's runtime deltas with its
+    /// load/steady time split.
     pub fn summary(&self) -> String {
         let t = self.totals();
         let mut out = String::new();
         out.push_str(&format!(
-            "Debloat {} workloads (shared bundle) on {} — file {}, host {}, device {}\n",
+            "Debloat {} workload{} (shared bundle) on {} — file {}, host {}, device {}\n",
             self.workloads.len(),
+            if self.workloads.len() == 1 { "" } else { "s" },
             self.gpu,
             mb_line(t.file_before, t.file_after),
             mb_line(t.host_before, t.host_after),
@@ -417,12 +333,33 @@ impl MultiDebloatReport {
             if self.plan_cache_hit { " (plan cache hit)" } else { "" },
             if self.batched { format!(" (batched x{})", self.batch_size) } else { String::new() },
         ));
-        for w in &self.workloads {
+        for lib in &self.libraries {
             out.push_str(&format!(
-                "  {:<40} checksum {:#018x} {} baseline\n",
+                "  {:<32} file {}  host {:>7}  device {:>7}  fns {}/{}  elems {}/{}\n",
+                lib.soname,
+                mb_line(lib.file_before, lib.file_after),
+                delta_pct(lib.host_reduction_pct()),
+                delta_pct(lib.device_reduction_pct()),
+                lib.used_functions,
+                lib.total_functions,
+                lib.kept_elements,
+                lib.total_elements,
+            ));
+        }
+        for w in &self.workloads {
+            let (load_ns, steady_ns) = w.debloated.load_time_split_ns();
+            out.push_str(&format!(
+                "  {:<40} checksum {:#018x} {} baseline\n    time {} (load/steady \
+                 {:.2}/{:.2} ms), host mem {}, GPU mem {}, detector overhead {:+.1}%\n",
                 w.label,
                 w.verified_checksum,
                 if w.verified() { "==" } else { "!=" },
+                delta_pct(w.time_reduction_pct()),
+                load_ns as f64 / 1e6,
+                steady_ns as f64 / 1e6,
+                delta_pct(w.host_memory_reduction_pct()),
+                delta_pct(w.device_memory_reduction_pct()),
+                w.detection_overhead_pct(),
             ));
         }
         out
@@ -463,21 +400,40 @@ mod tests {
         }
     }
 
-    fn report() -> DebloatReport {
-        DebloatReport {
-            workload: "PyTorch/Train/MobileNetV2".into(),
+    fn verification(
+        label: &str,
+        checksum: u64,
+        runs: [WorkloadMetrics; 3],
+    ) -> WorkloadVerification {
+        let [baseline, detection, debloated] = runs;
+        WorkloadVerification {
+            label: label.into(),
+            baseline_checksum: checksum,
+            verified_checksum: checksum,
+            baseline,
+            detection,
+            debloated,
+        }
+    }
+
+    /// A one-workload report over two libraries.
+    fn report() -> MultiDebloatReport {
+        MultiDebloatReport {
             gpu: GpuModel::T4,
             libraries: vec![
                 lib((1000, 400), (500, 100), (400, 200)),
                 lib((1000, 600), (500, 300), (0, 0)),
             ],
-            baseline: metrics(1000, 800, 600),
-            detection: metrics(1410, 800, 600),
-            debloated: metrics(700, 400, 300),
+            workloads: vec![verification(
+                "PyTorch/Train/MobileNetV2",
+                0xaa,
+                [metrics(1000, 800, 600), metrics(1410, 800, 600), metrics(700, 400, 300)],
+            )],
             used_kernels: 12,
             used_host_fns: 34,
-            checksum: 0xfeed,
             plan_cache_hit: false,
+            batched: false,
+            batch_size: 1,
             bytes_copied: 2000,
             bytes_shared: 0,
             plan_diff_ns: 0,
@@ -501,11 +457,11 @@ mod tests {
 
     #[test]
     fn runtime_reductions() {
-        let r = report();
-        assert!((r.time_reduction_pct() - 30.0).abs() < 1e-9);
-        assert!((r.host_memory_reduction_pct() - 50.0).abs() < 1e-9);
-        assert!((r.device_memory_reduction_pct() - 50.0).abs() < 1e-9);
-        assert!((r.detection_overhead_pct() - 41.0).abs() < 1e-9);
+        let w = &report().workloads[0];
+        assert!((w.time_reduction_pct() - 30.0).abs() < 1e-9);
+        assert!((w.host_memory_reduction_pct() - 50.0).abs() < 1e-9);
+        assert!((w.device_memory_reduction_pct() - 50.0).abs() < 1e-9);
+        assert!((w.detection_overhead_pct() - 41.0).abs() < 1e-9);
     }
 
     #[test]
@@ -513,15 +469,20 @@ mod tests {
         let r = lib((0, 0), (0, 0), (0, 0));
         assert_eq!(r.file_reduction_pct(), 0.0);
         assert_eq!(r.device_reduction_pct(), 0.0);
+        let idle = verification("idle", 0, [metrics(0, 0, 0), metrics(0, 0, 0), metrics(0, 0, 0)]);
+        assert_eq!(idle.time_reduction_pct(), 0.0);
+        assert_eq!(idle.detection_overhead_pct(), 0.0);
     }
 
     #[test]
     fn summary_mentions_the_headline_numbers() {
         let s = report().summary();
+        assert!(s.contains("Debloat 1 workload (shared bundle)"), "{s}");
         assert!(s.contains("PyTorch/Train/MobileNetV2"));
         assert!(s.contains("T4"));
         assert!(s.contains("lib.so"));
         assert!(s.contains("load/steady"));
+        assert!(s.contains("detector overhead +41.0%"), "{s}");
     }
 
     #[test]
@@ -543,7 +504,7 @@ mod tests {
         // slower and hungrier than baseline: every delta must print as
         // `+x%`, never `(--x%)` / `--x%`.
         r.libraries = vec![lib((1000, 1250), (500, 100), (400, 200))];
-        r.debloated = metrics(1200, 960, 720);
+        r.workloads[0].debloated = metrics(1200, 960, 720);
         let s = r.summary();
         assert!(!s.contains("--"), "double negative in summary: {s}");
         assert!(!s.contains("+-"), "mixed sign in summary: {s}");
@@ -559,44 +520,26 @@ mod tests {
 
     #[test]
     fn zero_change_prints_positive_zero() {
-        let r = lib((1000, 1000), (0, 0), (0, 0));
-        let mut full = report();
-        full.libraries = vec![r];
-        let s = full.summary();
+        let mut r = report();
+        r.libraries = vec![lib((1000, 1000), (0, 0), (0, 0))];
+        let s = r.summary();
         assert!(s.contains("(+0.0%)"), "no change is +0.0%, not -0.0%: {s}");
     }
 
+    /// A two-workload report over one library.
     fn multi_report() -> MultiDebloatReport {
-        MultiDebloatReport {
-            gpu: GpuModel::T4,
-            libraries: vec![lib((1000, 400), (500, 100), (400, 200))],
-            workloads: vec![
-                WorkloadVerification {
-                    label: "PyTorch/Train/MobileNetV2".into(),
-                    baseline_checksum: 0xaa,
-                    verified_checksum: 0xaa,
-                    baseline: metrics(1000, 800, 600),
-                    detection: metrics(1410, 800, 600),
-                    debloated: metrics(700, 400, 300),
-                },
-                WorkloadVerification {
-                    label: "PyTorch/Inference/MobileNetV2".into(),
-                    baseline_checksum: 0xbb,
-                    verified_checksum: 0xbb,
-                    baseline: metrics(500, 400, 300),
-                    detection: metrics(700, 400, 300),
-                    debloated: metrics(350, 200, 150),
-                },
-            ],
-            used_kernels: 20,
-            used_host_fns: 40,
-            plan_cache_hit: true,
-            batched: false,
-            batch_size: 1,
-            bytes_copied: 1000,
-            bytes_shared: 0,
-            plan_diff_ns: 0,
-        }
+        let mut r = report();
+        r.libraries.truncate(1);
+        r.workloads.push(verification(
+            "PyTorch/Inference/MobileNetV2",
+            0xbb,
+            [metrics(500, 400, 300), metrics(700, 400, 300), metrics(350, 200, 150)],
+        ));
+        r.used_kernels = 20;
+        r.used_host_fns = 40;
+        r.plan_cache_hit = true;
+        r.bytes_copied = 1000;
+        r
     }
 
     #[test]

@@ -72,7 +72,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -84,7 +83,6 @@ use simml::{FrameworkKind, GeneratedLibrary, RunConfig, Workload};
 
 use crate::plan::{PlanCache, PlanKey};
 use crate::pool::WorkerPool;
-use crate::registry::Registry;
 use crate::report::MultiDebloatReport;
 use crate::{shared_framework, DebloatSession, Debloater, NegativaError, Result};
 
@@ -156,8 +154,8 @@ pub struct DebloatResponse {
     /// underlying execution served.
     pub report: MultiDebloatReport,
     /// The debloated libraries, in bundle order — byte-identical to
-    /// what a direct [`Debloater::debloat_many_full`] call returns,
-    /// batched or not (grouping is by full plan identity). Shared
+    /// what a direct [`DebloatSession::debloat_many_artifact`] call
+    /// returns, batched or not (grouping is by full plan identity). Shared
     /// behind an `Arc` so fanning one batch result out to N requesters
     /// is a refcount bump, not N copies of every library image.
     pub libraries: Arc<Vec<GeneratedLibrary>>,
@@ -167,8 +165,8 @@ pub struct DebloatResponse {
 /// [`DebloatService::stats`].
 ///
 /// Every field except `queue_depth` and `executing` (point-in-time
-/// gauges that move with the pipeline) and `registry_root` (fixed
-/// configuration) is a lifetime counter that only grows.
+/// gauges that move with the pipeline) is a lifetime counter that only
+/// grows.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Requests taken off the admission queue by the batcher.
@@ -221,28 +219,6 @@ pub struct ServiceStats {
     /// Compressed elements executed batches rewrote in place
     /// ([`crate::LibraryReport::compressed_rewritten`], summed).
     pub compressed_rewritten: u64,
-    /// Batches whose verified result was also published into the
-    /// shared-pool registry
-    /// ([`DebloatServiceBuilder::publish_registry`]); always 0 without
-    /// a registry root.
-    pub registry_published: u64,
-    /// Registry publish attempts that failed (the batch's requesters
-    /// still got their responses — persistence is a side channel, never
-    /// a reason to fail a served request).
-    pub registry_publish_failed: u64,
-    /// Objects registry publishes newly wrote into the shared pool
-    /// ([`crate::registry::RegistryStats::objects_pooled`], summed over
-    /// every per-batch publish).
-    pub registry_objects_pooled: u64,
-    /// Objects registry publishes found already pooled under their
-    /// content-hash name and did not rewrite
-    /// ([`crate::registry::RegistryStats::objects_deduped`], summed) —
-    /// cross-artifact dedup plus hot identities republishing per batch.
-    pub registry_objects_deduped: u64,
-    /// The registry root executed batches publish into, if the service
-    /// was built with [`DebloatServiceBuilder::publish_registry`]. All
-    /// identities share this one root and its object pool.
-    pub registry_root: Option<PathBuf>,
 }
 
 impl ServiceStats {
@@ -296,7 +272,6 @@ pub struct DebloatServiceBuilder {
     cache: Option<Arc<PlanCache>>,
     cache_capacity: usize,
     plan_ttl: Option<Duration>,
-    publish_registry: Option<PathBuf>,
 }
 
 impl DebloatServiceBuilder {
@@ -385,23 +360,6 @@ impl DebloatServiceBuilder {
         self
     }
 
-    /// Auto-publish every successfully executed batch into the
-    /// **registry** at `root` ([`crate::registry::Registry`]): all
-    /// served identities share one content-addressed object pool, so a
-    /// service cycling through related workload sets pools their
-    /// common libraries once and fleet nodes can
-    /// [`pull`](crate::registry::Registry::pull) any of them with
-    /// delta shipping. A long-lived service thereby materializes
-    /// shippable, re-verifiable bundles as a side effect of serving
-    /// traffic. Publishing is best-effort bookkeeping
-    /// ([`ServiceStats::registry_published`] /
-    /// [`ServiceStats::registry_publish_failed`]): a publish failure
-    /// never fails the request it rode on.
-    pub fn publish_registry(mut self, root: impl Into<PathBuf>) -> Self {
-        self.publish_registry = Some(root.into());
-        self
-    }
-
     /// Start the service: spawn the batcher and the executors and
     /// return the running front end.
     pub fn build(self) -> DebloatService {
@@ -426,7 +384,6 @@ impl DebloatServiceBuilder {
             fleet,
             config: self.config,
             queue_capacity: self.queue_capacity,
-            publish_registry: self.publish_registry,
             sessions: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
@@ -437,10 +394,6 @@ impl DebloatServiceBuilder {
             executing: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
-            registry_published: AtomicU64::new(0),
-            registry_publish_failed: AtomicU64::new(0),
-            registry_objects_pooled: AtomicU64::new(0),
-            registry_objects_deduped: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
             bytes_shared: AtomicU64::new(0),
             plan_diff_ns: AtomicU64::new(0),
@@ -527,9 +480,6 @@ struct ServiceShared {
     fleet: FleetSpec,
     config: RunConfig,
     queue_capacity: usize,
-    /// Root of the shared-pool registry batches publish into; `None`
-    /// disables auto-publishing.
-    publish_registry: Option<PathBuf>,
     /// One pinned session per framework, created on first request.
     sessions: Mutex<HashMap<FrameworkKind, DebloatSession>>,
     /// Set by shutdown so handles reject new submissions immediately.
@@ -542,10 +492,6 @@ struct ServiceShared {
     executing: AtomicU64,
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    registry_published: AtomicU64,
-    registry_publish_failed: AtomicU64,
-    registry_objects_pooled: AtomicU64,
-    registry_objects_deduped: AtomicU64,
     bytes_copied: AtomicU64,
     bytes_shared: AtomicU64,
     plan_diff_ns: AtomicU64,
@@ -762,22 +708,6 @@ fn execute(shared: &ServiceShared, batch: Batch) {
     // One detection / plan / compaction / verification for the whole
     // group; each per-request report carries the batch provenance.
     let result = session.debloat_many_artifact(&batch.workloads).map(|mut artifact| {
-        // Auto-publish the verified artifact before fanning out. A
-        // persistence failure is counted, never propagated: the
-        // requesters' debloat succeeded.
-        // All identities publish into one shared pool. A fresh
-        // Registry handle per batch makes its stats exactly this
-        // publish's delta.
-        if let Some(root) = &shared.publish_registry {
-            let registry = Registry::at(root);
-            match registry.publish(&artifact) {
-                Ok(_) => shared.registry_published.fetch_add(1, Ordering::Relaxed),
-                Err(_) => shared.registry_publish_failed.fetch_add(1, Ordering::Relaxed),
-            };
-            let pool = registry.stats();
-            shared.registry_objects_pooled.fetch_add(pool.objects_pooled, Ordering::Relaxed);
-            shared.registry_objects_deduped.fetch_add(pool.objects_deduped, Ordering::Relaxed);
-        }
         artifact.report.batch_size = size;
         artifact.report.batched = size > 1;
         // Zero-copy accounting: the batch's single compaction copied
@@ -940,7 +870,6 @@ impl DebloatService {
             cache: None,
             cache_capacity: PlanCache::DEFAULT_CAPACITY,
             plan_ttl: None,
-            publish_registry: None,
         }
     }
 
@@ -980,11 +909,6 @@ impl DebloatService {
             bytes_sliced_arch: self.shared.bytes_sliced_arch.load(Ordering::Relaxed),
             bytes_sliced_compressed: self.shared.bytes_sliced_compressed.load(Ordering::Relaxed),
             compressed_rewritten: self.shared.compressed_rewritten.load(Ordering::Relaxed),
-            registry_published: self.shared.registry_published.load(Ordering::Relaxed),
-            registry_publish_failed: self.shared.registry_publish_failed.load(Ordering::Relaxed),
-            registry_objects_pooled: self.shared.registry_objects_pooled.load(Ordering::Relaxed),
-            registry_objects_deduped: self.shared.registry_objects_deduped.load(Ordering::Relaxed),
-            registry_root: self.shared.publish_registry.clone(),
         }
     }
 

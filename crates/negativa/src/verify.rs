@@ -32,29 +32,16 @@ use crate::Result;
 /// against the original bundle's `expected_checksum`.
 ///
 /// Returns the verification run's outcome (its metrics are the paper's
-/// "after debloating" measurements).
+/// "after debloating" measurements). With `indexes`, each library opens
+/// through a pre-built [`ElfIndex`]; `None` parses every open. Indexes
+/// built from the *original* bundle remain valid here: compaction
+/// zeroes in place and never moves offsets, so the session's parse-once
+/// views serve the verification open too.
 ///
 /// # Errors
 ///
 /// [`NegativaError::OverCompaction`], [`NegativaError::ChecksumMismatch`],
 /// or [`NegativaError::Workload`] for faults unrelated to compaction.
-pub fn verify(
-    workload: &Workload,
-    debloated: &[GeneratedLibrary],
-    expected_checksum: u64,
-    config: &RunConfig,
-) -> Result<RunOutcome> {
-    verify_indexed(workload, debloated, None, expected_checksum, config)
-}
-
-/// Like [`verify`], opening each library through a pre-built
-/// [`ElfIndex`]. Indexes built from the *original* bundle remain valid
-/// here: compaction zeroes in place and never moves offsets, so the
-/// session's parse-once views serve the verification open too.
-///
-/// # Errors
-///
-/// As [`verify`].
 pub fn verify_indexed(
     workload: &Workload,
     debloated: &[GeneratedLibrary],
@@ -109,7 +96,8 @@ mod tests {
         let w = workload();
         let config = RunConfig::default();
         let baseline = run_workload(&w, bundle.libraries(), &config).unwrap();
-        let verified = verify(&w, bundle.libraries(), baseline.checksum, &config).unwrap();
+        let verified =
+            verify_indexed(&w, bundle.libraries(), None, baseline.checksum, &config).unwrap();
         assert_eq!(verified.checksum, baseline.checksum);
     }
 
@@ -120,7 +108,8 @@ mod tests {
         let w = workload();
         let config = RunConfig::default();
         let baseline = run_workload(&w, bundle.libraries(), &config).unwrap();
-        let plain = verify(&w, bundle.libraries(), baseline.checksum, &config).unwrap();
+        let plain =
+            verify_indexed(&w, bundle.libraries(), None, baseline.checksum, &config).unwrap();
         let indexed =
             verify_indexed(&w, bundle.libraries(), Some(&indexes), baseline.checksum, &config)
                 .unwrap();
@@ -150,7 +139,7 @@ mod tests {
         let bundle = cached_bundle(FrameworkKind::PyTorch);
         let w = workload();
         let config = RunConfig::default();
-        let err = verify(&w, bundle.libraries(), 0xdead_beef, &config).unwrap_err();
+        let err = verify_indexed(&w, bundle.libraries(), None, 0xdead_beef, &config).unwrap_err();
         assert!(matches!(err, NegativaError::ChecksumMismatch { .. }));
     }
 
@@ -176,7 +165,7 @@ mod tests {
                 lib
             })
             .collect();
-        let err = verify(&w, &broken, baseline.checksum, &config).unwrap_err();
+        let err = verify_indexed(&w, &broken, None, baseline.checksum, &config).unwrap_err();
         assert!(
             matches!(
                 &err,

@@ -44,7 +44,9 @@ fn a_three_arch_fleet_slices_foreign_arches_and_rewrites_compressed_elements() {
         "the session GPU's architecture is always folded into the fleet"
     );
 
-    let (report, libraries) = debloater.debloat_many_full(&workloads()).unwrap();
+    let artifact =
+        debloater.session(FrameworkKind::PyTorch).debloat_many_artifact(&workloads()).unwrap();
+    let (report, libraries) = (artifact.report, artifact.libraries);
     assert!(report.all_verified(), "every workload reproduces its baseline on the session GPU");
 
     // The fleet-slicing accounting is threaded end to end and non-zero
@@ -101,8 +103,11 @@ fn a_single_member_fleet_is_byte_identical_to_the_default_path() {
         .with_fleet(FleetSpec::single(GpuModel::T4.arch()));
     assert_eq!(plain.fleet(), single.fleet());
 
-    let (plain_report, plain_libs) = plain.debloat_many_full(&workloads()).unwrap();
-    let (single_report, single_libs) = single.debloat_many_full(&workloads()).unwrap();
+    let plain = plain.session(FrameworkKind::PyTorch).debloat_many_artifact(&workloads()).unwrap();
+    let single =
+        single.session(FrameworkKind::PyTorch).debloat_many_artifact(&workloads()).unwrap();
+    let (plain_report, plain_libs) = (plain.report, plain.libraries);
+    let (single_report, single_libs) = (single.report, single.libraries);
     assert_eq!(plain_libs, single_libs, "a single-member fleet must not change a single byte");
     let totals = single_report.totals();
     assert_eq!(totals.bytes_sliced_arch, 0);

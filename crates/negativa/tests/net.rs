@@ -339,7 +339,7 @@ fn a_resolved_pull_seeds_a_cold_plan_cache_with_zero_detections() {
     assert_eq!(installed.as_ref(), small.plan.as_ref());
 
     let debloater = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
-    let (report, _) = debloater.debloat_many_full(&small_workloads()).unwrap();
+    let report = debloater.debloat_many(&small_workloads()).unwrap();
     assert!(report.plan_cache_hit, "the pulled plan serves the debloat");
     assert!(report.all_verified());
     let stats = cache.stats();

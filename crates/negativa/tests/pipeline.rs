@@ -3,7 +3,7 @@
 //! doctest also exercises), plus TensorFlow and vLLM / Transformers
 //! bundles on their paper workloads.
 
-use negativa_ml::Debloater;
+use negativa_ml::{Debloater, MultiDebloatReport};
 use simcuda::GpuModel;
 use simml::{FrameworkKind, ModelKind, Operation, Workload};
 
@@ -11,59 +11,57 @@ fn debloat_workload(
     framework: FrameworkKind,
     model: ModelKind,
     operation: Operation,
-) -> negativa_ml::DebloatReport {
+) -> MultiDebloatReport {
     let workload = Workload::paper(framework, model, operation);
-    Debloater::new(GpuModel::T4).debloat(&workload).expect("pipeline must verify clean")
+    Debloater::new(GpuModel::T4).debloat_many(&[workload]).expect("pipeline must verify clean")
 }
 
-fn debloat(operation: Operation) -> negativa_ml::DebloatReport {
+fn debloat(operation: Operation) -> MultiDebloatReport {
     debloat_workload(FrameworkKind::PyTorch, ModelKind::MobileNetV2, operation)
 }
 
-/// (a) identical output checksum before/after compaction — `debloat`
+/// (a) identical output checksum before/after compaction — `debloat_many`
 /// returning `Ok` *is* that guarantee (verification compares against the
 /// baseline checksum and errors on mismatch); the report carries the
 /// shared checksum. (b) nonzero host and device reduction. (c) peak
 /// memory and virtual time strictly lower after debloating.
-fn assert_paper_properties(report: &negativa_ml::DebloatReport) {
+fn assert_paper_properties(report: &MultiDebloatReport) {
+    let run = &report.workloads[0];
     // (a) — the verified checksum exists and the pipeline did not error.
-    assert_ne!(report.checksum, 0, "{}: checksum recorded", report.workload);
+    assert!(run.verified(), "{}: verified checksum equals the baseline", run.label);
+    assert_ne!(run.verified_checksum, 0, "{}: checksum recorded", run.label);
 
     // (b) — both sides of the bundle actually shrank.
     let totals = report.totals();
     assert!(
         totals.host_reduction_pct() > 0.0,
         "{}: host reduction {:.1}% must be nonzero",
-        report.workload,
+        run.label,
         totals.host_reduction_pct()
     );
     assert!(
         totals.device_reduction_pct() > 0.0,
         "{}: device reduction {:.1}% must be nonzero",
-        report.workload,
+        run.label,
         totals.device_reduction_pct()
     );
 
     // (c) — mirrors simcuda's `debloating_reduces_memory_and_time`.
     assert!(
-        report.debloated.peak_host_bytes < report.baseline.peak_host_bytes,
+        run.debloated.peak_host_bytes < run.baseline.peak_host_bytes,
         "{}: peak host memory must drop ({} -> {})",
-        report.workload,
-        report.baseline.peak_host_bytes,
-        report.debloated.peak_host_bytes
+        run.label,
+        run.baseline.peak_host_bytes,
+        run.debloated.peak_host_bytes
     );
     let peak = |m: &simml::WorkloadMetrics| m.peak_device_bytes.iter().copied().max().unwrap();
+    assert!(peak(&run.debloated) < peak(&run.baseline), "{}: peak GPU memory must drop", run.label);
     assert!(
-        peak(&report.debloated) < peak(&report.baseline),
-        "{}: peak GPU memory must drop",
-        report.workload
-    );
-    assert!(
-        report.debloated.elapsed_ns < report.baseline.elapsed_ns,
+        run.debloated.elapsed_ns < run.baseline.elapsed_ns,
         "{}: virtual time must drop ({} -> {})",
-        report.workload,
-        report.baseline.elapsed_ns,
-        report.debloated.elapsed_ns
+        run.label,
+        run.baseline.elapsed_ns,
+        run.debloated.elapsed_ns
     );
 }
 
@@ -141,18 +139,22 @@ fn every_gpu_library_reports_device_savings() {
     assert!(report.used_kernels > 0);
     assert!(report.used_host_fns > 0);
     // Detection overhead is positive but far below a full tracer.
-    assert!(report.detection_overhead_pct() > 0.0);
-    assert!(report.detection_overhead_pct() < 130.0);
+    let overhead = report.workloads[0].detection_overhead_pct();
+    assert!(overhead > 0.0);
+    assert!(overhead < 130.0);
 }
 
 #[test]
 fn debloated_bundle_reruns_standalone() {
     let workload =
         Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2, Operation::Inference);
-    let (report, debloated) =
-        Debloater::new(GpuModel::T4).debloat_full(&workload).expect("verifies clean");
+    let artifact = Debloater::new(GpuModel::T4)
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(std::slice::from_ref(&workload))
+        .expect("verifies clean");
     // The debloated libraries are a self-sufficient drop-in bundle: a
     // fresh run (no debloater involved) reproduces the same output.
-    let outcome = simml::run_workload(&workload, &debloated, &simml::RunConfig::default()).unwrap();
-    assert_eq!(outcome.checksum, report.checksum);
+    let outcome =
+        simml::run_workload(&workload, &artifact.libraries, &simml::RunConfig::default()).unwrap();
+    assert_eq!(outcome.checksum, artifact.report.workloads[0].verified_checksum);
 }

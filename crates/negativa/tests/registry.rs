@@ -235,7 +235,11 @@ fn a_cold_node_seeds_its_plan_cache_from_a_pulled_artifact() {
     assert_eq!(installed.as_ref(), small.plan.as_ref());
 
     let debloater = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
-    let (report, libraries) = debloater.debloat_many_full(&small_workloads()).unwrap();
+    let artifact = debloater
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(&small_workloads())
+        .unwrap();
+    let (report, libraries) = (artifact.report, artifact.libraries);
     assert!(report.plan_cache_hit, "the pulled plan serves the debloat");
     assert!(report.all_verified());
     let stats = cache.stats();
@@ -335,30 +339,26 @@ fn a_corrupted_pool_object_fails_its_hash_on_load() {
 }
 
 #[test]
-fn service_auto_publishes_into_a_registry() {
-    let root = test_root("service");
-    let service =
-        DebloatService::builder(GpuModel::T4).service_workers(1).publish_registry(&root).build();
-    let handle = service.handle();
-    let response = handle.request(small_workloads()).expect("the service answers");
+fn a_served_response_equals_its_published_and_reloaded_artifact() {
+    let service = DebloatService::builder(GpuModel::T4).service_workers(1).build();
+    let response = service.handle().request(small_workloads()).expect("the service answers");
     assert!(response.report.all_verified());
-    let stats = service.stats();
-    assert_eq!(stats.registry_published, 1, "one executed batch, one registry record");
-    assert_eq!(stats.registry_publish_failed, 0);
-    assert!(stats.registry_objects_pooled > 0);
-    assert_eq!(stats.registry_root.as_deref(), Some(root.as_path()));
-    drop(handle);
     service.shutdown();
 
-    // The registry holds the one published identity; it verifies cold
-    // and serves the same bytes the service answered with.
+    // Publishing the same set explicitly yields one registry record; it
+    // verifies cold and reloads the same bytes the service answered
+    // with, under the same per-library and per-workload report.
+    let root = test_root("service");
     let registry = Registry::at(&root);
-    let records = registry.artifacts().unwrap();
-    assert_eq!(records.len(), 1, "one plan identity was served");
-    assert!(registry.verify(&records[0].artifact_id).unwrap().all_verified());
+    let (small, _) = artifacts();
+    let record = registry.publish(small).unwrap();
+    assert_eq!(registry.artifacts().unwrap().len(), 1, "one plan identity was published");
+    assert!(registry.verify(&record.artifact_id).unwrap().all_verified());
     assert_eq!(
         *response.libraries,
-        registry.open(&records[0].artifact_id).unwrap().load_bundle().unwrap()
+        registry.open(&record.artifact_id).unwrap().load_bundle().unwrap()
     );
+    assert_eq!(response.report.libraries, small.report.libraries);
+    assert_eq!(response.report.workloads, small.report.workloads);
     fs::remove_dir_all(&root).ok();
 }

@@ -8,12 +8,36 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use negativa_ml::service::{DebloatResponse, DebloatService, ServiceError};
-use negativa_ml::{Debloater, NegativaError, PlanCache, WorkerPool};
+use negativa_ml::{Debloater, MultiDebloatReport, NegativaError, PlanCache, WorkerPool};
 use simcuda::GpuModel;
-use simml::{FrameworkKind, ModelKind, Operation, Workload};
+use simml::{FrameworkKind, GeneratedLibrary, ModelKind, Operation, Workload};
 
 fn workload(framework: FrameworkKind, operation: Operation) -> Workload {
     Workload::paper(framework, ModelKind::MobileNetV2, operation)
+}
+
+/// Ground truth for a served set: the direct, unqueued debloat on the
+/// process-wide cache and pool (so a service's private ones stay clean
+/// for accounting assertions).
+fn direct(set: &[Workload]) -> (MultiDebloatReport, Vec<GeneratedLibrary>) {
+    let artifact = Debloater::new(GpuModel::T4)
+        .session(set[0].framework)
+        .debloat_many_artifact(set)
+        .expect("direct verifies");
+    (artifact.report, artifact.libraries)
+}
+
+/// Occupy the service's single executor with `set` — a plan identity
+/// none of the requests submitted next shares — and wait until it
+/// executes, so those requests accumulate in the batcher instead of
+/// trickling out one at a time.
+fn plug(service: &DebloatService, set: Vec<Workload>) -> negativa_ml::service::Ticket {
+    let ticket = service.handle().submit(set).unwrap();
+    wait_until("the plug to occupy the executor", || {
+        let stats = service.stats();
+        stats.executing == 1 && stats.queue_depth == 0
+    });
+    ticket
 }
 
 /// Spin until `ready` holds (1 ms granularity, 30 s guard).
@@ -32,6 +56,11 @@ fn wait_until(what: &str, ready: impl Fn() -> bool) {
 #[test]
 fn same_framework_burst_shares_one_detection_and_one_compaction() {
     const BURST: usize = 8;
+    // Generate both bundles up front: a cold bundle cache is filled
+    // through the service's private pool, one more fan-out than the
+    // debloats below account for, so run alone this test would count 7.
+    simml::cached_bundle(FrameworkKind::TensorFlow);
+    simml::cached_bundle(FrameworkKind::PyTorch);
     let pool = WorkerPool::new(3);
     let cache = Arc::new(PlanCache::new(4));
     let service = DebloatService::builder(GpuModel::T4)
@@ -42,18 +71,13 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
         .build();
     let handle = service.handle();
 
-    // Plug: occupy the single executor with a different plan identity
-    // so the burst accumulates in the batcher instead of trickling out
-    // one request at a time.
-    let plug = vec![
-        workload(FrameworkKind::TensorFlow, Operation::Train),
-        workload(FrameworkKind::TensorFlow, Operation::Inference),
-    ];
-    let plug_ticket = handle.submit(plug).unwrap();
-    wait_until("the plug to occupy the executor", || {
-        let stats = service.stats();
-        stats.executing == 1 && stats.queue_depth == 0
-    });
+    let plug_ticket = plug(
+        &service,
+        vec![
+            workload(FrameworkKind::TensorFlow, Operation::Train),
+            workload(FrameworkKind::TensorFlow, Operation::Inference),
+        ],
+    );
 
     // The burst: 8 concurrent same-identity requests, all admitted
     // while the executor is busy.
@@ -61,11 +85,7 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
     let tickets: Vec<_> =
         (0..BURST).map(|_| handle.submit(set.clone()).expect("queue has room")).collect();
 
-    // Ground truth: the direct, unqueued entry point on the same set
-    // (process-wide cache/pool — the service's private ones stay clean
-    // for the accounting assertions below).
-    let (direct_report, direct_libs) =
-        Debloater::new(GpuModel::T4).debloat_many_full(&set).expect("direct verifies");
+    let (direct_report, direct_libs) = direct(&set);
 
     assert!(plug_ticket.wait().expect("plug answered").report.all_verified());
     for ticket in tickets {
@@ -117,6 +137,68 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
     assert_eq!(stats.batches, 2, "plug batch + one burst batch");
     assert_eq!(stats.batched_requests, (BURST + 1) as u64);
     assert!((stats.mean_batch_size() - 4.5).abs() < 1e-9, "{}", stats.mean_batch_size());
+    // Copy-on-write fan-out: each batch's compaction copies at most one
+    // bundle, while every requester's response shares the compacted
+    // images, so the shared bytes outgrow the copied ones.
+    assert!(stats.bytes_copied > 0, "a union debloat pays its O(1) image copies");
+    assert!(
+        stats.bytes_shared > stats.bytes_copied,
+        "fan-out must be dominated by shared handles, not copies (shared {} vs copied {})",
+        stats.bytes_shared,
+        stats.bytes_copied
+    );
+    service.shutdown();
+}
+
+/// The batcher groups by full plan identity: queued duplicates of one
+/// set share one execution stamped with their provenance and
+/// byte-identical to a direct debloat, while distinct sets — a single
+/// workload and a union containing it alike — each run on their own.
+#[test]
+fn a_batch_serves_each_plan_identity_once() {
+    let train = workload(FrameworkKind::PyTorch, Operation::Train);
+    let infer = workload(FrameworkKind::PyTorch, Operation::Inference);
+    // A private cache so the detection count below is exact.
+    let cache = Arc::new(PlanCache::new(8));
+    let service =
+        DebloatService::builder(GpuModel::T4).service_workers(1).plan_cache(cache.clone()).build();
+    let plug_ticket =
+        plug(&service, vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]);
+    let sets = [
+        vec![train.clone()],
+        vec![infer.clone()],
+        vec![train.clone()],                // same plan identity as set 0
+        vec![train.clone(), infer.clone()], // a distinct union identity
+    ];
+    let handle = service.handle();
+    let tickets: Vec<_> = sets.iter().map(|set| handle.submit(set.clone()).unwrap()).collect();
+    assert!(plug_ticket.wait().expect("plug answered").report.all_verified());
+    let served: Vec<DebloatResponse> =
+        tickets.into_iter().map(|t| t.wait().expect("request answered")).collect();
+    assert_eq!(cache.stats().detections, 4, "the plug plus one per unique plan identity");
+
+    // Duplicates share one execution, stamped with their provenance...
+    let (r0, r2) = (&served[0], &served[2]);
+    assert!(r0.report.batched && r2.report.batched, "queued duplicates are marked batched");
+    assert_eq!(r0.report.batch_size, 2);
+    assert_eq!(r0.report, r2.report);
+    assert!(Arc::ptr_eq(&r0.libraries, &r2.libraries), "one library set behind one Arc");
+    // ...and are byte-identical to a direct debloat of the set:
+    // grouping by full plan identity is pure amortization.
+    let (direct_report, direct_libs) = direct(&sets[0]);
+    assert_eq!(r0.report.libraries, direct_report.libraries);
+    assert_eq!(r0.report.workloads, direct_report.workloads);
+    for (a, b) in r0.libraries.iter().zip(&direct_libs) {
+        assert_eq!(a.image.bytes(), b.image.bytes(), "{} diverged", a.manifest.soname);
+    }
+
+    // Singleton groups are unbatched; the union set stays its own group.
+    assert!(!served[1].report.batched);
+    assert_eq!(served[1].report.batch_size, 1);
+    assert_eq!(served[3].report.workloads.len(), 2);
+    assert!(served[3].report.all_verified());
+    assert_eq!(service.stats().batches, 4, "plug + three plan identities");
+    drop(handle);
     service.shutdown();
 }
 
@@ -154,13 +236,8 @@ fn a_full_bounded_queue_sheds_with_overloaded() {
         .build();
     let handle = service.handle();
 
-    // Occupy the single executor so nothing dispatches under the burst.
     let plug_ticket =
-        handle.submit(vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]).unwrap();
-    wait_until("the plug to occupy the executor", || {
-        let stats = service.stats();
-        stats.executing == 1 && stats.queue_depth == 0
-    });
+        plug(&service, vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]);
 
     // With capacity 1 the channel holds one request and the batcher
     // buffers at most one more, so of 8 rapid non-blocking submissions
@@ -229,11 +306,7 @@ fn service_serves_concurrent_multi_framework_requests() {
         .map(|(index, set)| (index, set.clone(), handle.submit(set.clone()).expect("queue open")))
         .collect();
 
-    // Ground truth: the direct, unqueued entry point on the same sets.
-    let direct: Vec<_> = unique_sets
-        .iter()
-        .map(|set| Debloater::new(GpuModel::T4).debloat_many_full(set).expect("direct verifies"))
-        .collect();
+    let direct: Vec<_> = unique_sets.iter().map(|set| direct(set)).collect();
 
     for (index, set, ticket) in tickets {
         let DebloatResponse { report, libraries } = ticket.wait().expect("request answered");

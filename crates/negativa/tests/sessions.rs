@@ -4,12 +4,22 @@
 //! (§4.5), parallel-vs-serial equivalence, and the explicit
 //! empty-device-list error.
 
-use negativa_ml::{plan, Debloater, NegativaError};
+use negativa_ml::{plan, Debloater, MultiDebloatReport, NegativaError};
 use simcuda::{GpuModel, LoadMode};
-use simml::{FrameworkKind, ModelKind, Operation, Workload};
+use simml::{FrameworkKind, GeneratedLibrary, ModelKind, Operation, Workload};
 
 fn pytorch(operation: Operation) -> Workload {
     Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2, operation)
+}
+
+/// The report and the verified libraries of one debloat of `set`.
+fn debloat_with_libraries(
+    debloater: &Debloater,
+    set: &[Workload],
+) -> (MultiDebloatReport, Vec<GeneratedLibrary>) {
+    let artifact =
+        debloater.session(set[0].framework).debloat_many_artifact(set).expect("debloat verifies");
+    (artifact.report, artifact.libraries)
 }
 
 #[test]
@@ -17,8 +27,7 @@ fn debloat_many_unions_usage_and_verifies_every_workload() {
     let train = pytorch(Operation::Train);
     let infer = pytorch(Operation::Inference);
     let debloater = Debloater::new(GpuModel::T4);
-    let (multi, union_libs) =
-        debloater.debloat_many_full(&[train.clone(), infer.clone()]).expect("union verifies");
+    let (multi, union_libs) = debloat_with_libraries(&debloater, &[train.clone(), infer.clone()]);
 
     assert_eq!(multi.workloads.len(), 2);
     assert!(multi.all_verified(), "every per-workload checksum matches its baseline");
@@ -36,7 +45,8 @@ fn debloat_many_unions_usage_and_verifies_every_workload() {
     // the only mutation, so `single != 0 && union == 0` would mean the
     // union zeroed something a contributing workload needs).
     for single in [&train, &infer] {
-        let (single_report, single_libs) = debloater.debloat_full(single).expect("single verifies");
+        let (single_report, single_libs) =
+            debloat_with_libraries(&debloater, std::slice::from_ref(single));
         assert_eq!(single_libs.len(), union_libs.len());
         for (u, s) in union_libs.iter().zip(&single_libs) {
             assert_eq!(u.manifest.soname, s.manifest.soname);
@@ -63,55 +73,8 @@ fn debloat_many_unions_usage_and_verifies_every_workload() {
     }
     // Union usage is strictly richer than inference alone (training adds
     // backward/optimizer kernels).
-    let infer_report = debloater.debloat(&infer).unwrap();
+    let infer_report = debloater.debloat_many(&[infer]).unwrap();
     assert!(multi.used_kernels > infer_report.used_kernels);
-}
-
-#[test]
-fn debloat_grouped_deduplicates_plan_identities() {
-    use std::sync::Arc;
-
-    let train = pytorch(Operation::Train);
-    let infer = pytorch(Operation::Inference);
-    // A private cache so the detection count below is exact.
-    let cache = Arc::new(negativa_ml::PlanCache::new(8));
-    let debloater = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
-    let sets = vec![
-        vec![train.clone()],
-        vec![infer.clone()],
-        vec![train.clone()],                // same plan identity as set 0
-        vec![train.clone(), infer.clone()], // a distinct union identity
-    ];
-    let grouped = debloater.debloat_grouped(&sets).expect("grouped debloat verifies");
-    assert_eq!(grouped.len(), 4, "one result per input set, in order");
-    assert_eq!(cache.stats().detections, 3, "one detection per unique plan identity");
-
-    // Duplicates share one execution, stamped with their provenance...
-    let (r0, l0) = &grouped[0];
-    let (r2, l2) = &grouped[2];
-    assert!(r0.batched && r2.batched, "grouped duplicates are marked batched");
-    assert_eq!(r0.batch_size, 2);
-    assert_eq!(r0.workloads, r2.workloads);
-    for (a, b) in l0.iter().zip(l2) {
-        assert_eq!(a.image.bytes(), b.image.bytes());
-    }
-    // ...and are byte-identical to an individual debloat_many call:
-    // grouping by full plan identity is pure amortization.
-    let (direct, direct_libs) =
-        Debloater::new(GpuModel::T4).debloat_many_full(std::slice::from_ref(&train)).unwrap();
-    assert_eq!(r0.libraries, direct.libraries);
-    assert_eq!(r0.workloads, direct.workloads);
-    for (a, b) in l0.iter().zip(&direct_libs) {
-        assert_eq!(a.image.bytes(), b.image.bytes(), "{} diverged", a.manifest.soname);
-    }
-
-    // Singleton groups are unbatched; the union set stays its own group.
-    let (r1, _) = &grouped[1];
-    assert!(!r1.batched);
-    assert_eq!(r1.batch_size, 1);
-    let (r3, _) = &grouped[3];
-    assert_eq!(r3.workloads.len(), 2);
-    assert!(r3.all_verified());
 }
 
 #[test]
@@ -138,24 +101,27 @@ fn repeated_debloat_hits_the_plan_cache() {
     let mut workload = pytorch(Operation::Inference);
     workload.inference_steps = 7;
 
-    let first = Debloater::new(GpuModel::T4).debloat(&workload).unwrap();
+    let set = [workload];
+
+    let first = Debloater::new(GpuModel::T4).debloat_many(&set).unwrap();
     assert!(!first.plan_cache_hit, "first debloat of a fresh key must plan from scratch");
 
-    let before = plan::plan_cache_stats();
+    let before = plan::process_cache().stats();
     // A *fresh* debloater instance: the cache is process-wide, not
     // per-instance.
-    let second = Debloater::new(GpuModel::T4).debloat(&workload).unwrap();
-    let after = plan::plan_cache_stats();
+    let second = Debloater::new(GpuModel::T4).debloat_many(&set).unwrap();
+    let after = plan::process_cache().stats();
 
     assert!(second.plan_cache_hit, "repeated (framework, model, op, GPU) skips detection");
     assert!(after.hits > before.hits, "cache-stats hit counter must advance");
     // The cached plan reproduces the identical verified outcome.
-    assert_eq!(first.checksum, second.checksum);
+    let (first_run, second_run) = (&first.workloads[0], &second.workloads[0]);
+    assert_eq!(first_run.verified_checksum, second_run.verified_checksum);
     assert_eq!(first.totals(), second.totals());
     assert_eq!(first.used_kernels, second.used_kernels);
     // Cached baseline/detection metrics ride along unchanged.
-    assert_eq!(first.baseline, second.baseline);
-    assert_eq!(first.detection, second.detection);
+    assert_eq!(first_run.baseline, second_run.baseline);
+    assert_eq!(first_run.detection, second_run.detection);
 }
 
 #[test]
@@ -216,7 +182,7 @@ fn detection_composes_with_caller_rank_subscribers() {
 
     let mut workload = pytorch(Operation::Inference);
     workload.inference_steps = 11; // own plan-cache key: detection must actually run
-    let report = Debloater::with_config(GpuModel::T4, config).debloat(&workload).unwrap();
+    let report = Debloater::with_config(GpuModel::T4, config).debloat_many(&[workload]).unwrap();
     assert!(!report.plan_cache_hit);
     assert!(tracer.event_count() > 0, "caller's rank subscriber was dropped");
 }
@@ -224,18 +190,21 @@ fn detection_composes_with_caller_rank_subscribers() {
 #[test]
 fn h100_lazy_debloat_verifies_and_splits_load_time() {
     let debloater = Debloater::new(GpuModel::H100);
-    let lazy = debloater.debloat(&Workload::h100(FrameworkKind::Vllm, LoadMode::Lazy)).unwrap();
-    let eager = debloater.debloat(&Workload::h100(FrameworkKind::Vllm, LoadMode::Eager)).unwrap();
+    let lazy_report =
+        debloater.debloat_many(&[Workload::h100(FrameworkKind::Vllm, LoadMode::Lazy)]).unwrap();
+    let eager_report =
+        debloater.debloat_many(&[Workload::h100(FrameworkKind::Vllm, LoadMode::Eager)]).unwrap();
+    let (lazy, eager) = (&lazy_report.workloads[0], &eager_report.workloads[0]);
 
     // Debloating under lazy loading still verifies bit-identical output,
     // and loading mode never changes what the workload computes.
-    assert_eq!(lazy.checksum, eager.checksum, "load mode must not change output");
+    assert_eq!(lazy.verified_checksum, eager.verified_checksum, "load mode must not change output");
 
     // The report splits load time from steady state (the §4.5 quantity).
     let (lazy_load, lazy_steady) = lazy.debloated.load_time_split_ns();
     assert!(lazy_load > 0 && lazy_steady > 0);
     assert_eq!(lazy_load + lazy_steady, lazy.debloated.elapsed_ns);
-    assert!(lazy.summary().contains("load/steady"));
+    assert!(lazy_report.summary().contains("load/steady"));
 
     // §4.5 expectations: lazy defers module loads out of the load phase
     // and moves less GPU code overall on the original bundle.
@@ -248,8 +217,9 @@ fn h100_lazy_debloat_verifies_and_splits_load_time() {
 fn distributed_a100_debloat_unions_per_rank_usage() {
     let model = ModelKind::leaderboard_top9().remove(1); // 7.7 B — cheapest
     let workload = Workload::distributed_a100(FrameworkKind::Vllm, model);
-    let report = Debloater::new(GpuModel::A100).debloat(&workload).expect("distributed verifies");
-    assert_eq!(report.debloated.peak_device_bytes.len(), 8, "one entry per rank");
+    let report =
+        Debloater::new(GpuModel::A100).debloat_many(&[workload]).expect("distributed verifies");
+    assert_eq!(report.workloads[0].debloated.peak_device_bytes.len(), 8, "one entry per rank");
     assert!(report.used_kernels > 0, "per-rank detectors observed usage");
     assert!(report.totals().device_reduction_pct() > 0.0);
     assert!(report.totals().host_reduction_pct() > 0.0);
@@ -259,8 +229,10 @@ fn distributed_a100_debloat_unions_per_rank_usage() {
 fn empty_device_list_is_an_explicit_error() {
     let mut workload = pytorch(Operation::Inference);
     workload.devices.clear();
-    let err = Debloater::new(GpuModel::T4).debloat(&workload).unwrap_err();
+    let debloater = Debloater::new(GpuModel::T4);
+    let err = debloater.debloat_many(std::slice::from_ref(&workload)).unwrap_err();
     assert!(matches!(err, NegativaError::EmptyDevices { .. }), "got {err}");
-    let err = Debloater::new(GpuModel::T4).debloat_many(&[workload]).unwrap_err();
+    let session = debloater.session(FrameworkKind::PyTorch);
+    let err = session.debloat_many_artifact(&[workload]).unwrap_err();
     assert!(matches!(err, NegativaError::EmptyDevices { .. }), "got {err}");
 }

@@ -122,7 +122,9 @@ fn reopened_plan_seeds_a_cache_with_zero_new_detections() {
     assert_eq!(cache.len(), 1);
 
     let debloater = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
-    let (report, libraries) = debloater.debloat_many_full(&workloads()).unwrap();
+    let artifact =
+        debloater.session(FrameworkKind::PyTorch).debloat_many_artifact(&workloads()).unwrap();
+    let (report, libraries) = (artifact.report, artifact.libraries);
     assert!(report.plan_cache_hit, "the seeded plan serves the debloat");
     assert!(report.all_verified());
     let stats = cache.stats();

@@ -1,14 +1,17 @@
-//! The zero-copy hot path, end to end: a grouped burst of same-identity
-//! requests costs O(1) full-image copies (copy-on-write fan-out),
+//! The zero-copy hot path, end to end: a batched burst of same-identity
+//! service requests costs O(1) full-image copies (copy-on-write fan-out),
 //! incremental re-planning produces the exact plan a from-scratch run
 //! would (even across library-roster drift), pooled bundle generation
 //! and pooled deduplicated verification are byte-identical to serial,
 //! and an opened artifact reads each unique content hash once.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use negativa_ml::plan::{self, BundlePlan};
-use negativa_ml::{Debloater, NegativaError, Parallelism, PlanCache, Registry, WorkerPool};
+use negativa_ml::{
+    DebloatService, Debloater, NegativaError, Parallelism, PlanCache, Registry, WorkerPool,
+};
 use simcuda::GpuModel;
 use simml::{FrameworkBundle, FrameworkKind, ModelKind, Operation, Workload};
 
@@ -23,27 +26,50 @@ fn transformer() -> Workload {
 #[test]
 fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
     let pool = WorkerPool::new(2);
-    let debloater = Debloater::new(GpuModel::T4)
-        .with_pool(pool.clone())
-        .with_plan_cache(Arc::new(PlanCache::new(4)));
-    let sets = vec![vec![mobilenet()]; 4];
-    let results = debloater.debloat_grouped(&sets).expect("grouped burst verifies");
-    assert_eq!(results.len(), 4);
+    let service = DebloatService::builder(GpuModel::T4)
+        .service_workers(1)
+        .pool(pool.clone())
+        .plan_cache(Arc::new(PlanCache::new(4)))
+        .build();
+    let handle = service.handle();
+    // Plug the single executor with another framework's set so the
+    // burst below queues up and leaves the batcher as one group.
+    let plug = vec![Workload::paper(
+        FrameworkKind::TensorFlow,
+        ModelKind::MobileNetV2,
+        Operation::Inference,
+    )];
+    let plug_ticket = handle.submit(plug).unwrap();
+    let start = Instant::now();
+    loop {
+        let stats = service.stats();
+        if stats.executing == 1 && stats.queue_depth == 0 {
+            break;
+        }
+        assert!(start.elapsed() < Duration::from_secs(30), "the plug never occupied the executor");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let tickets: Vec<_> = (0..4).map(|_| handle.submit(vec![mobilenet()]).unwrap()).collect();
+    let plug_report = plug_ticket.wait().expect("plug answered").report;
+    let results: Vec<_> = tickets.into_iter().map(|t| t.wait().expect("burst verifies")).collect();
+    service.shutdown();
 
     // Every member of the group receives byte-identical output, stamped
     // with the group's provenance.
-    let (first_report, first_libs) = &results[0];
-    assert!(first_report.batched);
-    assert_eq!(first_report.batch_size, 4);
-    for (report, libs) in &results[1..] {
-        assert_eq!(report, first_report);
-        assert_eq!(libs, first_libs);
+    let first = &results[0];
+    assert!(first.report.batched);
+    assert_eq!(first.report.batch_size, 4);
+    for member in &results[1..] {
+        assert_eq!(member.report, first.report);
+        assert_eq!(member.libraries, first.libraries);
     }
 
-    // Byte-identical via *sharing*, not copying: each member's images
-    // are refcount bumps on the one compacted set.
-    for (_, libs) in &results[1..] {
-        for (mine, theirs) in libs.iter().zip(first_libs) {
+    // Byte-identical via *sharing*, not copying: every member holds the
+    // one compacted library set behind the batch's `Arc`, and its
+    // images are refcount bumps on that set.
+    for member in &results[1..] {
+        assert!(Arc::ptr_eq(&member.libraries, &first.libraries));
+        for (mine, theirs) in member.libraries.iter().zip(first.libraries.iter()) {
             assert!(
                 mine.image.shares_bytes_with(&theirs.image),
                 "{}: members must share one image allocation",
@@ -52,14 +78,16 @@ fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
         }
     }
 
-    // The pool's byte ledger confirms O(1) copies: one compaction pass
-    // accounts every library exactly once (copied or shared), never
-    // once per member.
-    let total: u64 = first_libs.iter().map(|lib| lib.image.len()).sum();
+    // The pool's byte ledger confirms O(1) copies: past the plug's own
+    // compaction, one pass accounts every library exactly once (copied
+    // or shared), never once per member.
+    let total: u64 = first.libraries.iter().map(|lib| lib.image.len()).sum();
     let stats = pool.stats();
-    assert!(stats.bytes_copied > 0, "an effective plan detaches at least one image");
+    let burst_copied = stats.bytes_copied - plug_report.bytes_copied;
+    let burst_shared = stats.bytes_shared - plug_report.bytes_shared;
+    assert!(burst_copied > 0, "an effective plan detaches at least one image");
     assert_eq!(
-        stats.bytes_copied + stats.bytes_shared,
+        burst_copied + burst_shared,
         total,
         "a burst of 4 same-identity sets pays for one compaction, not four"
     );
@@ -94,9 +122,9 @@ fn incremental_replanning_equals_full_planning() {
 
     // And the debloat built on the incremental plan verifies clean.
     let report = session_a
-        .debloat_many_full(&[mobilenet(), transformer()])
+        .debloat_many_artifact(&[mobilenet(), transformer()])
         .expect("debloat on the incremental plan verifies")
-        .0;
+        .report;
     assert!(report.all_verified());
 }
 
@@ -322,13 +350,14 @@ fn pooled_bundle_generation_is_byte_identical_to_serial() {
 #[test]
 fn pooled_and_serial_debloats_report_identically() {
     let serial = Debloater::new(GpuModel::T4)
+        .with_parallelism(false)
         .with_plan_cache(Arc::new(PlanCache::new(4)))
-        .debloat(&mobilenet())
+        .debloat_many(&[mobilenet()])
         .expect("serial debloat verifies");
     let pooled = Debloater::new(GpuModel::T4)
         .with_pool(WorkerPool::new(4))
         .with_plan_cache(Arc::new(PlanCache::new(4)))
-        .debloat(&mobilenet())
+        .debloat_many(&[mobilenet()])
         .expect("pooled debloat verifies");
     // Every field is deterministic (virtual clock, content-derived
     // bytes), so parallelism must be invisible in the report.

@@ -5,8 +5,9 @@
 //! substrate it depends on, implemented from scratch in Rust.
 //!
 //! This façade crate re-exports the workspace members so downstream code
-//! (and the `examples/` and `tests/` in this repository) can depend on a
-//! single crate:
+//! (and the `tests/` in this repository) can depend on a single crate.
+//! It also builds the `registry` binary; the repository's benchmark is
+//! the separate `perfbench/` package. The members:
 //!
 //! * [`elf`] — ELF64 shared-object reader/writer/builder ([`simelf`]).
 //! * [`fatbin`] — NVIDIA fatbin/cubin container format and a
@@ -57,7 +58,7 @@
 //! // workload, then debloat every shared library it touches.
 //! let workload = Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2,
 //!                                Operation::Train);
-//! let report = Debloater::new(GpuModel::T4).debloat(&workload)?;
+//! let report = Debloater::new(GpuModel::T4).debloat_many(&[workload])?;
 //! assert!(report.totals().file_reduction_pct() > 30.0);
 //! # Ok(())
 //! # }
@@ -65,10 +66,11 @@
 //!
 //! # Shared-bundle debloat
 //!
-//! One framework installation usually serves many jobs. `debloat_many`
-//! detects usage per workload (and per GPU rank), unions it, compacts
-//! the bundle **once**, and verifies the result against *every*
-//! workload's own baseline checksum:
+//! One framework installation usually serves many jobs. The same
+//! `debloat_many` takes several workloads: it detects usage per
+//! workload (and per GPU rank), unions it, compacts the bundle
+//! **once**, and verifies the result against *every* workload's own
+//! baseline checksum:
 //!
 //! ```
 //! use negativa_repro::ml::{FrameworkKind, ModelKind, Operation, Workload};
@@ -176,8 +178,6 @@
 //! # Ok(())
 //! # }
 //! ```
-
-pub mod bench;
 
 pub use fatbin;
 pub use negativa_ml as negativa;
