@@ -28,13 +28,11 @@
 //!    **fleet** ([`fatbin::FleetSpec`] — one or more architectures a
 //!    single artifact must serve, see [`Debloater::with_fleet`]),
 //!    and a usage fingerprint, alongside each workload's baseline
-//!    checksum and metrics. Plans live in a [`PlanCache`] partitioned
-//!    per framework — each partition an independently locked,
-//!    capacity-bounded LRU with **single-flight** miss handling
+//!    checksum and metrics. Plans live in a [`PlanCache`] — an LRU with
+//!    a per-framework capacity and **single-flight** miss handling
 //!    (concurrent requests for one key run one detection between them)
-//!    and optional TTL-based staleness (an expired plan is recomputed
-//!    on the next request) — so a repeated debloat of the same
-//!    (framework, model, operation, GPU) skips detection entirely.
+//!    — so a repeated debloat of the same (framework, model, operation,
+//!    GPU) skips detection entirely.
 //! 3. **Apply** ([`DebloatSession::apply`] + [`DebloatSession::verify_all`],
 //!    modules [`mod@compact`] / [`mod@verify`]) — zero the planned ranges in
 //!    place (offsets never move; the debloated library is a drop-in
@@ -65,7 +63,7 @@
 //! batcher that groups admitted requests sharing a plan identity
 //! ([`PlanKey`]) into one union debloat while the executors are busy;
 //! and executor workers that run each batch once — through the
-//! partitioned single-flight [`PlanCache`] and the bounded shared
+//! single-flight [`PlanCache`] and the bounded shared
 //! [`WorkerPool`] — then fan the verified [`MultiDebloatReport`] plus
 //! the compacted libraries out to every grouped requester. A burst of N
 //! same-bundle requests costs one detection and one compaction, not N,
@@ -182,7 +180,7 @@ pub type Result<T> = std::result::Result<T, NegativaError>;
 ///
 /// [`NegativaError::InvalidWorkloadSet`] for an empty set or one mixing
 /// frameworks.
-pub fn shared_framework(workloads: &[Workload]) -> Result<FrameworkKind> {
+pub(crate) fn shared_framework(workloads: &[Workload]) -> Result<FrameworkKind> {
     let Some(first) = workloads.first() else {
         return Err(NegativaError::InvalidWorkloadSet {
             reason: "debloat_many needs at least one workload".into(),
@@ -201,85 +199,70 @@ pub fn shared_framework(workloads: &[Workload]) -> Result<FrameworkKind> {
     Ok(framework)
 }
 
-/// Bound on the per-workload detection memo; past it the memo resets
-/// (measurements are pure and re-derivable, so a reset only costs
-/// re-detection, never correctness).
-const DETECTION_MEMO_CAP: usize = 256;
+/// Bound on each [`Memo`]; past it the memo resets (its values are pure
+/// measurements, so a reset only costs re-measuring, never correctness).
+const MEMO_CAP: usize = 256;
 
-/// Per-workload detection memo shared by a [`Debloater`]'s sessions,
-/// keyed by ([`plan::workload_fingerprint`],
+/// A bounded memo of pure measurements, shared by a [`Debloater`]'s
+/// sessions (and their clones).
+#[derive(Debug)]
+struct Memo<K, V> {
+    entries: Mutex<HashMap<K, V>>,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo { entries: Mutex::new(HashMap::new()) }
+    }
+}
+
+impl<K: Copy + Eq + std::hash::Hash, V: Clone> Memo<K, V> {
+    fn get(&self, key: K) -> Option<V> {
+        self.entries.lock().expect("memo poisoned").get(&key).cloned()
+    }
+
+    fn insert(&self, key: K, value: V) {
+        let mut entries = self.entries.lock().expect("memo poisoned");
+        if entries.len() >= MEMO_CAP && !entries.contains_key(&key) {
+            entries.clear();
+        }
+        entries.insert(key, value);
+    }
+}
+
+/// Per-workload detection memo, keyed by ([`plan::workload_fingerprint`],
 /// [`plan::config_fingerprint`]) — the workload fingerprint covers the
 /// normalized device list, so one GPU's measurements never serve
 /// another's. This is what powers incremental re-planning: when one
 /// workload in a set changes, the unchanged workloads' usage and
 /// baselines come from here instead of re-running detection.
-#[derive(Debug, Default)]
-struct DetectionCache {
-    memos: Mutex<HashMap<(u64, u64), DetectionMemo>>,
-}
+type DetectionCache = Memo<(u64, u64), DetectionMemo>;
 
 /// One memoized detection: the usage a workload exercised plus the
 /// baseline it was measured against, shared between the memo map and
 /// every plan built from it.
 type DetectionMemo = Arc<(UsageMap, WorkloadBaseline)>;
 
-/// The diff base for incremental re-planning: the last planned identity
-/// and its normalized workload set, per framework, shared by a
-/// [`Debloater`] and all its sessions.
-type PriorPlans = Arc<Mutex<HashMap<FrameworkKind, (PlanKey, Vec<Workload>)>>>;
-
-impl DetectionCache {
-    fn get(&self, key: (u64, u64)) -> Option<DetectionMemo> {
-        self.memos.lock().expect("detection memo poisoned").get(&key).cloned()
-    }
-
-    fn insert(&self, key: (u64, u64), memo: DetectionMemo) {
-        let mut memos = self.memos.lock().expect("detection memo poisoned");
-        if memos.len() >= DETECTION_MEMO_CAP && !memos.contains_key(&key) {
-            memos.clear();
-        }
-        memos.insert(key, memo);
-    }
-}
-
-/// Bound on the cross-pair verification memo; same reset-past-the-cap
-/// policy as the detection memo (outcomes are pure measurements, so a
-/// reset only costs re-verification, never correctness).
-const VERIFY_MEMO_CAP: usize = 256;
-
-/// Cross-pair verification memo shared by a [`Debloater`]'s sessions
-/// (and their clones): one proven [`RunOutcome`] per
+/// Cross-pair verification memo: one proven [`RunOutcome`] per
 /// ([`plan::workload_fingerprint`], [`plan::config_fingerprint`],
 /// [`plan::bundle_fingerprint`]) triple. The bundle fingerprint folds
 /// the per-library content hashes — the same digests an artifact
 /// manifest's entries record — so a hit means *these exact bytes* were
 /// already verified for this workload under this config, and runs are
-/// deterministic in exactly that triple. This closes the last
-/// in-process duplicate run: identical (workload, bundle) pairs are
-/// deduplicated **across** verify passes, not just within one.
-#[derive(Debug, Default)]
-struct VerifyCache {
-    memos: Mutex<HashMap<(u64, u64, u64), RunOutcome>>,
-}
+/// deterministic in exactly that triple. Identical (workload, bundle)
+/// pairs are therefore deduplicated **across** verify passes, not just
+/// within one.
+type VerifyCache = Memo<(u64, u64, u64), RunOutcome>;
+
+/// The diff base for incremental re-planning: the last planned identity
+/// and its normalized workload set, per framework, shared by a
+/// [`Debloater`] and all its sessions.
+type PriorPlans = Arc<Mutex<HashMap<FrameworkKind, (PlanKey, Vec<Workload>)>>>;
 
 /// One verification the memo could not serve: the unique slot it
 /// fills, its `(workload fp, config fp, bundle fp)` memo key, and the
 /// workload with its expected baseline checksum.
 type PendingVerify<'w> = (usize, (u64, u64, u64), &'w Workload, u64);
-
-impl VerifyCache {
-    fn get(&self, key: (u64, u64, u64)) -> Option<RunOutcome> {
-        self.memos.lock().expect("verify memo poisoned").get(&key).cloned()
-    }
-
-    fn insert(&self, key: (u64, u64, u64), outcome: RunOutcome) {
-        let mut memos = self.memos.lock().expect("verify memo poisoned");
-        if memos.len() >= VERIFY_MEMO_CAP && !memos.contains_key(&key) {
-            memos.clear();
-        }
-        memos.insert(key, outcome);
-    }
-}
 
 /// The end-to-end debloat pipeline for one GPU model.
 #[derive(Debug, Clone)]
@@ -658,29 +641,16 @@ impl DebloatSession {
         })
     }
 
-    /// Phases 1+2 with the session's [`PlanCache`] in front: returns
-    /// `(plan, true)` when the workload set's key was already planned —
-    /// or when another thread was planning it and this call coalesced
-    /// into that single-flight computation — skipping baseline and
-    /// detection runs entirely; `(plan, false)` when this call ran the
-    /// full detect + plan itself, caching the result.
-    ///
-    /// # Errors
-    ///
-    /// As [`DebloatSession::detect`] and [`DebloatSession::plan`].
-    pub fn plan_cached(&self, workloads: &[Workload]) -> Result<(Arc<BundlePlan>, bool)> {
-        let normalized: Vec<Workload> =
-            workloads.iter().map(|w| self.normalize(w)).collect::<Result<_>>()?;
-        let (_, plan, source) = self.plan_cached_normalized(&normalized)?;
-        Ok((plan, source.cache_hit()))
+    /// The plan identity of an already-normalized workload set on this
+    /// session: framework, fleet, workloads and run configuration. The
+    /// single home of the keying logic, shared with the service's
+    /// batcher so the two can never drift.
+    pub(crate) fn plan_key(&self, normalized: &[Workload]) -> PlanKey {
+        PlanKey::for_fleet(self.framework, self.fleet, &self.config, normalized)
     }
 
-    /// The single home of the cache-keying logic: derive the plan
-    /// identity of an already-normalized workload set and resolve its
-    /// plan through the session's single-flight cache. Both
-    /// [`DebloatSession::plan_cached`] and
-    /// [`DebloatSession::debloat_many_artifact`] go through here, so
-    /// the key derivation can never drift between entry points.
+    /// Resolve the plan of an already-normalized workload set through
+    /// the session's single-flight cache.
     ///
     /// When a *different* key was planned before on this debloater, the
     /// miss path first attempts an **incremental re-plan** against that
@@ -697,7 +667,7 @@ impl DebloatSession {
         &self,
         normalized: &[Workload],
     ) -> Result<(PlanKey, Arc<BundlePlan>, PlanSource)> {
-        let key = PlanKey::for_fleet(self.framework, self.fleet, &self.config, normalized);
+        let key = self.plan_key(normalized);
         let prior =
             self.prior.lock().expect("prior-plan map poisoned").get(&self.framework).cloned();
         let (plan, source) = match prior {
@@ -825,7 +795,6 @@ impl DebloatSession {
             batch_size: 1,
             bytes_copied: libraries.iter().map(|l| l.bytes_copied).sum(),
             bytes_shared: libraries.iter().map(|l| l.bytes_shared).sum(),
-            plan_diff_ns: source.plan_diff_ns(),
             libraries,
         };
         Ok(DebloatArtifact {
@@ -873,21 +842,11 @@ impl DebloatSession {
             self.parallelism.run(libraries, |i, lib| compact(&lib.image, &plan.retain[i]))?;
         let mut reports = Vec::with_capacity(libraries.len());
         let mut debloated = Vec::with_capacity(libraries.len());
-        let (mut copied, mut shared) = (0u64, 0u64);
-        let (mut sliced_arch, mut sliced_compressed) = (0u64, 0u64);
         for ((image, outcome), (retain, lib)) in
             compacted.into_iter().zip(plan.retain.iter().zip(libraries))
         {
-            copied += outcome.bytes_copied;
-            shared += outcome.bytes_shared;
-            sliced_arch += outcome.bytes_sliced_arch;
-            sliced_compressed += outcome.bytes_sliced_compressed;
             reports.push(LibraryReport::new(retain.soname.clone(), retain.stats, outcome));
             debloated.push(GeneratedLibrary { image, manifest: lib.manifest.clone() });
-        }
-        if let Parallelism::Pool(pool) = &self.parallelism {
-            pool.record_bytes(copied, shared);
-            pool.record_sliced(sliced_arch, sliced_compressed);
         }
         Ok((reports, debloated))
     }

@@ -7,26 +7,20 @@
 //! apply stage verifies against. A plan is pure data — applying it
 //! never re-runs detection — which is what makes it cacheable.
 //!
-//! Plans live in a [`PlanCache`]: an instantiable LRU cache
-//! **partitioned per framework**, each partition capacity-bounded and
-//! independently locked, with **single-flight** miss handling
-//! ([`PlanCache::get_or_compute`]) scoped to its partition — a stampede
-//! of PyTorch requests never contends with, or wakes, TensorFlow
-//! waiters. Keys carry what the ROADMAP's serve-at-scale direction
-//! needs: framework, GPU architecture, and a fingerprint of the
-//! workload set and run configuration. A cache built with
-//! [`PlanCache::with_ttl`] additionally treats plans older than the TTL
-//! as stale: the next request **refreshes on expiry**, recomputing the
-//! plan under the same single-flight guarantee instead of serving
-//! outdated baselines forever. The long-lived
+//! Plans live in a [`PlanCache`]: an instantiable LRU cache with a
+//! **per-framework capacity** behind one lock, and **single-flight**
+//! miss handling ([`PlanCache::get_or_compute`]) — concurrent requests
+//! for one key run one detection between them. Keys carry what the
+//! ROADMAP's serve-at-scale direction needs: framework, GPU fleet, and a
+//! fingerprint of the workload set and run configuration. A plan is a
+//! pure function of its key and the process-pinned bundle, so a cached
+//! plan never goes stale. The long-lived
 //! [`crate::service::DebloatService`] owns one; standalone
-//! [`crate::Debloater`]s default to the process-wide instance,
-//! [`process_cache`].
+//! [`crate::Debloater`]s default to one process-wide instance.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fatbin::FleetSpec;
 use simcuda::GpuModel;
@@ -265,11 +259,10 @@ pub struct PlanCacheStats {
     /// Lookups served from the cache — including single-flight waiters
     /// handed a plan another thread was already computing.
     pub hits: u64,
-    /// Lookups that found nothing and (for
-    /// [`PlanCache::get_or_compute`]) triggered a detection + planning
+    /// Lookups that found nothing and triggered a detection + planning
     /// run.
     pub misses: u64,
-    /// Plans evicted to keep the cache within its capacity.
+    /// Plans evicted to keep a framework within the cache's capacity.
     pub evictions: u64,
     /// Detection + planning computations actually started. With
     /// single-flight coalescing this stays at one per unique key no
@@ -278,10 +271,6 @@ pub struct PlanCacheStats {
     /// Calls that blocked on another thread's in-flight computation of
     /// the same key instead of starting their own.
     pub coalesced: u64,
-    /// Lookups that found only a plan older than the cache's TTL. The
-    /// stale plan is dropped and the lookup proceeds as a miss, so every
-    /// expiry is also counted in [`PlanCacheStats::misses`].
-    pub expired: u64,
     /// Plans produced by the incremental path of
     /// [`PlanCache::refresh_incremental`]: a usage diff against a prior
     /// key's cached plan, re-locating only touched libraries.
@@ -299,15 +288,12 @@ pub struct PlanCacheStats {
 /// How a [`PlanCache::refresh_incremental`] call obtained its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
-    /// A fresh plan was already cached (or this call coalesced into
-    /// another thread's in-flight computation).
+    /// The plan was already cached (or this call coalesced into another
+    /// thread's in-flight computation).
     Cached,
     /// The incremental closure diffed the prior key's plan and
-    /// re-located only touched libraries, in `plan_diff_ns`.
-    Incremental {
-        /// Wall time the incremental re-plan took.
-        plan_diff_ns: u64,
-    },
+    /// re-located only touched libraries.
+    Incremental,
     /// Full planning ran — no usable prior plan, or the diff diverged.
     Full,
 }
@@ -317,22 +303,13 @@ impl PlanSource {
     pub fn cache_hit(&self) -> bool {
         matches!(self, PlanSource::Cached)
     }
-
-    /// Wall time of the incremental re-plan, or 0 for the cached and
-    /// full paths.
-    pub fn plan_diff_ns(&self) -> u64 {
-        match self {
-            PlanSource::Incremental { plan_diff_ns } => *plan_diff_ns,
-            PlanSource::Cached | PlanSource::Full => 0,
-        }
-    }
 }
 
 /// One cache slot: a finished plan, or a marker that some thread is
 /// computing it right now (single-flight).
 #[derive(Debug)]
 enum Slot {
-    Ready { plan: Arc<BundlePlan>, last_used: u64, stored_at: Instant },
+    Ready { plan: Arc<BundlePlan>, last_used: u64 },
     InFlight,
 }
 
@@ -341,39 +318,68 @@ struct CacheState {
     entries: HashMap<PlanKey, Slot>,
     /// Monotonic recency counter; every touch stamps the entry.
     tick: u64,
+    stats: PlanCacheStats,
 }
 
-/// One per-framework shard of a [`PlanCache`]: its own entry map, lock,
-/// and single-flight wakeup channel. Partitioning means a planning
-/// stampede on one framework never contends with — or spuriously wakes —
-/// requests against another.
-#[derive(Debug, Default)]
-struct Partition {
-    state: Mutex<CacheState>,
-    ready: Condvar,
+impl CacheState {
+    /// Advance the recency counter and return the new stamp.
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Finished plans cached for `framework`.
+    fn ready_count(&self, framework: FrameworkKind) -> usize {
+        self.entries
+            .iter()
+            .filter(|(key, slot)| key.framework == framework && matches!(slot, Slot::Ready { .. }))
+            .count()
+    }
+
+    /// Store `plan` under `key` as most recently used, then evict
+    /// `key.framework`'s least recently used finished plans until that
+    /// framework is back within `capacity`. In-flight markers are never
+    /// evicted and never count.
+    fn store(&mut self, key: PlanKey, plan: Arc<BundlePlan>, capacity: usize) {
+        let last_used = self.touch();
+        self.entries.insert(key, Slot::Ready { plan, last_used });
+        while self.ready_count(key.framework) > capacity {
+            let victim = self
+                .entries
+                .iter()
+                .filter_map(|(k, slot)| match slot {
+                    Slot::Ready { last_used, .. } if k.framework == key.framework => {
+                        Some((*last_used, *k))
+                    }
+                    _ => None,
+                })
+                .min_by_key(|&(last_used, _)| last_used)
+                .map(|(_, k)| k)
+                .expect("over capacity implies at least one ready entry");
+            self.entries.remove(&victim);
+            self.stats.evictions += 1;
+        }
+    }
 }
 
-/// An LRU cache of [`BundlePlan`]s, partitioned per framework, with
-/// single-flight miss handling and optional TTL-based staleness.
+/// An LRU cache of [`BundlePlan`]s with a per-framework capacity and
+/// single-flight miss handling.
 ///
-/// ## Partitioning contract
+/// A plan is a pure function of its [`PlanKey`] and the process-pinned
+/// framework bundle, so a cached plan never goes stale: the only policy
+/// is how many to keep.
 ///
-/// Entries live in per-framework partitions (one per
-/// [`PlanKey::framework`] value, created on first use). Each partition
-/// has its own lock, its own LRU order, its own capacity bound, and its
-/// own single-flight wakeup channel, so concurrent traffic against
-/// different frameworks never contends. [`PlanCache::capacity`] is the
-/// *per-partition* bound; [`PlanCache::len`] sums every partition.
+/// ## Capacity contract
 ///
-/// ## Eviction contract
-///
-/// A partition holds at most [`PlanCache::capacity`] *finished* plans.
-/// Every hit, insert, or completed computation stamps its entry's
-/// recency; when an insert would exceed the partition's capacity, the
-/// least recently used finished plan in that partition is evicted (and
-/// counted in [`PlanCacheStats::evictions`]). In-flight computations
-/// are tracked outside the bound — they are transient markers, never
-/// evicted, and do not count toward [`PlanCache::len`].
+/// The cache holds at most [`PlanCache::capacity`] *finished* plans
+/// **per framework** ([`PlanKey::framework`]), behind one lock. Every
+/// hit, insert, or completed computation stamps its entry's recency;
+/// when a store would push the key's framework past the bound, that
+/// framework's least recently used finished plan is evicted (counted in
+/// [`PlanCacheStats::evictions`]) — churn on one framework never evicts
+/// another's plans. In-flight computations are tracked outside the
+/// bound: they are transient markers, never evicted, and do not count
+/// toward [`PlanCache::len`].
 ///
 /// ## Single-flight contract
 ///
@@ -383,208 +389,73 @@ struct Partition {
 /// block until it finishes and then share the resulting plan (counted
 /// as hits + [`PlanCacheStats::coalesced`]). If the computation fails,
 /// the marker is removed, every waiter wakes, and the first to re-check
-/// becomes the new computer — an error never wedges a key. Waiting and
-/// waking are partition-scoped: a computation finishing for one
-/// framework never wakes waiters of another.
-///
-/// ## Staleness contract
-///
-/// A cache built with [`PlanCache::with_ttl`] treats a finished plan
-/// older than the TTL as stale ([`PlanCacheStats::expired`]): the next
-/// [`PlanCache::lookup`] drops it and misses, and the next
-/// [`PlanCache::get_or_compute`] **refreshes on expiry** — it replaces
-/// the stale entry with an in-flight marker and recomputes, with
-/// concurrent requests coalescing into that one refresh exactly as on a
-/// cold miss. A cache built with [`PlanCache::new`] never expires
-/// anything ([`PlanCache::ttl`] is `None`).
-///
-/// ## Refresh contract
-///
-/// [`PlanCache::invalidate`] drops a finished plan so the next request
-/// recomputes it; [`PlanCache::refresh`] is the compound
-/// invalidate-then-recompute. Neither cancels an in-flight computation:
-/// a refresh that races one simply coalesces into it, which keeps the
-/// single-flight guarantee unconditional.
+/// becomes the new computer — an error never wedges a key.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    ttl: Option<Duration>,
-    partitions: Mutex<HashMap<FrameworkKind, Arc<Partition>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    detections: AtomicU64,
-    coalesced: AtomicU64,
-    expired: AtomicU64,
-    incremental: AtomicU64,
-    incremental_fallbacks: AtomicU64,
-    plan_diff_ns: AtomicU64,
+    state: Mutex<CacheState>,
+    ready: Condvar,
 }
 
 impl PlanCache {
-    /// Per-partition capacity of the process-wide default instance:
+    /// Per-framework capacity of the process-wide default instance:
     /// generous enough that a single process never evicts in practice,
     /// while still bounding a pathological key churn.
     pub const DEFAULT_CAPACITY: usize = 128;
 
     /// An empty cache holding at most `capacity` plans per framework
-    /// partition (clamped to at least 1). Plans never expire; see
-    /// [`PlanCache::with_ttl`] for TTL-based staleness.
+    /// (clamped to at least 1).
     pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::build(capacity, None)
-    }
-
-    /// An empty cache whose plans go stale `ttl` after they are stored:
-    /// the next request for an expired key recomputes the plan
-    /// (refresh-on-expiry) instead of serving baselines measured
-    /// arbitrarily long ago.
-    pub fn with_ttl(capacity: usize, ttl: Duration) -> PlanCache {
-        PlanCache::build(capacity, Some(ttl))
-    }
-
-    fn build(capacity: usize, ttl: Option<Duration>) -> PlanCache {
         PlanCache {
             capacity: capacity.max(1),
-            ttl,
-            partitions: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            detections: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            incremental: AtomicU64::new(0),
-            incremental_fallbacks: AtomicU64::new(0),
-            plan_diff_ns: AtomicU64::new(0),
+            state: Mutex::new(CacheState::default()),
+            ready: Condvar::new(),
         }
     }
 
-    /// Maximum number of finished plans each framework partition
-    /// retains.
+    /// Maximum number of finished plans retained per framework.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// The staleness bound, if this cache expires plans at all.
-    pub fn ttl(&self) -> Option<Duration> {
-        self.ttl
-    }
-
-    /// Finished plans currently cached across every partition
-    /// (in-flight markers excluded; stale plans still count until a
-    /// lookup drops them). Never exceeds [`PlanCache::capacity`] ×
-    /// [`PlanCache::partition_count`].
+    /// Finished plans currently cached across every framework
+    /// (in-flight markers excluded).
     pub fn len(&self) -> usize {
-        let partitions: Vec<Arc<Partition>> = self.partitions().values().cloned().collect();
-        partitions.iter().map(|p| Self::ready_count(&Self::lock(p))).sum()
+        let state = self.lock();
+        state.entries.values().filter(|slot| matches!(slot, Slot::Ready { .. })).count()
     }
 
-    /// True if no finished plan is cached in any partition.
+    /// True if no finished plan is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Number of framework partitions created so far (one per framework
-    /// that has been looked up or planned against).
-    pub fn partition_count(&self) -> usize {
-        self.partitions().len()
+    /// Finished plans currently cached for `framework`; never exceeds
+    /// [`PlanCache::capacity`].
+    pub fn framework_len(&self, framework: FrameworkKind) -> usize {
+        self.lock().ready_count(framework)
     }
 
-    /// Finished plans currently cached in `framework`'s partition.
-    pub fn partition_len(&self, framework: FrameworkKind) -> usize {
-        match self.partitions().get(&framework).cloned() {
-            Some(partition) => Self::ready_count(&Self::lock(&partition)),
-            None => 0,
-        }
-    }
-
-    /// Counters since this cache was created (summed over partitions).
+    /// Counters since this cache was created.
     pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            detections: self.detections.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            incremental: self.incremental.load(Ordering::Relaxed),
-            incremental_fallbacks: self.incremental_fallbacks.load(Ordering::Relaxed),
-            plan_diff_ns: self.plan_diff_ns.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
-    /// Non-blocking lookup: a fresh finished plan counts (and stamps) a
-    /// hit; a missing, stale, or still-in-flight key counts a miss (a
-    /// stale plan is additionally dropped and counted in
-    /// [`PlanCacheStats::expired`]).
-    pub fn lookup(&self, key: &PlanKey) -> Option<Arc<BundlePlan>> {
-        let partition = self.partition(key.framework);
-        let mut state = Self::lock(&partition);
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(key) {
-            Some(Slot::Ready { plan, last_used, stored_at }) => {
-                if self.is_fresh(*stored_at) {
-                    *last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(plan.clone());
-                }
-                state.entries.remove(key);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Insert a plan as most recently used (and freshly stored),
-    /// evicting the partition's LRU entry if its capacity bound would
-    /// be exceeded. Last writer wins — plans for one key are identical
-    /// by construction, detection being deterministic.
+    /// Insert a plan as most recently used, evicting its framework's
+    /// LRU entry if the capacity bound would be exceeded. Last writer
+    /// wins — plans for one key are identical by construction, detection
+    /// being deterministic.
     pub fn insert(&self, key: PlanKey, plan: Arc<BundlePlan>) {
-        let partition = self.partition(key.framework);
-        let mut state = Self::lock(&partition);
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(key, Slot::Ready { plan, last_used: tick, stored_at: Instant::now() });
-        self.evict_over_capacity(&mut state);
+        self.lock().store(key, plan, self.capacity);
         // The insert may have replaced an in-flight marker some thread
         // is waiting on; wake them so they observe the finished plan.
-        partition.ready.notify_all();
+        self.ready.notify_all();
     }
 
-    /// Drop the finished plan for `key`, if any, so the next request
-    /// recomputes it. Returns whether a plan was dropped. An in-flight
-    /// computation is left untouched (its waiters still get a plan).
-    pub fn invalidate(&self, key: &PlanKey) -> bool {
-        let partition = self.partition(key.framework);
-        let mut state = Self::lock(&partition);
-        if matches!(state.entries.get(key), Some(Slot::Ready { .. })) {
-            state.entries.remove(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drop every finished plan in every partition (in-flight
-    /// computations keep running).
-    pub fn clear(&self) {
-        let partitions: Vec<Arc<Partition>> = self.partitions().values().cloned().collect();
-        for partition in partitions {
-            let mut state = Self::lock(&partition);
-            state.entries.retain(|_, slot| matches!(slot, Slot::InFlight));
-        }
-    }
-
-    /// Look up `key`, computing (and caching) the plan on a miss — or a
-    /// TTL expiry — with at-most-one computation per key in flight.
-    /// Returns the plan and whether this call was served without
-    /// running `compute` itself — a plain hit or a single-flight wait.
+    /// Look up `key`, computing (and caching) the plan on a miss, with
+    /// at-most-one computation per key in flight. Returns the plan and
+    /// whether this call was served without running `compute` itself —
+    /// a plain hit or a single-flight wait.
     ///
     /// # Errors
     ///
@@ -595,86 +466,53 @@ impl PlanCache {
     where
         F: FnOnce() -> Result<BundlePlan>,
     {
-        let partition = self.partition(key.framework);
         let mut waited = false;
-        {
-            let mut state = Self::lock(&partition);
-            loop {
-                state.tick += 1;
-                let tick = state.tick;
-                match state.entries.get_mut(&key) {
-                    Some(Slot::Ready { plan, last_used, stored_at }) => {
-                        if self.is_fresh(*stored_at) {
-                            *last_used = tick;
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok((plan.clone(), true));
-                        }
-                        // Refresh-on-expiry: this caller becomes the
-                        // single-flight computer for the stale key.
-                        state.entries.insert(key, Slot::InFlight);
-                        self.expired.fetch_add(1, Ordering::Relaxed);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        break;
+        let mut state = self.lock();
+        loop {
+            let tick = state.touch();
+            match state.entries.get_mut(&key) {
+                Some(Slot::Ready { plan, last_used }) => {
+                    *last_used = tick;
+                    let plan = plan.clone();
+                    state.stats.hits += 1;
+                    return Ok((plan, true));
+                }
+                Some(Slot::InFlight) => {
+                    if !waited {
+                        waited = true;
+                        state.stats.coalesced += 1;
                     }
-                    Some(Slot::InFlight) => {
-                        if !waited {
-                            waited = true;
-                            self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        }
-                        state = partition.ready.wait(state).expect("plan cache poisoned");
-                    }
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        state.entries.insert(key, Slot::InFlight);
-                        break;
-                    }
+                    state = self.ready.wait(state).expect("plan cache poisoned");
+                }
+                None => {
+                    state.entries.insert(key, Slot::InFlight);
+                    state.stats.misses += 1;
+                    state.stats.detections += 1;
+                    break;
                 }
             }
         }
-        self.detections.fetch_add(1, Ordering::Relaxed);
-        match compute() {
+        drop(state);
+        let computed = compute();
+        let mut state = self.lock();
+        let result = match computed {
             Ok(plan) => {
                 let plan = Arc::new(plan);
-                let mut state = Self::lock(&partition);
-                state.tick += 1;
-                let tick = state.tick;
-                state.entries.insert(
-                    key,
-                    Slot::Ready { plan: plan.clone(), last_used: tick, stored_at: Instant::now() },
-                );
-                self.evict_over_capacity(&mut state);
-                drop(state);
-                partition.ready.notify_all();
+                state.store(key, plan.clone(), self.capacity);
                 Ok((plan, false))
             }
             Err(e) => {
-                let mut state = Self::lock(&partition);
                 // Remove only our own marker: a concurrent insert() may
                 // have replaced it with a finished plan already.
                 if matches!(state.entries.get(&key), Some(Slot::InFlight)) {
                     state.entries.remove(&key);
                 }
-                drop(state);
-                partition.ready.notify_all();
                 Err(e)
             }
-        }
-    }
-
-    /// Force a recomputation: invalidate `key` and compute it anew. If
-    /// another thread is already computing the key, this coalesces into
-    /// that computation instead (second result of `true`), preserving
-    /// single-flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`PlanCache::get_or_compute`].
-    pub fn refresh<F>(&self, key: PlanKey, compute: F) -> Result<(Arc<BundlePlan>, bool)>
-    where
-        F: FnOnce() -> Result<BundlePlan>,
-    {
-        self.invalidate(&key);
-        self.get_or_compute(key, compute)
+        };
+        drop(state);
+        self.ready.notify_all();
+        result
     }
 
     /// Serve `key` like [`PlanCache::get_or_compute`], but on a miss try
@@ -685,10 +523,10 @@ impl PlanCache {
     /// The `incremental` closure receives the prior plan and returns
     /// `Ok(Some(plan))` on success or `Ok(None)` on any divergence it
     /// detects (roster mismatch, unreconstructable prior usage), in
-    /// which case — or when `prior` has no fresh cached plan at all —
-    /// `full` runs instead ([`PlanCacheStats::incremental_fallbacks`]).
+    /// which case — or when `prior` has no cached plan at all — `full`
+    /// runs instead ([`PlanCacheStats::incremental_fallbacks`]).
     /// Successful diffs are timed into [`PlanCacheStats::plan_diff_ns`].
-    /// Single-flight, LRU, and TTL semantics are exactly those of
+    /// Single-flight and LRU semantics are exactly those of
     /// [`PlanCache::get_or_compute`]; the incremental path only changes
     /// *how* the missing plan is computed, never what is cached.
     ///
@@ -712,85 +550,34 @@ impl PlanCache {
         let (plan, cached) = self.get_or_compute(key, || {
             if let Some(prior_plan) = prior_plan {
                 let started = Instant::now();
-                match incremental(&prior_plan)? {
-                    Some(plan) => {
-                        let diff_ns = started.elapsed().as_nanos() as u64;
-                        self.incremental.fetch_add(1, Ordering::Relaxed);
-                        self.plan_diff_ns.fetch_add(diff_ns, Ordering::Relaxed);
-                        source.set(PlanSource::Incremental { plan_diff_ns: diff_ns });
-                        return Ok(plan);
-                    }
-                    None => {
-                        self.incremental_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    }
+                if let Some(plan) = incremental(&prior_plan)? {
+                    let diff_ns = started.elapsed().as_nanos() as u64;
+                    let mut state = self.lock();
+                    state.stats.incremental += 1;
+                    state.stats.plan_diff_ns += diff_ns;
+                    source.set(PlanSource::Incremental);
+                    return Ok(plan);
                 }
-            } else {
-                self.incremental_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
+            self.lock().stats.incremental_fallbacks += 1;
             full()
         })?;
         Ok((plan, if cached { PlanSource::Cached } else { source.get() }))
     }
 
-    /// A fresh finished plan for `key`, without touching recency or the
+    /// The finished plan for `key`, without touching recency or the
     /// hit/miss counters — the prior-plan probe of
     /// [`PlanCache::refresh_incremental`], which must not skew the
     /// cache's observable behavior.
     fn peek(&self, key: &PlanKey) -> Option<Arc<BundlePlan>> {
-        let partition = self.partition(key.framework);
-        let state = Self::lock(&partition);
-        match state.entries.get(key) {
-            Some(Slot::Ready { plan, stored_at, .. }) if self.is_fresh(*stored_at) => {
-                Some(plan.clone())
-            }
+        match self.lock().entries.get(key) {
+            Some(Slot::Ready { plan, .. }) => Some(plan.clone()),
             _ => None,
         }
     }
 
-    /// The partition for `framework`, created on first use. The outer
-    /// map lock is held only for this lookup, never while any entry is
-    /// touched.
-    fn partition(&self, framework: FrameworkKind) -> Arc<Partition> {
-        self.partitions().entry(framework).or_default().clone()
-    }
-
-    fn partitions(&self) -> std::sync::MutexGuard<'_, HashMap<FrameworkKind, Arc<Partition>>> {
-        self.partitions.lock().expect("plan cache partition map poisoned")
-    }
-
-    fn lock(partition: &Partition) -> std::sync::MutexGuard<'_, CacheState> {
-        partition.state.lock().expect("plan cache poisoned")
-    }
-
-    fn is_fresh(&self, stored_at: Instant) -> bool {
-        match self.ttl {
-            None => true,
-            Some(ttl) => stored_at.elapsed() <= ttl,
-        }
-    }
-
-    fn ready_count(state: &CacheState) -> usize {
-        state.entries.values().filter(|slot| matches!(slot, Slot::Ready { .. })).count()
-    }
-
-    /// Evict least-recently-used finished plans until the partition's
-    /// bound holds. In-flight markers are never evicted and never
-    /// count.
-    fn evict_over_capacity(&self, state: &mut CacheState) {
-        while Self::ready_count(state) > self.capacity {
-            let victim = state
-                .entries
-                .iter()
-                .filter_map(|(key, slot)| match slot {
-                    Slot::Ready { last_used, .. } => Some((*last_used, *key)),
-                    Slot::InFlight => None,
-                })
-                .min_by_key(|&(last_used, _)| last_used)
-                .map(|(_, key)| key)
-                .expect("over capacity implies at least one ready entry");
-            state.entries.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+        self.state.lock().expect("plan cache poisoned")
     }
 }
 
@@ -802,7 +589,7 @@ impl Default for PlanCache {
 
 /// The process-wide default [`PlanCache`] instance, shared by every
 /// [`crate::Debloater`] not given an explicit cache.
-pub fn process_cache() -> Arc<PlanCache> {
+pub(crate) fn process_cache() -> Arc<PlanCache> {
     static CACHE: OnceLock<Arc<PlanCache>> = OnceLock::new();
     CACHE.get_or_init(|| Arc::new(PlanCache::default())).clone()
 }
@@ -813,6 +600,7 @@ mod tests {
     use fatbin::SmArch;
     use simcuda::LoadMode;
     use simml::{cached_bundle, ModelKind, Operation};
+    use std::sync::atomic::Ordering;
 
     fn workload() -> Workload {
         Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2, Operation::Inference)
@@ -947,14 +735,21 @@ mod tests {
         let k = key(0xdead_beef_0001);
         let cache = process_cache();
         let before = cache.stats();
-        assert!(cache.lookup(&k).is_none());
+        assert!(cache.peek(&k).is_none());
         let p = plan(1);
         cache.insert(k, p.clone());
-        let found = cache.lookup(&k).expect("inserted plan must be found");
+        let (found, cached) =
+            cache.get_or_compute(k, || panic!("an inserted plan must be served")).unwrap();
+        assert!(cached);
         assert!(Arc::ptr_eq(&found, &p));
-        let after = cache.stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
+        assert!(cache.stats().hits > before.hits);
+    }
+
+    /// Touch `k` through the counting, recency-stamping path; the key
+    /// must already be cached.
+    fn hit(cache: &PlanCache, k: PlanKey) {
+        let (_, cached) = cache.get_or_compute(k, || panic!("{k:?} must be cached")).unwrap();
+        assert!(cached);
     }
 
     #[test]
@@ -965,13 +760,13 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         // Touch 1 and 2 so 3 becomes the LRU entry.
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_some());
+        hit(&cache, key(1));
+        hit(&cache, key(2));
         cache.insert(key(4), plan(4));
         assert_eq!(cache.len(), 3, "capacity bound holds");
-        assert!(cache.lookup(&key(3)).is_none(), "the LRU entry was evicted");
+        assert!(cache.peek(&key(3)).is_none(), "the LRU entry was evicted");
         for tag in [1, 2, 4] {
-            assert!(cache.lookup(&key(tag)).is_some(), "entry {tag} must survive");
+            assert!(cache.peek(&key(tag)).is_some(), "entry {tag} must survive");
         }
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -1018,100 +813,28 @@ mod tests {
         assert_eq!(cache.stats().detections, 2);
     }
 
-    #[test]
-    fn invalidate_then_refresh_recomputes() {
-        let cache = PlanCache::new(4);
-        let (first, _) = cache.get_or_compute(key(7), || Ok(plan(1).as_ref().clone())).unwrap();
-        assert_eq!(first.usage_fingerprint, 1);
-
-        assert!(cache.invalidate(&key(7)), "a cached plan is dropped");
-        assert!(!cache.invalidate(&key(7)), "already gone");
-        assert_eq!(cache.len(), 0);
-        let (recomputed, cached) =
-            cache.get_or_compute(key(7), || Ok(plan(2).as_ref().clone())).unwrap();
-        assert!(!cached, "invalidation forces a recomputation");
-        assert_eq!(recomputed.usage_fingerprint, 2, "the new plan replaces the old");
-
-        // refresh = invalidate + recompute in one call.
-        let (refreshed, cached) = cache.refresh(key(7), || Ok(plan(3).as_ref().clone())).unwrap();
-        assert!(!cached);
-        assert_eq!(refreshed.usage_fingerprint, 3);
-        assert_eq!(cache.stats().detections, 3);
-        assert_eq!(cache.len(), 1);
-    }
-
     fn key_for(framework: FrameworkKind, tag: u64) -> PlanKey {
         PlanKey { framework, fleet: FleetSpec::single(SmArch::SM75), workloads: tag, config: 0 }
     }
 
     #[test]
     fn partitions_isolate_frameworks_and_their_capacity() {
-        // Capacity 1 *per partition*: one PyTorch and one TensorFlow
-        // plan coexist because they shard to different partitions.
+        // Capacity 1 *per framework*: one PyTorch and one TensorFlow
+        // plan coexist.
         let cache = PlanCache::new(1);
         cache.insert(key_for(FrameworkKind::PyTorch, 1), plan(1));
         cache.insert(key_for(FrameworkKind::TensorFlow, 2), plan(2));
-        assert_eq!(cache.len(), 2, "partitions are bounded independently");
-        assert_eq!(cache.partition_count(), 2);
-        assert_eq!(cache.partition_len(FrameworkKind::PyTorch), 1);
-        assert_eq!(cache.partition_len(FrameworkKind::TensorFlow), 1);
-        assert_eq!(cache.partition_len(FrameworkKind::Vllm), 0, "untouched framework is empty");
+        assert_eq!(cache.len(), 2, "frameworks are bounded independently");
+        assert_eq!(cache.framework_len(FrameworkKind::PyTorch), 1);
+        assert_eq!(cache.framework_len(FrameworkKind::TensorFlow), 1);
+        assert_eq!(cache.framework_len(FrameworkKind::Vllm), 0, "untouched framework is empty");
         assert_eq!(cache.stats().evictions, 0, "cross-framework inserts never evict each other");
-        // Churn within one partition still evicts within it only.
+        // Churn within one framework still evicts within it only.
         cache.insert(key_for(FrameworkKind::PyTorch, 3), plan(3));
-        assert_eq!(cache.partition_len(FrameworkKind::PyTorch), 1);
-        assert!(cache.lookup(&key_for(FrameworkKind::TensorFlow, 2)).is_some());
+        assert_eq!(cache.framework_len(FrameworkKind::PyTorch), 1);
+        assert!(cache.peek(&key_for(FrameworkKind::PyTorch, 3)).is_some(), "newest plan stays");
+        assert!(cache.peek(&key_for(FrameworkKind::TensorFlow, 2)).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn ttl_expires_plans_and_refreshes_on_next_request() {
-        let ttl = Duration::from_millis(40);
-        let cache = PlanCache::with_ttl(4, ttl);
-        assert_eq!(cache.ttl(), Some(ttl));
-        let (_, cached) = cache.get_or_compute(key(11), || Ok(plan(1).as_ref().clone())).unwrap();
-        assert!(!cached);
-        assert!(cache.lookup(&key(11)).is_some(), "fresh plan is served");
-
-        std::thread::sleep(ttl + Duration::from_millis(25));
-        // A stale plan is dropped by lookup and counted as expired.
-        assert!(cache.lookup(&key(11)).is_none(), "expired plan must not be served");
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        // Refresh-on-expiry through get_or_compute: recomputes, and the
-        // refreshed plan is fresh again.
-        let (refreshed, cached) =
-            cache.get_or_compute(key(11), || Ok(plan(2).as_ref().clone())).unwrap();
-        assert!(!cached, "an expired key recomputes");
-        assert_eq!(refreshed.usage_fingerprint, 2);
-        assert_eq!(cache.stats().detections, 2);
-        assert!(cache.lookup(&key(11)).is_some());
-    }
-
-    #[test]
-    fn get_or_compute_refreshes_a_stale_entry_in_place() {
-        // Expiry observed by get_or_compute directly (no lookup first):
-        // the stale Ready slot becomes this caller's in-flight marker.
-        let cache = PlanCache::with_ttl(4, Duration::from_millis(30));
-        cache.insert(key(5), plan(1));
-        std::thread::sleep(Duration::from_millis(55));
-        let (p, cached) = cache.get_or_compute(key(5), || Ok(plan(9).as_ref().clone())).unwrap();
-        assert!(!cached);
-        assert_eq!(p.usage_fingerprint, 9, "the refresh replaced the stale plan");
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.detections, 1);
-    }
-
-    #[test]
-    fn untimed_caches_never_expire() {
-        let cache = PlanCache::new(4);
-        assert_eq!(cache.ttl(), None);
-        cache.insert(key(3), plan(3));
-        std::thread::sleep(Duration::from_millis(15));
-        assert!(cache.lookup(&key(3)).is_some());
-        assert_eq!(cache.stats().expired, 0);
     }
 
     #[test]
@@ -1134,7 +857,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(p.usage_fingerprint, 2);
-        assert!(matches!(source, PlanSource::Incremental { .. }));
+        assert_eq!(source, PlanSource::Incremental);
         let stats = cache.stats();
         assert_eq!(stats.incremental, 1);
         assert_eq!(stats.incremental_fallbacks, 0);
@@ -1205,7 +928,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, crate::NegativaError::EmptyDevices { .. }));
-        assert!(cache.lookup(&key(2)).is_none(), "nothing cached on error");
+        assert!(cache.peek(&key(2)).is_none(), "nothing cached on error");
         let (_, source) = cache
             .refresh_incremental(
                 key(2),
@@ -1214,7 +937,7 @@ mod tests {
                 || panic!("retry diffs again"),
             )
             .unwrap();
-        assert!(matches!(source, PlanSource::Incremental { .. }));
+        assert_eq!(source, PlanSource::Incremental);
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub struct PoolStats {
     /// debloat costs exactly three — one locate pass, one compact pass,
     /// one verify pass — so this is the batch-scoped accounting unit: a
     /// service batch of any size that shares one union debloat advances
-    /// it by 3, where N unbatched requests would advance it by 3·N.
+    /// it by 3, where N unbatched requests would advance it by 3·N. A
+    /// framework bundle generated cold through the pool
+    /// ([`crate::Debloater::session`] on a bundle not yet cached in the
+    /// process) adds one more.
     pub fan_outs: u64,
     /// Verification runs actually executed through this pool. The
     /// verify stage deduplicates by (workload, config) fingerprint, so
@@ -51,22 +54,6 @@ pub struct PoolStats {
     /// run instead of a re-execution (`submitted - unique` per verify
     /// pass). Reported via [`WorkerPool::record_verifies`].
     pub verify_deduped: u64,
-    /// Library bytes the work routed through this pool deep-copied
-    /// (compaction's one copy-on-write detach per effectively-zeroed
-    /// library). Reported by callers via [`WorkerPool::record_bytes`].
-    pub bytes_copied: u64,
-    /// Library bytes handed onward as shared handles instead of copies
-    /// (untouched libraries surviving compaction, responses fanned out
-    /// to multiple requesters). Reported via [`WorkerPool::record_bytes`].
-    pub bytes_shared: u64,
-    /// Fatbin payload bytes removed because their architecture runs on
-    /// no fleet member (multi-member fleet plans only). Reported via
-    /// [`WorkerPool::record_sliced`].
-    pub bytes_sliced_arch: u64,
-    /// Non-zero bytes eliminated by in-place compressed-element rewrites
-    /// (multi-member fleet plans only). Reported via
-    /// [`WorkerPool::record_sliced`].
-    pub bytes_sliced_compressed: u64,
 }
 
 /// A bounded admission gate for per-library work, shared across every
@@ -88,10 +75,6 @@ pub struct WorkerPool {
     fan_outs: AtomicU64,
     verify_runs: AtomicU64,
     verify_deduped: AtomicU64,
-    bytes_copied: AtomicU64,
-    bytes_shared: AtomicU64,
-    bytes_sliced_arch: AtomicU64,
-    bytes_sliced_compressed: AtomicU64,
 }
 
 impl WorkerPool {
@@ -113,10 +96,6 @@ impl WorkerPool {
             fan_outs: AtomicU64::new(0),
             verify_runs: AtomicU64::new(0),
             verify_deduped: AtomicU64::new(0),
-            bytes_copied: AtomicU64::new(0),
-            bytes_shared: AtomicU64::new(0),
-            bytes_sliced_arch: AtomicU64::new(0),
-            bytes_sliced_compressed: AtomicU64::new(0),
         })
     }
 
@@ -144,30 +123,7 @@ impl WorkerPool {
             fan_outs: self.fan_outs.load(Ordering::Relaxed),
             verify_runs: self.verify_runs.load(Ordering::Relaxed),
             verify_deduped: self.verify_deduped.load(Ordering::Relaxed),
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
-            bytes_shared: self.bytes_shared.load(Ordering::Relaxed),
-            bytes_sliced_arch: self.bytes_sliced_arch.load(Ordering::Relaxed),
-            bytes_sliced_compressed: self.bytes_sliced_compressed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Account library bytes moved by work routed through this pool:
-    /// `copied` were deep-copied (compaction detaches), `shared` were
-    /// handed onward by reference. Called by the debloat session after
-    /// its compact fan-out and by response fan-out sites.
-    pub fn record_bytes(&self, copied: u64, shared: u64) {
-        self.bytes_copied.fetch_add(copied, Ordering::Relaxed);
-        self.bytes_shared.fetch_add(shared, Ordering::Relaxed);
-    }
-
-    /// Account fleet-slicing work routed through this pool: `arch`
-    /// payload bytes removed for targeting architectures outside the
-    /// fleet, `compressed` non-zero bytes eliminated by in-place
-    /// compressed-element rewrites. Called by the debloat session after
-    /// its compact fan-out; both stay 0 for single-member fleets.
-    pub fn record_sliced(&self, arch: u64, compressed: u64) {
-        self.bytes_sliced_arch.fetch_add(arch, Ordering::Relaxed);
-        self.bytes_sliced_compressed.fetch_add(compressed, Ordering::Relaxed);
     }
 
     /// Account one verify pass routed through this pool: `runs` unique

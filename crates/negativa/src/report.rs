@@ -289,9 +289,6 @@ pub struct MultiDebloatReport {
     /// Bytes the debloated libraries still share with the original
     /// bundle images (libraries whose plan had nothing to zero).
     pub bytes_shared: u64,
-    /// Wall time of the incremental re-plan that produced this plan, in
-    /// nanoseconds; 0 when the plan came from cache or a full re-plan.
-    pub plan_diff_ns: u64,
 }
 
 impl MultiDebloatReport {
@@ -436,7 +433,6 @@ mod tests {
             batch_size: 1,
             bytes_copied: 2000,
             bytes_shared: 0,
-            plan_diff_ns: 0,
         }
     }
 

@@ -20,7 +20,8 @@
 //!    fleet, and the workload/config fingerprints of
 //!    [`crate::PlanKey`] — into one batch. Batching is adaptive: while
 //!    every executor is busy, arriving requests accumulate into the
-//!    pending batch of their identity (up to a configurable cap), so a
+//!    pending batch of their identity (up to
+//!    [`DebloatService::DEFAULT_MAX_BATCH`] requests), so a
 //!    burst of N same-bundle requests leaves the batcher as **one**
 //!    union debloat. Grouping by full plan identity (never by framework
 //!    alone) keeps batching invisible in the output: every requester
@@ -77,9 +78,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use fatbin::FleetSpec;
 use simcuda::GpuModel;
-use simml::{FrameworkKind, GeneratedLibrary, RunConfig, Workload};
+use simml::{FrameworkKind, GeneratedLibrary, Workload};
 
 use crate::plan::{PlanCache, PlanKey};
 use crate::pool::WorkerPool;
@@ -134,9 +134,9 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug)]
 pub struct DebloatRequest {
     /// Workloads whose union usage the debloat targets. Must be
-    /// non-empty and single-framework ([`shared_framework`]); the
-    /// batcher reports violations back on the reply channel instead of
-    /// dying.
+    /// non-empty and single-framework; the batcher reports violations
+    /// back on the reply channel
+    /// ([`NegativaError::InvalidWorkloadSet`]) instead of dying.
     pub workloads: Vec<Workload>,
     /// Per-request response channel. The service sends exactly one
     /// message per request; a dropped receiver is tolerated (the result
@@ -202,10 +202,6 @@ pub struct ServiceStats {
     /// while [`ServiceStats::bytes_copied`] does not — their ratio is
     /// the zero-copy win ([`ServiceStats::sharing_ratio`]).
     pub bytes_shared: u64,
-    /// Total wall time executed batches spent in *incremental*
-    /// re-planning (usage diff + touched-library relocation), in
-    /// nanoseconds; 0 until a changed workload set rides a prior plan.
-    pub plan_diff_ns: u64,
     /// Payload bytes executed batches removed because the element's
     /// architecture runs on no fleet member
     /// ([`crate::LibraryReport::bytes_sliced_arch`], summed); always 0
@@ -263,37 +259,13 @@ impl ServiceStats {
 #[derive(Debug)]
 pub struct DebloatServiceBuilder {
     gpu: GpuModel,
-    config: RunConfig,
-    fleet: Option<FleetSpec>,
     service_workers: usize,
     queue_capacity: usize,
-    max_batch: usize,
     pool: Option<Arc<WorkerPool>>,
-    cache: Option<Arc<PlanCache>>,
     cache_capacity: usize,
-    plan_ttl: Option<Duration>,
 }
 
 impl DebloatServiceBuilder {
-    /// Override the execution settings every session uses (scale, cost
-    /// model, sampling, subscribers).
-    pub fn run_config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Scope every plan to an entire GPU **fleet** instead of just the
-    /// service's own GPU ([`crate::Debloater::with_fleet`]): one
-    /// artifact per identity serves every member architecture, with
-    /// foreign-arch elements sliced and kept compressed elements
-    /// rewritten in place. The service GPU's architecture is always
-    /// folded in; batching then groups by the full fleet-scoped
-    /// identity.
-    pub fn fleet(mut self, fleet: FleetSpec) -> Self {
-        self.fleet = Some(fleet);
-        self
-    }
-
     /// Number of executor threads running batches (default 2, clamped
     /// to at least 1). This is the number of *union debloats* in
     /// flight; per-library work inside each is bounded separately by
@@ -316,15 +288,6 @@ impl DebloatServiceBuilder {
         self
     }
 
-    /// Maximum requests one batch may serve (default
-    /// [`DebloatService::DEFAULT_MAX_BATCH`], clamped to at least 1). A
-    /// group that reaches the cap is sealed and dispatched as-is; later
-    /// requests with the same plan identity start the next batch.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
     /// Share `pool` for per-library locate/compact work (default: the
     /// process-wide [`WorkerPool::shared`]).
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
@@ -332,31 +295,12 @@ impl DebloatServiceBuilder {
         self
     }
 
-    /// Use `cache` for plans (default: a private per-framework
-    /// partitioned cache with [`PlanCache::DEFAULT_CAPACITY`] per
-    /// partition). An explicit cache wins over
-    /// [`DebloatServiceBuilder::cache_capacity`] and
-    /// [`DebloatServiceBuilder::plan_ttl`].
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Per-partition capacity of the service's private plan cache (pass
-    /// a small value to exercise LRU eviction under key churn). Ignored
-    /// if [`DebloatServiceBuilder::plan_cache`] supplies a cache.
+    /// Per-framework capacity of the service's private plan cache
+    /// (default [`PlanCache::DEFAULT_CAPACITY`]; pass a small value to
+    /// exercise LRU eviction under key churn). The cache itself is
+    /// [`DebloatService::plan_cache`].
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Expire cached plans `ttl` after they are computed: the next
-    /// request for a stale key transparently re-runs detection
-    /// (refresh-on-expiry, still single-flight), so a long-lived
-    /// service keeps its baselines current. Ignored if
-    /// [`DebloatServiceBuilder::plan_cache`] supplies a cache.
-    pub fn plan_ttl(mut self, ttl: Duration) -> Self {
-        self.plan_ttl = Some(ttl);
         self
     }
 
@@ -364,25 +308,13 @@ impl DebloatServiceBuilder {
     /// return the running front end.
     pub fn build(self) -> DebloatService {
         let pool = self.pool.unwrap_or_else(WorkerPool::shared);
-        let cache = self.cache.unwrap_or_else(|| {
-            Arc::new(match self.plan_ttl {
-                Some(ttl) => PlanCache::with_ttl(self.cache_capacity, ttl),
-                None => PlanCache::new(self.cache_capacity),
-            })
-        });
-        let mut debloater = Debloater::with_config(self.gpu, self.config.clone())
-            .with_pool(pool.clone())
-            .with_plan_cache(cache.clone());
-        if let Some(fleet) = self.fleet {
-            debloater = debloater.with_fleet(fleet);
-        }
-        let fleet = debloater.fleet();
+        let cache = Arc::new(PlanCache::new(self.cache_capacity));
+        let debloater =
+            Debloater::new(self.gpu).with_pool(pool.clone()).with_plan_cache(cache.clone());
         let shared = Arc::new(ServiceShared {
             debloater,
             pool,
             cache,
-            fleet,
-            config: self.config,
             queue_capacity: self.queue_capacity,
             sessions: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
@@ -396,7 +328,6 @@ impl DebloatServiceBuilder {
             batched_requests: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
             bytes_shared: AtomicU64::new(0),
-            plan_diff_ns: AtomicU64::new(0),
             bytes_sliced_arch: AtomicU64::new(0),
             bytes_sliced_compressed: AtomicU64::new(0),
             compressed_rewritten: AtomicU64::new(0),
@@ -419,10 +350,9 @@ impl DebloatServiceBuilder {
             .collect();
         let batcher = {
             let shared = shared.clone();
-            let max_batch = self.max_batch;
             std::thread::Builder::new()
                 .name("debloat-batcher".into())
-                .spawn(move || batcher_loop(&shared, &admission_rx, &exec_txs, max_batch))
+                .spawn(move || batcher_loop(&shared, &admission_rx, &exec_txs))
                 .expect("spawning the service batcher failed")
         };
         DebloatService { shared, tx: Some(admission_tx), batcher: Some(batcher), executors }
@@ -462,7 +392,7 @@ struct Batch {
 #[derive(Debug)]
 struct PendingBatch {
     key: PlanKey,
-    /// Sealed batches reached [`DebloatServiceBuilder::max_batch`] and
+    /// Sealed batches reached [`DebloatService::DEFAULT_MAX_BATCH`] and
     /// accept no further requests.
     sealed: bool,
     batch: Batch,
@@ -475,10 +405,6 @@ struct ServiceShared {
     debloater: Debloater,
     pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
-    /// The fleet every plan identity is scoped to (always contains the
-    /// service GPU's architecture).
-    fleet: FleetSpec,
-    config: RunConfig,
     queue_capacity: usize,
     /// One pinned session per framework, created on first request.
     sessions: Mutex<HashMap<FrameworkKind, DebloatSession>>,
@@ -494,7 +420,6 @@ struct ServiceShared {
     batched_requests: AtomicU64,
     bytes_copied: AtomicU64,
     bytes_shared: AtomicU64,
-    plan_diff_ns: AtomicU64,
     bytes_sliced_arch: AtomicU64,
     bytes_sliced_compressed: AtomicU64,
     compressed_rewritten: AtomicU64,
@@ -514,7 +439,6 @@ fn batcher_loop(
     shared: &ServiceShared,
     rx: &mpsc::Receiver<QueueItem>,
     exec_txs: &[mpsc::SyncSender<ExecItem>],
-    max_batch: usize,
 ) {
     let mut pending: VecDeque<PendingBatch> = VecDeque::new();
     let mut pending_total = 0usize;
@@ -527,7 +451,7 @@ fn batcher_loop(
         while stopping || pending_total < shared.queue_capacity {
             match rx.try_recv() {
                 Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request, max_batch);
+                    pending_total += admit(shared, &mut pending, request);
                 }
                 Ok(QueueItem::Shutdown) => stopping = true,
                 Err(_) => break,
@@ -567,7 +491,7 @@ fn batcher_loop(
                 // stop the executors.
                 match rx.try_recv() {
                     Ok(QueueItem::Request(request)) => {
-                        pending_total += admit(shared, &mut pending, request, max_batch);
+                        pending_total += admit(shared, &mut pending, request);
                         continue;
                     }
                     _ => break,
@@ -585,7 +509,7 @@ fn batcher_loop(
         if pending.is_empty() {
             match rx.recv() {
                 Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request, max_batch);
+                    pending_total += admit(shared, &mut pending, request);
                 }
                 Ok(QueueItem::Shutdown) => stopping = true,
                 Err(_) => break, // service and every handle dropped
@@ -593,7 +517,7 @@ fn batcher_loop(
         } else if pending_total < shared.queue_capacity {
             match rx.recv_timeout(DISPATCH_POLL) {
                 Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request, max_batch);
+                    pending_total += admit(shared, &mut pending, request);
                 }
                 Ok(QueueItem::Shutdown) => stopping = true,
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -617,7 +541,6 @@ fn admit(
     shared: &ServiceShared,
     pending: &mut VecDeque<PendingBatch>,
     request: DebloatRequest,
-    max_batch: usize,
 ) -> usize {
     shared.accepted.fetch_add(1, Ordering::Relaxed);
     let DebloatRequest { workloads, reply } = request;
@@ -626,8 +549,7 @@ fn admit(
         let session = shared.session(framework);
         let normalized: Vec<Workload> =
             workloads.iter().map(|w| session.normalize(w)).collect::<Result<_>>()?;
-        let key = PlanKey::for_fleet(framework, shared.fleet, &shared.config, &normalized);
-        Ok((key, framework, normalized))
+        Ok((session.plan_key(&normalized), framework, normalized))
     })();
     match prepared {
         Ok((key, framework, normalized)) => {
@@ -635,13 +557,13 @@ fn admit(
                 pending.iter_mut().rev().find(|item| item.key == key && !item.sealed)
             {
                 open.batch.replies.push(reply);
-                if open.batch.replies.len() >= max_batch {
+                if open.batch.replies.len() >= DebloatService::DEFAULT_MAX_BATCH {
                     open.sealed = true;
                 }
             } else {
                 pending.push_back(PendingBatch {
                     key,
-                    sealed: max_batch <= 1,
+                    sealed: false,
                     batch: Batch { framework, workloads: normalized, replies: vec![reply] },
                 });
             }
@@ -721,7 +643,6 @@ fn execute(shared: &ServiceShared, batch: Batch) {
         shared
             .bytes_shared
             .fetch_add(artifact.report.bytes_shared + size as u64 * fanned_out, Ordering::Relaxed);
-        shared.plan_diff_ns.fetch_add(artifact.report.plan_diff_ns, Ordering::Relaxed);
         let totals = artifact.report.totals();
         shared.bytes_sliced_arch.fetch_add(totals.bytes_sliced_arch, Ordering::Relaxed);
         shared.bytes_sliced_compressed.fetch_add(totals.bytes_sliced_compressed, Ordering::Relaxed);
@@ -854,22 +775,19 @@ impl DebloatService {
     /// Default bound of the admission queue.
     pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-    /// Default cap on how many requests one batch may serve.
+    /// Cap on how many requests one batch may serve; a group that
+    /// reaches it is sealed and dispatched as-is, and later requests
+    /// with the same plan identity start the next batch.
     pub const DEFAULT_MAX_BATCH: usize = 32;
 
     /// Start configuring a service whose sessions target `gpu`.
     pub fn builder(gpu: GpuModel) -> DebloatServiceBuilder {
         DebloatServiceBuilder {
             gpu,
-            config: RunConfig::default(),
             service_workers: 2,
             queue_capacity: Self::DEFAULT_QUEUE_CAPACITY,
-            max_batch: Self::DEFAULT_MAX_BATCH,
-            fleet: None,
             pool: None,
-            cache: None,
             cache_capacity: PlanCache::DEFAULT_CAPACITY,
-            plan_ttl: None,
         }
     }
 
@@ -881,8 +799,8 @@ impl DebloatService {
         }
     }
 
-    /// The plan cache backing every session (observability: stats,
-    /// partitions, TTL, explicit invalidation).
+    /// The service's private plan cache backing every session
+    /// (observability: stats and per-framework occupancy).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.shared.cache
     }
@@ -905,7 +823,6 @@ impl DebloatService {
             batched_requests: self.shared.batched_requests.load(Ordering::Relaxed),
             bytes_copied: self.shared.bytes_copied.load(Ordering::Relaxed),
             bytes_shared: self.shared.bytes_shared.load(Ordering::Relaxed),
-            plan_diff_ns: self.shared.plan_diff_ns.load(Ordering::Relaxed),
             bytes_sliced_arch: self.shared.bytes_sliced_arch.load(Ordering::Relaxed),
             bytes_sliced_compressed: self.shared.bytes_sliced_compressed.load(Ordering::Relaxed),
             compressed_rewritten: self.shared.compressed_rewritten.load(Ordering::Relaxed),

@@ -1,14 +1,14 @@
 //! Integration tests of the staged serve-at-scale layer: bounded
 //! admission with typed load shedding, plan-identity batching (one
 //! union debloat per group, byte-identical to the unbatched path), the
-//! partitioned TTL plan cache behind it, and the bounded `WorkerPool`
+//! per-framework LRU plan cache behind it, and the bounded `WorkerPool`
 //! shared across batches.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use negativa_ml::service::{DebloatResponse, DebloatService, ServiceError};
-use negativa_ml::{Debloater, MultiDebloatReport, NegativaError, PlanCache, WorkerPool};
+use negativa_ml::{Debloater, MultiDebloatReport, NegativaError, WorkerPool};
 use simcuda::GpuModel;
 use simml::{FrameworkKind, GeneratedLibrary, ModelKind, Operation, Workload};
 
@@ -62,12 +62,11 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
     simml::cached_bundle(FrameworkKind::TensorFlow);
     simml::cached_bundle(FrameworkKind::PyTorch);
     let pool = WorkerPool::new(3);
-    let cache = Arc::new(PlanCache::new(4));
     let service = DebloatService::builder(GpuModel::T4)
         .service_workers(1)
         .queue_capacity(32)
         .pool(pool.clone())
-        .plan_cache(cache.clone())
+        .cache_capacity(4)
         .build();
     let handle = service.handle();
 
@@ -117,7 +116,7 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
     // exactly one locate + compact + verify fan-out per group: the
     // burst of 8 cost one detection, one compaction, and one
     // verification pass, not 8.
-    let cache_stats = cache.stats();
+    let cache_stats = service.plan_cache().stats();
     assert_eq!(cache_stats.detections, 2, "plug + burst = two unique plan identities");
     assert_eq!(cache_stats.misses, 2);
     let pool_stats = pool.stats();
@@ -158,10 +157,9 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
 fn a_batch_serves_each_plan_identity_once() {
     let train = workload(FrameworkKind::PyTorch, Operation::Train);
     let infer = workload(FrameworkKind::PyTorch, Operation::Inference);
-    // A private cache so the detection count below is exact.
-    let cache = Arc::new(PlanCache::new(8));
+    // The service's private cache keeps the detection count below exact.
     let service =
-        DebloatService::builder(GpuModel::T4).service_workers(1).plan_cache(cache.clone()).build();
+        DebloatService::builder(GpuModel::T4).service_workers(1).cache_capacity(8).build();
     let plug_ticket =
         plug(&service, vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]);
     let sets = [
@@ -175,7 +173,11 @@ fn a_batch_serves_each_plan_identity_once() {
     assert!(plug_ticket.wait().expect("plug answered").report.all_verified());
     let served: Vec<DebloatResponse> =
         tickets.into_iter().map(|t| t.wait().expect("request answered")).collect();
-    assert_eq!(cache.stats().detections, 4, "the plug plus one per unique plan identity");
+    assert_eq!(
+        service.plan_cache().stats().detections,
+        4,
+        "the plug plus one per unique plan identity"
+    );
 
     // Duplicates share one execution, stamped with their provenance...
     let (r0, r2) = (&served[0], &served[2]);
@@ -278,11 +280,10 @@ fn a_full_bounded_queue_sheds_with_overloaded() {
 #[test]
 fn service_serves_concurrent_multi_framework_requests() {
     let pool = WorkerPool::new(3);
-    let cache = Arc::new(PlanCache::new(4));
     let service = DebloatService::builder(GpuModel::T4)
         .service_workers(4)
         .pool(pool.clone())
-        .plan_cache(cache.clone())
+        .cache_capacity(4)
         .build();
     let handle = service.handle();
 
@@ -335,17 +336,18 @@ fn service_serves_concurrent_multi_framework_requests() {
 
     // Exactly one detection per unique plan identity: every duplicate
     // was served by its twin's batch or by the single-flight cache.
+    let cache = service.plan_cache();
     let cache_stats = cache.stats();
     assert_eq!(cache_stats.detections, 4, "one detection per unique identity");
     assert_eq!(cache_stats.misses, 4);
 
-    // The partitioned cache holds the three PyTorch identities and the
-    // TensorFlow one in separate partitions, each within its bound.
+    // The cache holds the three PyTorch identities and the TensorFlow
+    // one, each framework within its own bound.
     assert_eq!(cache.len(), 4);
-    assert_eq!(cache.partition_count(), 2);
-    assert_eq!(cache.partition_len(FrameworkKind::PyTorch), 3);
-    assert_eq!(cache.partition_len(FrameworkKind::TensorFlow), 1);
-    assert!(cache.partition_len(FrameworkKind::PyTorch) <= cache.capacity());
+    assert_eq!(cache.framework_len(FrameworkKind::PyTorch), 3);
+    assert_eq!(cache.framework_len(FrameworkKind::TensorFlow), 1);
+    assert!(cache.framework_len(FrameworkKind::PyTorch) <= cache.capacity());
+    assert_eq!(cache.stats().evictions, 0, "no framework outgrew its capacity of 4");
 
     // The shared worker pool never ran more library jobs at once than
     // its configured size, across all batches.
@@ -363,12 +365,12 @@ fn service_serves_concurrent_multi_framework_requests() {
 }
 
 /// A tiny cache under key churn: the service keeps answering correctly
-/// while plans are evicted and recomputed within one partition.
+/// while plans are evicted and recomputed within one framework.
 #[test]
 fn service_survives_plan_cache_eviction() {
-    let cache = Arc::new(PlanCache::new(1));
     let service =
-        DebloatService::builder(GpuModel::T4).service_workers(1).plan_cache(cache.clone()).build();
+        DebloatService::builder(GpuModel::T4).service_workers(1).cache_capacity(1).build();
+    let cache = service.plan_cache().clone();
     let handle = service.handle();
 
     let infer = vec![workload(FrameworkKind::PyTorch, Operation::Inference)];
@@ -376,10 +378,9 @@ fn service_survives_plan_cache_eviction() {
 
     let first = handle.request(infer.clone()).unwrap();
     assert!(!first.report.plan_cache_hit, "fresh key plans from scratch");
-    // A different key in the same (PyTorch) partition evicts the only
-    // slot...
+    // A different PyTorch key evicts PyTorch's only slot...
     assert!(handle.request(train).unwrap().report.all_verified());
-    assert_eq!(cache.partition_len(FrameworkKind::PyTorch), 1);
+    assert_eq!(cache.framework_len(FrameworkKind::PyTorch), 1);
     assert!(cache.stats().evictions >= 1, "capacity 1 must evict");
     // ...so the first key plans again, reproducing identical results.
     let again = handle.request(infer).unwrap();
@@ -387,56 +388,6 @@ fn service_survives_plan_cache_eviction() {
     assert_eq!(again.report.libraries, first.report.libraries);
     assert_eq!(again.report.workloads, first.report.workloads);
     assert_eq!(cache.stats().detections, 3);
-    service.shutdown();
-}
-
-/// Explicit invalidation forces a re-plan on the next request; the
-/// recomputed plan reproduces identical verified output.
-#[test]
-fn invalidated_plans_are_recomputed_on_demand() {
-    let cache = Arc::new(PlanCache::new(4));
-    let service =
-        DebloatService::builder(GpuModel::T4).service_workers(1).plan_cache(cache.clone()).build();
-    let handle = service.handle();
-    let set = vec![workload(FrameworkKind::PyTorch, Operation::Train)];
-
-    let first = handle.request(set.clone()).unwrap();
-    let cached = handle.request(set.clone()).unwrap();
-    assert!(cached.report.plan_cache_hit, "second request hits");
-
-    // Drop every cached plan (capacity-preserving refresh trigger).
-    cache.clear();
-    let refreshed = handle.request(set).unwrap();
-    assert!(!refreshed.report.plan_cache_hit, "invalidated plan recomputes");
-    assert!(refreshed.report.all_verified());
-    assert_eq!(refreshed.report.libraries, first.report.libraries);
-    assert_eq!(cache.stats().detections, 2);
-    service.shutdown();
-}
-
-/// A service built with a plan TTL transparently re-runs detection for
-/// stale keys — and reproduces identical bytes.
-#[test]
-fn plan_ttl_refreshes_stale_plans_on_expiry() {
-    let service = DebloatService::builder(GpuModel::T4)
-        .service_workers(1)
-        .plan_ttl(Duration::from_millis(100))
-        .build();
-    let handle = service.handle();
-    let set = vec![workload(FrameworkKind::PyTorch, Operation::Inference)];
-
-    let first = handle.request(set.clone()).unwrap();
-    assert!(!first.report.plan_cache_hit, "fresh key plans from scratch");
-
-    std::thread::sleep(Duration::from_millis(300));
-    let refreshed = handle.request(set).unwrap();
-    assert!(!refreshed.report.plan_cache_hit, "an expired plan is recomputed, not served");
-    assert!(refreshed.report.all_verified());
-    assert_eq!(refreshed.report.libraries, first.report.libraries);
-    assert_eq!(refreshed.report.workloads, first.report.workloads);
-    let stats = service.plan_cache().stats();
-    assert_eq!(stats.detections, 2);
-    assert!(stats.expired >= 1, "the TTL expiry was observed: {stats:?}");
     service.shutdown();
 }
 

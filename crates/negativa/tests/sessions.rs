@@ -4,7 +4,7 @@
 //! (§4.5), parallel-vs-serial equivalence, and the explicit
 //! empty-device-list error.
 
-use negativa_ml::{plan, Debloater, MultiDebloatReport, NegativaError};
+use negativa_ml::{Debloater, MultiDebloatReport, NegativaError};
 use simcuda::{GpuModel, LoadMode};
 use simml::{FrameworkKind, GeneratedLibrary, ModelKind, Operation, Workload};
 
@@ -106,14 +106,10 @@ fn repeated_debloat_hits_the_plan_cache() {
     let first = Debloater::new(GpuModel::T4).debloat_many(&set).unwrap();
     assert!(!first.plan_cache_hit, "first debloat of a fresh key must plan from scratch");
 
-    let before = plan::process_cache().stats();
     // A *fresh* debloater instance: the cache is process-wide, not
     // per-instance.
     let second = Debloater::new(GpuModel::T4).debloat_many(&set).unwrap();
-    let after = plan::process_cache().stats();
-
     assert!(second.plan_cache_hit, "repeated (framework, model, op, GPU) skips detection");
-    assert!(after.hits > before.hits, "cache-stats hit counter must advance");
     // The cached plan reproduces the identical verified outcome.
     let (first_run, second_run) = (&first.workloads[0], &second.workloads[0]);
     assert_eq!(first_run.verified_checksum, second_run.verified_checksum);

@@ -23,13 +23,22 @@ fn transformer() -> Workload {
     Workload::paper(FrameworkKind::PyTorch, ModelKind::Transformer, Operation::Inference)
 }
 
+/// The plan of a verified PyTorch debloat of `workloads` on a throwaway
+/// debloater, so the caller's own pool and memos stay untouched.
+fn plan_of(workloads: &[Workload]) -> Arc<BundlePlan> {
+    Debloater::new(GpuModel::T4)
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(workloads)
+        .expect("the debloat verifies")
+        .plan
+}
+
 #[test]
 fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
-    let pool = WorkerPool::new(2);
     let service = DebloatService::builder(GpuModel::T4)
         .service_workers(1)
-        .pool(pool.clone())
-        .plan_cache(Arc::new(PlanCache::new(4)))
+        .pool(WorkerPool::new(2))
+        .cache_capacity(4)
         .build();
     let handle = service.handle();
     // Plug the single executor with another framework's set so the
@@ -52,6 +61,7 @@ fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
     let tickets: Vec<_> = (0..4).map(|_| handle.submit(vec![mobilenet()]).unwrap()).collect();
     let plug_report = plug_ticket.wait().expect("plug answered").report;
     let results: Vec<_> = tickets.into_iter().map(|t| t.wait().expect("burst verifies")).collect();
+    let service_stats = service.stats();
     service.shutdown();
 
     // Every member of the group receives byte-identical output, stamped
@@ -78,19 +88,18 @@ fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
         }
     }
 
-    // The pool's byte ledger confirms O(1) copies: past the plug's own
-    // compaction, one pass accounts every library exactly once (copied
-    // or shared), never once per member.
-    let total: u64 = first.libraries.iter().map(|lib| lib.image.len()).sum();
-    let stats = pool.stats();
-    let burst_copied = stats.bytes_copied - plug_report.bytes_copied;
-    let burst_shared = stats.bytes_shared - plug_report.bytes_shared;
+    // The service's byte ledger confirms O(1) copies: past the plug's
+    // own compaction, the burst copied exactly what one compaction
+    // copies, never once per member, and that one pass accounts every
+    // library exactly once (copied or shared).
+    let burst_copied = service_stats.bytes_copied - plug_report.bytes_copied;
     assert!(burst_copied > 0, "an effective plan detaches at least one image");
     assert_eq!(
-        burst_copied + burst_shared,
-        total,
+        burst_copied, first.report.bytes_copied,
         "a burst of 4 same-identity sets pays for one compaction, not four"
     );
+    let total: u64 = first.libraries.iter().map(|lib| lib.image.len()).sum();
+    assert_eq!(first.report.bytes_copied + first.report.bytes_shared, total);
 }
 
 #[test]
@@ -101,31 +110,47 @@ fn incremental_replanning_equals_full_planning() {
     let cache_a = Arc::new(PlanCache::new(4));
     let a = Debloater::new(GpuModel::T4).with_plan_cache(cache_a.clone());
     let session_a = a.session(FrameworkKind::PyTorch);
-    let (seed_plan, hit) = session_a.plan_cached(&[mobilenet()]).expect("seed plan");
-    assert!(!hit);
-    let (incremental_plan, hit) =
-        session_a.plan_cached(&[mobilenet(), transformer()]).expect("grown plan");
-    assert!(!hit, "a new key is never a cache hit");
+    let seed = session_a.debloat_many_artifact(&[mobilenet()]).expect("seed debloat");
+    assert!(!seed.report.plan_cache_hit);
+    let grown =
+        session_a.debloat_many_artifact(&[mobilenet(), transformer()]).expect("grown debloat");
+    assert!(!grown.report.plan_cache_hit, "a new key is never a cache hit");
     let stats = cache_a.stats();
     assert_eq!(stats.incremental, 1, "the grown key re-plans incrementally");
     assert_eq!(stats.incremental_fallbacks, 0, "no divergence on this path");
-    assert_ne!(*incremental_plan, *seed_plan, "the added workload changes the plan");
+    assert_ne!(*grown.plan, *seed.plan, "the added workload changes the plan");
 
     // Debloater B plans [w1, w2] from scratch on a fresh cache. The
     // incremental result must be indistinguishable from it.
     let cache_b = Arc::new(PlanCache::new(4));
     let b = Debloater::new(GpuModel::T4).with_plan_cache(cache_b.clone());
-    let (full_plan, _) =
-        b.session(FrameworkKind::PyTorch).plan_cached(&[mobilenet(), transformer()]).unwrap();
+    let full = b
+        .session(FrameworkKind::PyTorch)
+        .debloat_many_artifact(&[mobilenet(), transformer()])
+        .expect("cold debloat");
     assert_eq!(cache_b.stats().incremental, 0, "the fresh cache planned from scratch");
-    assert_eq!(*incremental_plan, *full_plan, "incremental re-planning must equal full planning");
+    assert_eq!(*grown.plan, *full.plan, "incremental re-planning must equal full planning");
 
     // And the debloat built on the incremental plan verifies clean.
-    let report = session_a
-        .debloat_many_artifact(&[mobilenet(), transformer()])
-        .expect("debloat on the incremental plan verifies")
-        .report;
-    assert!(report.all_verified());
+    assert!(grown.report.all_verified());
+}
+
+/// The report of a debloat planned incrementally equals the report of
+/// the same set planned cold: how a plan was computed is host-side
+/// provenance, and reports carry only deterministic fields.
+#[test]
+fn incremental_and_cold_debloats_report_identically() {
+    let cache_a = Arc::new(PlanCache::new(4));
+    let a = Debloater::new(GpuModel::T4).with_plan_cache(cache_a.clone());
+    a.debloat_many(&[mobilenet()]).expect("seed debloat");
+    let grown = a.debloat_many(&[mobilenet(), transformer()]).expect("grown debloat");
+    assert_eq!(cache_a.stats().incremental, 1, "A re-planned incrementally");
+
+    let cache_c = Arc::new(PlanCache::new(4));
+    let c = Debloater::new(GpuModel::T4).with_plan_cache(cache_c.clone());
+    let cold = c.debloat_many(&[mobilenet(), transformer()]).expect("cold debloat");
+    assert_eq!(cache_c.stats().incremental, 0, "C planned from scratch");
+    assert_eq!(grown, cold, "the planning path must be invisible in the report");
 }
 
 /// Roster drift through the incremental planner: a prior plan computed
@@ -199,7 +224,7 @@ fn pooled_verification_is_byte_identical_to_serial() {
         .with_plan_cache(Arc::new(PlanCache::new(4)))
         .session(FrameworkKind::PyTorch);
 
-    let (plan, _) = serial_session.plan_cached(&workloads).expect("plan");
+    let plan = plan_of(&workloads);
     let (_, debloated) = serial_session.apply(&plan).expect("apply");
     let normalized: Vec<Workload> =
         workloads.iter().map(|w| serial_session.normalize(w).unwrap()).collect();
@@ -240,7 +265,7 @@ fn verification_memo_spans_passes_and_stays_byte_identical() {
         .with_pool(pool.clone())
         .with_plan_cache(Arc::new(PlanCache::new(4)));
     let session = debloater.session(FrameworkKind::PyTorch);
-    let (plan, _) = session.plan_cached(&workloads).expect("plan");
+    let plan = plan_of(&workloads);
     let (_, debloated) = session.apply(&plan).expect("apply");
     let normalized: Vec<Workload> =
         workloads.iter().map(|w| session.normalize(w).unwrap()).collect();
@@ -268,7 +293,7 @@ fn verification_memo_spans_passes_and_stays_byte_identical() {
 
     // Different bundle *content* is never served from the memo: the
     // same workload against differently compacted bytes re-runs.
-    let (small_plan, _) = session.plan_cached(&workloads[..1]).expect("small plan");
+    let small_plan = plan_of(&workloads[..1]);
     let (_, small_bundle) = session.apply(&small_plan).expect("small apply");
     session
         .verify_all(&normalized[..1], &small_plan, &small_bundle)

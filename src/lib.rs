@@ -23,9 +23,9 @@
 //!   the long-lived [`negativa::service::DebloatService`] — a staged
 //!   admission → batch → execute pipeline with a bounded queue that
 //!   sheds under load, plan-identity batching (a burst of same-bundle
-//!   requests costs one detection and one compaction), a per-framework
-//!   partitioned plan cache with single-flight planning and optional
-//!   TTL refresh, and a bounded worker pool shared across batches.
+//!   requests costs one detection and one compaction), an LRU plan
+//!   cache with a per-framework capacity and single-flight planning,
+//!   and a bounded worker pool shared across batches.
 //!   Below it, the [`negativa::registry`] persists verified debloats —
 //!   content-addressed library and plan objects in one shared pool,
 //!   plus a self-hashed manifest per artifact with per-workload
