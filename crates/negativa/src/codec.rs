@@ -86,11 +86,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a `usize`, if it is an exact non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64().filter(|n| n.fract() == 0.0 && *n >= 0.0).map(|n| n as usize)
-    }
-
     /// The string, if this is a [`JsonValue::Text`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -107,18 +102,13 @@ impl JsonValue {
         }
     }
 
-    /// The key/value pairs, if this is a [`JsonValue::Object`].
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Member lookup on an object (`None` for other variants or missing
     /// keys).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        match self {
+            JsonValue::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// Render the value as pretty-printed JSON (two-space indent,
@@ -584,7 +574,7 @@ mod tests {
     #[test]
     fn object_accessors_navigate_the_tree() {
         let doc = sample();
-        assert_eq!(doc.get("count").and_then(JsonValue::as_usize), Some(42));
+        assert_eq!(doc.get("count").and_then(JsonValue::as_u64), Some(42));
         assert_eq!(doc.get("ratio").and_then(JsonValue::as_f64), Some(2.5));
         assert_eq!(doc.get("name").and_then(JsonValue::as_str), Some("lib \"x\".so"));
         assert!(doc.get("missing").is_none());

@@ -131,6 +131,8 @@ use simml::{
     FrameworkBundle, FrameworkKind, GeneratedLibrary, RunConfig, RunOutcome, Workload,
 };
 
+#[cfg(test)]
+mod arbitrary;
 pub mod codec;
 pub mod compact;
 pub mod detect;

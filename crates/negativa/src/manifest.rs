@@ -19,12 +19,25 @@
 //! of the file therefore fails decoding — either the JSON no longer
 //! parses, or the recomputed self-hash no longer matches.
 //!
-//! All 64-bit identities (hashes, checksums, fingerprints, nanosecond
-//! counters, byte offsets) are stored as fixed-width hex strings
-//! ([`crate::codec::JsonValue::u64`]) because a JSON `f64` cannot carry
-//! them losslessly; small counts are plain numbers. Decoding is strict:
-//! a missing or mistyped field is an error naming the field, never a
-//! default.
+//! Each persisted type declares its fields **once**, in key order, in
+//! one `json_record!` list: `"json_name" => field` for a field of its
+//! own, or `"json_name" => local = nested.field` for a field the JSON
+//! flattens out of a nested struct (the declaration then ends with the
+//! constructor that reassembles it). Both directions of the codec are
+//! derived from that list, and each field's Rust type picks its
+//! encoding through the private `Json` trait:
+//! - `u64` (hashes, checksums, fingerprints, nanosecond counters, byte
+//!   offsets) → a fixed-width hex string ([`crate::codec::JsonValue::u64`]),
+//!   because a JSON `f64` cannot carry it losslessly;
+//! - `u32` / `usize` (small counts) → a plain number, range-checked on
+//!   decode, so an out-of-range value is an error, never a truncation;
+//! - `String` → a string, `Vec<T>` → an array, `Option<T>` → `null` or
+//!   the value;
+//! - the GPU, framework, operation, dataset and load-mode enums → one
+//!   name table each (`json_names!`), never their `Debug` form.
+//!
+//! Decoding is strict: a missing or mistyped field is an error naming
+//! the field, never a default.
 
 use fatbin::{FleetSpec, SmArch};
 use simcuda::{GpuModel, LoadMode};
@@ -156,10 +169,7 @@ impl StoreManifest {
     /// hashed, and the digest spliced into the fixed-width placeholder
     /// (offsets never move).
     pub fn encode(&self) -> String {
-        let mut text = self.to_json(0).render();
-        text.push('\n');
-        let hash = content_hash(text.as_bytes());
-        text.replacen(&hash_field(0), &hash_field(hash), 1)
+        stamp_self_hash(self.to_json(), HASH_KEY)
     }
 
     /// Decode and integrity-check manifest bytes: parse, check
@@ -173,103 +183,9 @@ impl StoreManifest {
     /// mismatch) — the caller wraps it in a typed
     /// [`crate::store::StoreError::CorruptManifest`].
     pub fn decode(text: &str) -> Result<StoreManifest, String> {
-        let doc = JsonValue::parse(text)?;
-        // Version gate first: an older manifest was self-hashed with
-        // another digest and must report "unsupported version", not a
-        // false "the file was modified"; a future one must not trip
-        // whatever missing-field error its changed schema hits first.
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
-            ));
-        }
-        let stored_hash =
-            doc.get(HASH_KEY).and_then(JsonValue::as_u64).ok_or_else(|| missing(HASH_KEY))?;
-        let stamped = hash_field(stored_hash);
-        if !text.contains(&stamped) {
-            return Err(format!("{HASH_KEY} field is not in canonical fixed-width form"));
-        }
-        let restored = text.replacen(&stamped, &hash_field(0), 1);
-        let actual = content_hash(restored.as_bytes());
-        if actual != stored_hash {
-            return Err(format!(
-                "manifest self-hash mismatch: stored {stored_hash:#018x}, content hashes to \
-                 {actual:#018x} — the file was modified after publishing"
-            ));
-        }
-        Self::from_json(&doc)
+        let doc = parse_self_hashed(text, "manifest", FORMAT_VERSION, HASH_KEY)?;
+        Self::from_json(&doc, "manifest")
     }
-
-    fn to_json(&self, self_hash: u64) -> JsonValue {
-        JsonValue::Object(vec![
-            ("format_version".into(), JsonValue::int(self.version as u64)),
-            (HASH_KEY.into(), JsonValue::u64(self_hash)),
-            ("framework".into(), JsonValue::Text(self.key.framework.name().into())),
-            ("gpu".into(), JsonValue::Text(gpu_name(self.gpu).into())),
-            (
-                "fleet".into(),
-                JsonValue::Array(
-                    self.key.fleet.members().iter().map(|a| JsonValue::int(a.0 as u64)).collect(),
-                ),
-            ),
-            ("workloads_fingerprint".into(), JsonValue::u64(self.key.workloads)),
-            ("config_fingerprint".into(), JsonValue::u64(self.key.config)),
-            ("plan_hash".into(), JsonValue::u64(self.plan_hash)),
-            ("used_kernels".into(), JsonValue::int(self.used_kernels as u64)),
-            ("used_host_fns".into(), JsonValue::int(self.used_host_fns as u64)),
-            (
-                "libraries".into(),
-                JsonValue::Array(self.entries.iter().map(entry_to_json).collect()),
-            ),
-            (
-                "workloads".into(),
-                JsonValue::Array(self.workloads.iter().map(record_to_json).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(doc: &JsonValue) -> Result<StoreManifest, String> {
-        let framework = parse_framework(get_str(doc, "framework")?)?;
-        let archs = get_array(doc, "fleet")?
-            .iter()
-            .map(|v| {
-                v.as_usize()
-                    .map(|a| SmArch(a as u32))
-                    .ok_or_else(|| mistyped("fleet", "architecture number"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let fleet = FleetSpec::new(&archs)
-            .map_err(|_| format!("fleet must name 1..={} architectures", FleetSpec::MAX_MEMBERS))?;
-        let key = PlanKey {
-            framework,
-            fleet,
-            workloads: get_u64(doc, "workloads_fingerprint")?,
-            config: get_u64(doc, "config_fingerprint")?,
-        };
-        let entries = get_array(doc, "libraries")?
-            .iter()
-            .map(entry_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let workloads = get_array(doc, "workloads")?
-            .iter()
-            .map(record_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StoreManifest {
-            version: get_usize(doc, "format_version")? as u32,
-            key,
-            gpu: parse_gpu(get_str(doc, "gpu")?)?,
-            plan_hash: get_u64(doc, "plan_hash")?,
-            used_kernels: get_usize(doc, "used_kernels")?,
-            used_host_fns: get_usize(doc, "used_host_fns")?,
-            entries,
-            workloads,
-        })
-    }
-}
-
-fn hash_field(hash: u64) -> String {
-    format!("\"{HASH_KEY}\": \"{hash:#018x}\"")
 }
 
 /// One object in a registry's shared pool, as referenced by an index
@@ -351,10 +267,7 @@ impl RegistryIndex {
     /// self-hash through the same zero-render-splice scheme as
     /// [`StoreManifest::encode`].
     pub fn encode(&self) -> String {
-        let mut text = self.to_json(0).render();
-        text.push('\n');
-        let hash = content_hash(text.as_bytes());
-        text.replacen(&registry_hash_field(0), &registry_hash_field(hash), 1)
+        stamp_self_hash(self.to_json(), REGISTRY_HASH_KEY)
     }
 
     /// Decode and integrity-check `REGISTRY.json` bytes: parse, gate
@@ -367,93 +280,16 @@ impl RegistryIndex {
     /// A description of the first violation; the registry wraps it in
     /// [`crate::store::StoreError::CorruptIndex`].
     pub fn decode(text: &str) -> Result<RegistryIndex, String> {
-        let doc = JsonValue::parse(text)?;
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != REGISTRY_FORMAT_VERSION {
-            return Err(format!(
-                "unsupported registry index format version {version} (this build reads \
-                 {REGISTRY_FORMAT_VERSION})"
-            ));
-        }
-        let stored_hash = doc
-            .get(REGISTRY_HASH_KEY)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing(REGISTRY_HASH_KEY))?;
-        let stamped = registry_hash_field(stored_hash);
-        if !text.contains(&stamped) {
-            return Err(format!("{REGISTRY_HASH_KEY} field is not in canonical fixed-width form"));
-        }
-        let restored = text.replacen(&stamped, &registry_hash_field(0), 1);
-        let actual = content_hash(restored.as_bytes());
-        if actual != stored_hash {
-            return Err(format!(
-                "registry index self-hash mismatch: stored {stored_hash:#018x}, content hashes \
-                 to {actual:#018x} — the file was modified after it was written"
-            ));
-        }
-        Ok(RegistryIndex {
-            version,
-            records: get_array(&doc, "artifacts")?
-                .iter()
-                .map(registry_record_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+        let doc =
+            parse_self_hashed(text, "registry index", REGISTRY_FORMAT_VERSION, REGISTRY_HASH_KEY)?;
+        Self::from_json(&doc, REGISTRY_FILE)
     }
-
-    fn to_json(&self, self_hash: u64) -> JsonValue {
-        JsonValue::Object(vec![
-            ("format_version".into(), JsonValue::int(self.version as u64)),
-            (REGISTRY_HASH_KEY.into(), JsonValue::u64(self_hash)),
-            (
-                "artifacts".into(),
-                JsonValue::Array(self.records.iter().map(registry_record_to_json).collect()),
-            ),
-        ])
-    }
-}
-
-fn registry_hash_field(hash: u64) -> String {
-    format!("\"{REGISTRY_HASH_KEY}\": \"{hash:#018x}\"")
-}
-
-fn registry_record_to_json(record: &RegistryRecord) -> JsonValue {
-    JsonValue::Object(vec![
-        ("artifact_id".into(), JsonValue::Text(record.artifact_id.clone())),
-        ("manifest_hash".into(), JsonValue::u64(record.manifest_hash)),
-        ("plan_hash".into(), JsonValue::u64(record.plan.hash)),
-        ("plan_len".into(), JsonValue::u64(record.plan.byte_len)),
-        ("published_ns".into(), JsonValue::u64(record.published_ns)),
-        ("objects".into(), JsonValue::Array(record.objects.iter().map(object_to_json).collect())),
-    ])
-}
-
-fn registry_record_from_json(doc: &JsonValue) -> Result<RegistryRecord, String> {
-    Ok(RegistryRecord {
-        artifact_id: get_str(doc, "artifact_id")?.to_owned(),
-        manifest_hash: get_u64(doc, "manifest_hash")?,
-        plan: ObjectRef { hash: get_u64(doc, "plan_hash")?, byte_len: get_u64(doc, "plan_len")? },
-        published_ns: get_u64(doc, "published_ns")?,
-        objects: get_array(doc, "objects")?
-            .iter()
-            .map(object_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn object_to_json(object: &ObjectRef) -> JsonValue {
-    JsonValue::Object(vec![
-        ("hash".into(), JsonValue::u64(object.hash)),
-        ("byte_len".into(), JsonValue::u64(object.byte_len)),
-    ])
-}
-
-fn object_from_json(doc: &JsonValue) -> Result<ObjectRef, String> {
-    Ok(ObjectRef { hash: get_u64(doc, "hash")?, byte_len: get_u64(doc, "byte_len")? })
 }
 
 /// Encode a [`BundlePlan`] to the exact `plan.json` bytes.
-pub fn encode_plan(plan: &BundlePlan) -> String {
-    let mut text = plan_to_json(plan).render();
+pub(crate) fn encode_plan(plan: &BundlePlan) -> String {
+    let version = JsonValue::int(FORMAT_VERSION.into());
+    let mut text = with_field(plan.to_json(), 0, "format_version", version).render();
     text.push('\n');
     text
 }
@@ -465,448 +301,86 @@ pub fn encode_plan(plan: &BundlePlan) -> String {
 ///
 /// A description of the first syntax or schema violation; the caller
 /// wraps it in [`crate::store::StoreError::CorruptPlan`].
-pub fn decode_plan(text: &str) -> Result<BundlePlan, String> {
+pub(crate) fn decode_plan(text: &str) -> Result<BundlePlan, String> {
     let doc = JsonValue::parse(text)?;
-    let version = get_usize(&doc, "format_version")? as u32;
-    if version != FORMAT_VERSION {
+    gate_version(&doc, "plan", FORMAT_VERSION)?;
+    BundlePlan::from_json(&doc, PLAN_FILE)
+}
+
+/// Refuse a document whose `format_version` is not `version`. This runs
+/// first, ahead of the self-hash and the schema: an older file was
+/// self-hashed with another digest and must report "unsupported
+/// version", not a false "the file was modified", and a newer one must
+/// not trip whatever missing-field error its changed schema hits first.
+/// The version is read at full width, so 2^32 + 3 is not version 3.
+fn gate_version(doc: &JsonValue, what: &str, version: u32) -> Result<(), String> {
+    let found: usize = field(doc, "format_version")?;
+    if found != version as usize {
         return Err(format!(
-            "unsupported plan format version {version} (this build reads {FORMAT_VERSION})"
+            "unsupported {what} format version {found} (this build reads {version})"
         ));
     }
-    Ok(BundlePlan {
-        framework: parse_framework(get_str(&doc, "framework")?)?,
-        gpu: parse_gpu(get_str(&doc, "gpu")?)?,
-        usage_fingerprint: get_u64(&doc, "usage_fingerprint")?,
-        retain: get_array(&doc, "retain")?
-            .iter()
-            .map(retain_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        baselines: get_array(&doc, "baselines")?
-            .iter()
-            .map(baseline_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        used_kernels: get_usize(&doc, "used_kernels")?,
-        used_host_fns: get_usize(&doc, "used_host_fns")?,
-    })
+    Ok(())
 }
 
-fn plan_to_json(plan: &BundlePlan) -> JsonValue {
-    JsonValue::Object(vec![
-        ("format_version".into(), JsonValue::int(FORMAT_VERSION as u64)),
-        ("framework".into(), JsonValue::Text(plan.framework.name().into())),
-        ("gpu".into(), JsonValue::Text(gpu_name(plan.gpu).into())),
-        ("usage_fingerprint".into(), JsonValue::u64(plan.usage_fingerprint)),
-        ("used_kernels".into(), JsonValue::int(plan.used_kernels as u64)),
-        ("used_host_fns".into(), JsonValue::int(plan.used_host_fns as u64)),
-        ("retain".into(), JsonValue::Array(plan.retain.iter().map(retain_to_json).collect())),
-        (
-            "baselines".into(),
-            JsonValue::Array(plan.baselines.iter().map(baseline_to_json).collect()),
-        ),
-    ])
-}
-
-fn entry_to_json(entry: &ManifestEntry) -> JsonValue {
-    let r = &entry.report;
-    JsonValue::Object(vec![
-        ("soname".into(), JsonValue::Text(entry.soname.clone())),
-        ("content_hash".into(), JsonValue::u64(entry.content_hash)),
-        ("byte_len".into(), JsonValue::u64(entry.byte_len)),
-        ("file_before".into(), JsonValue::u64(r.file_before)),
-        ("file_after".into(), JsonValue::u64(r.file_after)),
-        ("host_before".into(), JsonValue::u64(r.host_before)),
-        ("host_after".into(), JsonValue::u64(r.host_after)),
-        ("device_before".into(), JsonValue::u64(r.device_before)),
-        ("device_after".into(), JsonValue::u64(r.device_after)),
-        ("total_functions".into(), JsonValue::int(r.total_functions as u64)),
-        ("used_functions".into(), JsonValue::int(r.used_functions as u64)),
-        ("total_elements".into(), JsonValue::int(r.total_elements as u64)),
-        ("kept_elements".into(), JsonValue::int(r.kept_elements as u64)),
-        ("bytes_copied".into(), JsonValue::u64(r.bytes_copied)),
-        ("bytes_shared".into(), JsonValue::u64(r.bytes_shared)),
-        ("bytes_sliced_arch".into(), JsonValue::u64(r.bytes_sliced_arch)),
-        ("bytes_sliced_compressed".into(), JsonValue::u64(r.bytes_sliced_compressed)),
-        ("compressed_rewritten".into(), JsonValue::u64(r.compressed_rewritten)),
-    ])
-}
-
-fn entry_from_json(doc: &JsonValue) -> Result<ManifestEntry, String> {
-    let soname = get_str(doc, "soname")?.to_owned();
-    let report = LibraryReport {
-        soname: soname.clone(),
-        file_before: get_u64(doc, "file_before")?,
-        file_after: get_u64(doc, "file_after")?,
-        host_before: get_u64(doc, "host_before")?,
-        host_after: get_u64(doc, "host_after")?,
-        device_before: get_u64(doc, "device_before")?,
-        device_after: get_u64(doc, "device_after")?,
-        total_functions: get_usize(doc, "total_functions")?,
-        used_functions: get_usize(doc, "used_functions")?,
-        total_elements: get_usize(doc, "total_elements")?,
-        kept_elements: get_usize(doc, "kept_elements")?,
-        bytes_copied: get_u64(doc, "bytes_copied")?,
-        bytes_shared: get_u64(doc, "bytes_shared")?,
-        bytes_sliced_arch: get_u64(doc, "bytes_sliced_arch")?,
-        bytes_sliced_compressed: get_u64(doc, "bytes_sliced_compressed")?,
-        compressed_rewritten: get_u64(doc, "compressed_rewritten")?,
-    };
-    Ok(ManifestEntry {
-        soname,
-        content_hash: get_u64(doc, "content_hash")?,
-        byte_len: get_u64(doc, "byte_len")?,
-        report,
-    })
-}
-
-fn record_to_json(record: &WorkloadRecord) -> JsonValue {
-    JsonValue::Object(vec![
-        ("label".into(), JsonValue::Text(record.label.clone())),
-        ("baseline_checksum".into(), JsonValue::u64(record.baseline_checksum)),
-        ("workload".into(), workload_to_json(&record.workload)),
-    ])
-}
-
-fn record_from_json(doc: &JsonValue) -> Result<WorkloadRecord, String> {
-    Ok(WorkloadRecord {
-        workload: workload_from_json(doc.get("workload").ok_or_else(|| missing("workload"))?)?,
-        label: get_str(doc, "label")?.to_owned(),
-        baseline_checksum: get_u64(doc, "baseline_checksum")?,
-    })
-}
-
-fn workload_to_json(w: &Workload) -> JsonValue {
-    JsonValue::Object(vec![
-        ("framework".into(), JsonValue::Text(w.framework.name().into())),
-        ("model".into(), model_to_json(&w.model)),
-        ("operation".into(), JsonValue::Text(w.operation.name().into())),
-        ("dataset".into(), JsonValue::Text(dataset_name(w.dataset).into())),
-        ("batch_size".into(), JsonValue::int(w.batch_size as u64)),
-        ("epochs".into(), JsonValue::int(w.epochs as u64)),
-        ("inference_steps".into(), JsonValue::int(w.inference_steps as u64)),
-        (
-            "devices".into(),
-            JsonValue::Array(
-                w.devices.iter().map(|&d| JsonValue::Text(gpu_name(d).into())).collect(),
-            ),
-        ),
-        ("load_mode".into(), JsonValue::Text(load_mode_name(w.load_mode).into())),
-    ])
-}
-
-fn workload_from_json(doc: &JsonValue) -> Result<Workload, String> {
-    Ok(Workload {
-        framework: parse_framework(get_str(doc, "framework")?)?,
-        model: model_from_json(doc.get("model").ok_or_else(|| missing("model"))?)?,
-        operation: parse_operation(get_str(doc, "operation")?)?,
-        dataset: parse_dataset(get_str(doc, "dataset")?)?,
-        batch_size: get_usize(doc, "batch_size")? as u32,
-        epochs: get_usize(doc, "epochs")? as u32,
-        inference_steps: get_usize(doc, "inference_steps")? as u32,
-        devices: get_array(doc, "devices")?
-            .iter()
-            .map(|d| parse_gpu(d.as_str().ok_or_else(|| mistyped("devices", "string"))?))
-            .collect::<Result<Vec<_>, _>>()?,
-        load_mode: parse_load_mode(get_str(doc, "load_mode")?)?,
-    })
-}
-
-fn model_to_json(model: &ModelKind) -> JsonValue {
-    match model {
-        ModelKind::MobileNetV2 => JsonValue::Text("MobileNetV2".into()),
-        ModelKind::Transformer => JsonValue::Text("Transformer".into()),
-        ModelKind::Llama2 => JsonValue::Text("Llama2".into()),
-        ModelKind::LeaderboardLlm { name, billions } => JsonValue::Object(vec![
-            ("leaderboard".into(), JsonValue::Text(name.clone())),
-            ("billions".into(), JsonValue::Number(*billions)),
-        ]),
-        // The upstream enums are #[non_exhaustive]; a variant added
-        // without a name table entry must fail loudly at publish time,
-        // never serialize as something else.
-        other => unreachable!("model {other:?} has no manifest v{FORMAT_VERSION} encoding"),
+/// Parse a self-hashed document (a manifest or the registry index): gate
+/// its version, then check the digest stamped under `key` against the
+/// file's bytes with that digest zeroed.
+fn parse_self_hashed(text: &str, what: &str, version: u32, key: &str) -> Result<JsonValue, String> {
+    let doc = JsonValue::parse(text)?;
+    gate_version(&doc, what, version)?;
+    let stored: u64 = field(&doc, key)?;
+    let stamped = self_hash_field(key, stored);
+    if !text.contains(&stamped) {
+        return Err(format!("{key} field is not in canonical fixed-width form"));
     }
-}
-
-fn model_from_json(doc: &JsonValue) -> Result<ModelKind, String> {
-    match doc {
-        JsonValue::Text(name) => match name.as_str() {
-            "MobileNetV2" => Ok(ModelKind::MobileNetV2),
-            "Transformer" => Ok(ModelKind::Transformer),
-            "Llama2" => Ok(ModelKind::Llama2),
-            other => Err(format!("unknown model kind {other:?}")),
-        },
-        JsonValue::Object(_) => Ok(ModelKind::LeaderboardLlm {
-            name: get_str(doc, "leaderboard")?.to_owned(),
-            billions: doc
-                .get("billions")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| missing("billions"))?,
-        }),
-        _ => Err("model must be a name or a leaderboard object".into()),
+    let actual = content_hash(text.replacen(&stamped, &self_hash_field(key, 0), 1).as_bytes());
+    if actual != stored {
+        return Err(format!(
+            "{what} self-hash mismatch: stored {stored:#018x}, content hashes to {actual:#018x} \
+             — the file was modified after it was written"
+        ));
     }
+    Ok(doc)
 }
 
-fn baseline_to_json(base: &WorkloadBaseline) -> JsonValue {
-    JsonValue::Object(vec![
-        ("label".into(), JsonValue::Text(base.label.clone())),
-        ("checksum".into(), JsonValue::u64(base.checksum)),
-        ("baseline".into(), metrics_to_json(&base.baseline)),
-        ("detection".into(), metrics_to_json(&base.detection)),
-    ])
+/// Render `record` with a zeroed self-hash under `key` as its second
+/// field, hash those bytes, and splice the digest into the fixed-width
+/// placeholder (offsets never move).
+fn stamp_self_hash(record: JsonValue, key: &str) -> String {
+    let mut text = with_field(record, 1, key, JsonValue::u64(0)).render();
+    text.push('\n');
+    let hash = content_hash(text.as_bytes());
+    text.replacen(&self_hash_field(key, 0), &self_hash_field(key, hash), 1)
 }
 
-fn baseline_from_json(doc: &JsonValue) -> Result<WorkloadBaseline, String> {
-    Ok(WorkloadBaseline {
-        label: get_str(doc, "label")?.to_owned(),
-        checksum: get_u64(doc, "checksum")?,
-        baseline: metrics_from_json(doc.get("baseline").ok_or_else(|| missing("baseline"))?)?,
-        detection: metrics_from_json(doc.get("detection").ok_or_else(|| missing("detection"))?)?,
-    })
+fn self_hash_field(key: &str, hash: u64) -> String {
+    format!("\"{key}\": \"{hash:#018x}\"")
 }
 
-fn metrics_to_json(m: &WorkloadMetrics) -> JsonValue {
-    JsonValue::Object(vec![
-        ("elapsed_ns".into(), JsonValue::u64(m.elapsed_ns)),
-        ("load_ns".into(), JsonValue::u64(m.load_ns)),
-        ("peak_host_bytes".into(), JsonValue::u64(m.peak_host_bytes)),
-        (
-            "peak_device_bytes".into(),
-            JsonValue::Array(m.peak_device_bytes.iter().map(|&b| JsonValue::u64(b)).collect()),
-        ),
-        ("launches".into(), JsonValue::u64(m.launches)),
-        ("host_calls".into(), JsonValue::u64(m.host_calls)),
-        ("get_function_calls".into(), JsonValue::u64(m.get_function_calls)),
-        ("gpu_code_bytes".into(), JsonValue::u64(m.gpu_code_bytes)),
-    ])
-}
-
-fn metrics_from_json(doc: &JsonValue) -> Result<WorkloadMetrics, String> {
-    Ok(WorkloadMetrics {
-        elapsed_ns: get_u64(doc, "elapsed_ns")?,
-        load_ns: get_u64(doc, "load_ns")?,
-        peak_host_bytes: get_u64(doc, "peak_host_bytes")?,
-        peak_device_bytes: get_array(doc, "peak_device_bytes")?
-            .iter()
-            .map(|v| v.as_u64().ok_or_else(|| mistyped("peak_device_bytes", "u64 hex")))
-            .collect::<Result<Vec<_>, _>>()?,
-        launches: get_u64(doc, "launches")?,
-        host_calls: get_u64(doc, "host_calls")?,
-        get_function_calls: get_u64(doc, "get_function_calls")?,
-        gpu_code_bytes: get_u64(doc, "gpu_code_bytes")?,
-    })
-}
-
-fn retain_to_json(plan: &RetainPlan) -> JsonValue {
-    JsonValue::Object(vec![
-        ("soname".into(), JsonValue::Text(plan.soname.clone())),
-        ("text_range".into(), opt_range_to_json(plan.text_range)),
-        ("fatbin_range".into(), opt_range_to_json(plan.fatbin_range)),
-        ("zero_host".into(), ranges_to_json(&plan.zero_host)),
-        ("zero_device".into(), ranges_to_json(&plan.zero_device)),
-        ("rewrites".into(), JsonValue::Array(plan.rewrites.iter().map(rewrite_to_json).collect())),
-        ("total_functions".into(), JsonValue::int(plan.stats.total_functions as u64)),
-        ("used_functions".into(), JsonValue::int(plan.stats.used_functions as u64)),
-        ("total_elements".into(), JsonValue::int(plan.stats.total_elements as u64)),
-        ("kept_elements".into(), JsonValue::int(plan.stats.kept_elements as u64)),
-    ])
-}
-
-fn retain_from_json(doc: &JsonValue) -> Result<RetainPlan, String> {
-    Ok(RetainPlan {
-        soname: get_str(doc, "soname")?.to_owned(),
-        text_range: opt_range_from_json(
-            doc.get("text_range").ok_or_else(|| missing("text_range"))?,
-        )?,
-        fatbin_range: opt_range_from_json(
-            doc.get("fatbin_range").ok_or_else(|| missing("fatbin_range"))?,
-        )?,
-        zero_host: ranges_from_json(get_array(doc, "zero_host")?)?,
-        zero_device: ranges_from_json(get_array(doc, "zero_device")?)?,
-        rewrites: get_array(doc, "rewrites")?
-            .iter()
-            .map(rewrite_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        stats: LocateStats {
-            total_functions: get_usize(doc, "total_functions")?,
-            used_functions: get_usize(doc, "used_functions")?,
-            total_elements: get_usize(doc, "total_elements")?,
-            kept_elements: get_usize(doc, "kept_elements")?,
-        },
-    })
-}
-
-fn rewrite_to_json(r: &ElementRewrite) -> JsonValue {
-    let mut fields = vec![
-        ("index".into(), JsonValue::int(r.index as u64)),
-        ("flags_offset".into(), JsonValue::u64(r.flags_offset)),
-        ("payload_range".into(), range_to_json(r.payload_range)),
-    ];
-    match &r.kind {
-        RewriteKind::ArchSlice => {
-            fields.push(("kind".into(), JsonValue::Text("arch_slice".into())));
-        }
-        RewriteKind::CompressedSlice { uncompressed_size, used_kernels } => {
-            fields.push(("kind".into(), JsonValue::Text("compressed_slice".into())));
-            fields.push(("uncompressed_size".into(), JsonValue::u64(*uncompressed_size)));
-            fields.push((
-                "used_kernels".into(),
-                JsonValue::Array(used_kernels.iter().map(|k| JsonValue::Text(k.clone())).collect()),
-            ));
-        }
-    }
+/// `record` (an object) with `key: value` spliced in at position `at` —
+/// how the self-hash placeholders and the plan's version join the
+/// declared fields.
+fn with_field(record: JsonValue, at: usize, key: &str, value: JsonValue) -> JsonValue {
+    let JsonValue::Object(mut fields) = record else { unreachable!("records encode to objects") };
+    fields.insert(at, (key.into(), value));
     JsonValue::Object(fields)
 }
 
-fn rewrite_from_json(doc: &JsonValue) -> Result<ElementRewrite, String> {
-    let kind = match get_str(doc, "kind")? {
-        "arch_slice" => RewriteKind::ArchSlice,
-        "compressed_slice" => RewriteKind::CompressedSlice {
-            uncompressed_size: get_u64(doc, "uncompressed_size")?,
-            used_kernels: get_array(doc, "used_kernels")?
-                .iter()
-                .map(|k| {
-                    k.as_str().map(str::to_owned).ok_or_else(|| mistyped("used_kernels", "string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        other => return Err(format!("unknown rewrite kind {other:?}")),
-    };
-    Ok(ElementRewrite {
-        index: get_usize(doc, "index")? as u32,
-        flags_offset: get_u64(doc, "flags_offset")?,
-        payload_range: range_from_json(
-            doc.get("payload_range").ok_or_else(|| missing("payload_range"))?,
-        )?,
-        kind,
-    })
+// ---- the codec: one leaf trait, one field list per record -----------
+
+/// How one Rust type is written into and read back from a JSON value.
+trait Json: Sized {
+    fn to_json(&self) -> JsonValue;
+
+    /// Decode `value`; `key` names the field it came from, for errors.
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String>;
 }
 
-fn opt_range_to_json(range: Option<FileRange>) -> JsonValue {
-    match range {
-        None => JsonValue::Null,
-        Some(r) => range_to_json(r),
-    }
+/// The member `key` of object `doc`, decoded as its Rust type says.
+fn field<T: Json>(doc: &JsonValue, key: &str) -> Result<T, String> {
+    T::from_json(doc.get(key).ok_or_else(|| missing(key))?, key)
 }
-
-fn opt_range_from_json(doc: &JsonValue) -> Result<Option<FileRange>, String> {
-    match doc {
-        JsonValue::Null => Ok(None),
-        other => range_from_json(other).map(Some),
-    }
-}
-
-fn range_to_json(r: FileRange) -> JsonValue {
-    JsonValue::Object(vec![
-        ("start".into(), JsonValue::u64(r.start)),
-        ("end".into(), JsonValue::u64(r.end)),
-    ])
-}
-
-fn range_from_json(doc: &JsonValue) -> Result<FileRange, String> {
-    let start = get_u64(doc, "start")?;
-    let end = get_u64(doc, "end")?;
-    if start > end {
-        return Err(format!("invalid file range: start {start:#x} > end {end:#x}"));
-    }
-    Ok(FileRange { start, end })
-}
-
-fn ranges_to_json(ranges: &[FileRange]) -> JsonValue {
-    JsonValue::Array(ranges.iter().map(|&r| range_to_json(r)).collect())
-}
-
-fn ranges_from_json(items: &[JsonValue]) -> Result<Vec<FileRange>, String> {
-    items.iter().map(range_from_json).collect()
-}
-
-// ---- enum name tables (explicit, so serialization never drifts with
-// ---- Debug formatting) ---------------------------------------------
-
-/// The manifest's stable name of a GPU model (its bare display name,
-/// without the architecture suffix).
-pub fn gpu_name(gpu: GpuModel) -> &'static str {
-    match gpu {
-        GpuModel::V100 => "V100",
-        GpuModel::T4 => "T4",
-        GpuModel::A10 => "A10",
-        GpuModel::A100 => "A100",
-        GpuModel::L4 => "L4",
-        GpuModel::H100 => "H100",
-        other => unreachable!("GPU {other:?} has no manifest v{FORMAT_VERSION} encoding"),
-    }
-}
-
-fn parse_gpu(name: &str) -> Result<GpuModel, String> {
-    match name {
-        "V100" => Ok(GpuModel::V100),
-        "T4" => Ok(GpuModel::T4),
-        "A10" => Ok(GpuModel::A10),
-        "A100" => Ok(GpuModel::A100),
-        "L4" => Ok(GpuModel::L4),
-        "H100" => Ok(GpuModel::H100),
-        other => Err(format!("unknown GPU model {other:?}")),
-    }
-}
-
-fn parse_framework(name: &str) -> Result<FrameworkKind, String> {
-    match name {
-        "PyTorch" => Ok(FrameworkKind::PyTorch),
-        "TensorFlow" => Ok(FrameworkKind::TensorFlow),
-        "vLLM" => Ok(FrameworkKind::Vllm),
-        "Transformers" => Ok(FrameworkKind::Transformers),
-        other => Err(format!("unknown framework {other:?}")),
-    }
-}
-
-fn parse_operation(name: &str) -> Result<Operation, String> {
-    match name {
-        "Train" => Ok(Operation::Train),
-        "Inference" => Ok(Operation::Inference),
-        other => Err(format!("unknown operation {other:?}")),
-    }
-}
-
-fn dataset_name(dataset: Dataset) -> &'static str {
-    match dataset {
-        Dataset::Cifar10Train => "Cifar10Train",
-        Dataset::Cifar10Test => "Cifar10Test",
-        Dataset::Multi30kTrain => "Multi30kTrain",
-        Dataset::Multi30kTest => "Multi30kTest",
-        Dataset::Wmt14Train => "Wmt14Train",
-        Dataset::Wmt14Test => "Wmt14Test",
-        Dataset::ManualPrompt => "ManualPrompt",
-        other => unreachable!("dataset {other:?} has no manifest v{FORMAT_VERSION} encoding"),
-    }
-}
-
-fn parse_dataset(name: &str) -> Result<Dataset, String> {
-    match name {
-        "Cifar10Train" => Ok(Dataset::Cifar10Train),
-        "Cifar10Test" => Ok(Dataset::Cifar10Test),
-        "Multi30kTrain" => Ok(Dataset::Multi30kTrain),
-        "Multi30kTest" => Ok(Dataset::Multi30kTest),
-        "Wmt14Train" => Ok(Dataset::Wmt14Train),
-        "Wmt14Test" => Ok(Dataset::Wmt14Test),
-        "ManualPrompt" => Ok(Dataset::ManualPrompt),
-        other => Err(format!("unknown dataset {other:?}")),
-    }
-}
-
-fn load_mode_name(mode: LoadMode) -> &'static str {
-    match mode {
-        LoadMode::Eager => "Eager",
-        LoadMode::Lazy => "Lazy",
-    }
-}
-
-fn parse_load_mode(name: &str) -> Result<LoadMode, String> {
-    match name {
-        "Eager" => Ok(LoadMode::Eager),
-        "Lazy" => Ok(LoadMode::Lazy),
-        other => Err(format!("unknown load mode {other:?}")),
-    }
-}
-
-// ---- strict field accessors ----------------------------------------
 
 fn missing(key: &str) -> String {
     format!("missing required field {key:?}")
@@ -916,29 +390,450 @@ fn mistyped(key: &str, wanted: &str) -> String {
     format!("field {key:?} must be a {wanted}")
 }
 
-fn get_str<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    doc.get(key).ok_or_else(|| missing(key))?.as_str().ok_or_else(|| mistyped(key, "string"))
+impl Json for u64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::u64(*self)
+    }
+
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+        value.as_u64().ok_or_else(|| mistyped(key, "u64 hex"))
+    }
 }
 
-fn get_u64(doc: &JsonValue, key: &str) -> Result<u64, String> {
-    doc.get(key).ok_or_else(|| missing(key))?.as_u64().ok_or_else(|| mistyped(key, "u64 hex"))
+/// Small counts: a plain JSON number on the way out; on the way in, an
+/// exact non-negative number that fits the field's own type.
+macro_rules! json_ints {
+    ($($int:ty),*) => {$(
+        impl Json for $int {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::int(*self as u64)
+            }
+
+            fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+                match value {
+                    JsonValue::Number(_) => value.as_u64(),
+                    _ => None,
+                }
+                .and_then(|n| <$int>::try_from(n).ok())
+                .ok_or_else(|| mistyped(key, concat!(stringify!($int), " integer")))
+            }
+        }
+    )*};
 }
 
-fn get_usize(doc: &JsonValue, key: &str) -> Result<usize, String> {
-    doc.get(key)
-        .ok_or_else(|| missing(key))?
-        .as_usize()
-        .ok_or_else(|| mistyped(key, "non-negative integer"))
+json_ints!(u32, usize);
+
+impl Json for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Text(self.clone())
+    }
+
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+        value.as_str().map(str::to_owned).ok_or_else(|| mistyped(key, "string"))
+    }
 }
 
-fn get_array<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    doc.get(key).ok_or_else(|| missing(key))?.as_array().ok_or_else(|| mistyped(key, "array"))
+impl<T: Json> Json for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(Json::to_json).collect())
+    }
+
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+        let items = value.as_array().ok_or_else(|| mistyped(key, "array"))?;
+        items.iter().map(|item| T::from_json(item, key)).collect()
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, Json::to_json)
+    }
+
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+        match value {
+            JsonValue::Null => Ok(None),
+            other => T::from_json(other, key).map(Some),
+        }
+    }
+}
+
+/// One name table per enum, read in both directions (explicit, so
+/// serialization never drifts with `Debug` formatting); in tests it is
+/// also the set generated values pick from.
+macro_rules! json_names {
+    ($($enum:ident ($what:literal) { $($variant:ident => $name:literal),* $(,)? })*) => {$(
+        impl Json for $enum {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::Text(
+                    match self {
+                        $($enum::$variant => $name,)*
+                        // Some upstream enums are #[non_exhaustive]; a
+                        // variant added without a table entry must fail
+                        // loudly at publish time, never be written as
+                        // something else.
+                        #[allow(unreachable_patterns)]
+                        other => unreachable!(
+                            "{other:?} has no manifest v{FORMAT_VERSION} encoding"
+                        ),
+                    }
+                    .into(),
+                )
+            }
+
+            fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+                match value.as_str().ok_or_else(|| mistyped(key, "string"))? {
+                    $($name => Ok($enum::$variant),)*
+                    other => Err(format!(concat!("unknown ", $what, " {:?}"), other)),
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl crate::arbitrary::Arbitrary for $enum {
+            fn arbitrary(g: &mut crate::arbitrary::Gen) -> Self {
+                g.pick(&[$($enum::$variant),*])
+            }
+        }
+    )*};
+}
+
+json_names! {
+    GpuModel("GPU model") {
+        V100 => "V100",
+        T4 => "T4",
+        A10 => "A10",
+        A100 => "A100",
+        L4 => "L4",
+        H100 => "H100",
+    }
+    FrameworkKind("framework") {
+        PyTorch => "PyTorch",
+        TensorFlow => "TensorFlow",
+        Vllm => "vLLM",
+        Transformers => "Transformers",
+    }
+    Operation("operation") {
+        Train => "Train",
+        Inference => "Inference",
+    }
+    Dataset("dataset") {
+        Cifar10Train => "Cifar10Train",
+        Cifar10Test => "Cifar10Test",
+        Multi30kTrain => "Multi30kTrain",
+        Multi30kTest => "Multi30kTest",
+        Wmt14Train => "Wmt14Train",
+        Wmt14Test => "Wmt14Test",
+        ManualPrompt => "ManualPrompt",
+    }
+    LoadMode("load mode") {
+        Eager => "Eager",
+        Lazy => "Lazy",
+    }
+}
+
+/// Declare a record's JSON fields once, in key order, and derive both
+/// directions of its codec (and, in tests, its value generator).
+/// `"key" => field` encodes `self.field`; `"key" => local = a.b`
+/// encodes `self.a.b` and decodes it into `local` for the trailing
+/// constructor, which a record whose JSON flattens nested structs
+/// supplies (`=> Type { .. }`). Without one, every field is its own and
+/// decodes straight into `Type { field, .. }`.
+macro_rules! json_record {
+    (@get $record:ident $local:ident) => { $record.$local };
+    (@get $record:ident $local:ident $($path:ident).+) => { $record.$($path).+ };
+    (@build $ty:ident { $($local:ident),* }) => { $ty { $($local),* } };
+    (@build $ty:ident { $($local:ident),* } $build:expr) => { $build };
+    ($ty:ident {
+        $($key:literal => $local:ident $(= $($path:ident).+)?),* $(,)?
+    } $(=> $build:expr)?) => {
+        impl Json for $ty {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::Object(vec![$((
+                    $key.into(),
+                    json_record!(@get self $local $($($path).+)?).to_json(),
+                )),*])
+            }
+
+            fn from_json(doc: &JsonValue, _: &str) -> Result<Self, String> {
+                $(let $local = field(doc, $key)?;)*
+                Ok(json_record!(@build $ty { $($local),* } $($build)?))
+            }
+        }
+
+        #[cfg(test)]
+        impl crate::arbitrary::Arbitrary for $ty {
+            fn arbitrary(g: &mut crate::arbitrary::Gen) -> Self {
+                $(let $local = crate::arbitrary::Arbitrary::arbitrary(g);)*
+                json_record!(@build $ty { $($local),* } $($build)?)
+            }
+        }
+    };
+}
+
+json_record!(ObjectRef { "hash" => hash, "byte_len" => byte_len });
+
+json_record!(RegistryRecord {
+    "artifact_id" => artifact_id,
+    "manifest_hash" => manifest_hash,
+    "plan_hash" => plan_hash = plan.hash,
+    "plan_len" => plan_len = plan.byte_len,
+    "published_ns" => published_ns,
+    "objects" => objects,
+} => RegistryRecord {
+    artifact_id,
+    manifest_hash,
+    plan: ObjectRef { hash: plan_hash, byte_len: plan_len },
+    published_ns,
+    objects,
+});
+
+json_record!(RegistryIndex { "format_version" => version, "artifacts" => records });
+
+json_record!(StoreManifest {
+    "format_version" => version,
+    "framework" => framework = key.framework,
+    "gpu" => gpu,
+    "fleet" => fleet = key.fleet,
+    "workloads_fingerprint" => workloads_fingerprint = key.workloads,
+    "config_fingerprint" => config = key.config,
+    "plan_hash" => plan_hash,
+    "used_kernels" => used_kernels,
+    "used_host_fns" => used_host_fns,
+    "libraries" => entries,
+    "workloads" => workloads,
+} => StoreManifest {
+    version,
+    key: PlanKey { framework, fleet, workloads: workloads_fingerprint, config },
+    gpu,
+    plan_hash,
+    used_kernels,
+    used_host_fns,
+    entries,
+    workloads,
+});
+
+json_record!(ManifestEntry {
+    "soname" => soname,
+    "content_hash" => content_hash,
+    "byte_len" => byte_len,
+    "file_before" => file_before = report.file_before,
+    "file_after" => file_after = report.file_after,
+    "host_before" => host_before = report.host_before,
+    "host_after" => host_after = report.host_after,
+    "device_before" => device_before = report.device_before,
+    "device_after" => device_after = report.device_after,
+    "total_functions" => total_functions = report.total_functions,
+    "used_functions" => used_functions = report.used_functions,
+    "total_elements" => total_elements = report.total_elements,
+    "kept_elements" => kept_elements = report.kept_elements,
+    "bytes_copied" => bytes_copied = report.bytes_copied,
+    "bytes_shared" => bytes_shared = report.bytes_shared,
+    "bytes_sliced_arch" => bytes_sliced_arch = report.bytes_sliced_arch,
+    "bytes_sliced_compressed" => bytes_sliced_compressed = report.bytes_sliced_compressed,
+    "compressed_rewritten" => compressed_rewritten = report.compressed_rewritten,
+} => ManifestEntry {
+    report: LibraryReport {
+        soname: String::clone(&soname),
+        file_before,
+        file_after,
+        host_before,
+        host_after,
+        device_before,
+        device_after,
+        total_functions,
+        used_functions,
+        total_elements,
+        kept_elements,
+        bytes_copied,
+        bytes_shared,
+        bytes_sliced_arch,
+        bytes_sliced_compressed,
+        compressed_rewritten,
+    },
+    soname,
+    content_hash,
+    byte_len,
+});
+
+json_record!(WorkloadRecord {
+    "label" => label,
+    "baseline_checksum" => baseline_checksum,
+    "workload" => workload,
+});
+
+json_record!(Workload {
+    "framework" => framework,
+    "model" => model,
+    "operation" => operation,
+    "dataset" => dataset,
+    "batch_size" => batch_size,
+    "epochs" => epochs,
+    "inference_steps" => inference_steps,
+    "devices" => devices,
+    "load_mode" => load_mode,
+});
+
+json_record!(BundlePlan {
+    "framework" => framework,
+    "gpu" => gpu,
+    "usage_fingerprint" => usage_fingerprint,
+    "used_kernels" => used_kernels,
+    "used_host_fns" => used_host_fns,
+    "retain" => retain,
+    "baselines" => baselines,
+});
+
+json_record!(WorkloadBaseline {
+    "label" => label,
+    "checksum" => checksum,
+    "baseline" => baseline,
+    "detection" => detection,
+});
+
+json_record!(WorkloadMetrics {
+    "elapsed_ns" => elapsed_ns,
+    "load_ns" => load_ns,
+    "peak_host_bytes" => peak_host_bytes,
+    "peak_device_bytes" => peak_device_bytes,
+    "launches" => launches,
+    "host_calls" => host_calls,
+    "get_function_calls" => get_function_calls,
+    "gpu_code_bytes" => gpu_code_bytes,
+});
+
+json_record!(RetainPlan {
+    "soname" => soname,
+    "text_range" => text_range,
+    "fatbin_range" => fatbin_range,
+    "zero_host" => zero_host,
+    "zero_device" => zero_device,
+    "rewrites" => rewrites,
+    "total_functions" => total_functions = stats.total_functions,
+    "used_functions" => used_functions = stats.used_functions,
+    "total_elements" => total_elements = stats.total_elements,
+    "kept_elements" => kept_elements = stats.kept_elements,
+} => RetainPlan {
+    soname,
+    text_range,
+    fatbin_range,
+    zero_host,
+    zero_device,
+    rewrites,
+    stats: LocateStats { total_functions, used_functions, total_elements, kept_elements },
+});
+
+// ---- shapes with one caller each, kept by hand ----------------------
+
+/// A fleet is its architecture numbers, as an array.
+impl Json for FleetSpec {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.members().iter().map(|arch| arch.0.to_json()).collect())
+    }
+
+    fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
+        let archs: Vec<SmArch> =
+            Vec::<u32>::from_json(value, key)?.into_iter().map(SmArch).collect();
+        FleetSpec::new(&archs)
+            .map_err(|_| format!("fleet must name 1..={} architectures", FleetSpec::MAX_MEMBERS))
+    }
+}
+
+/// A paper model is its name; a leaderboard model is an object.
+impl Json for ModelKind {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            ModelKind::MobileNetV2 => JsonValue::Text("MobileNetV2".into()),
+            ModelKind::Transformer => JsonValue::Text("Transformer".into()),
+            ModelKind::Llama2 => JsonValue::Text("Llama2".into()),
+            ModelKind::LeaderboardLlm { name, billions } => JsonValue::Object(vec![
+                ("leaderboard".into(), name.to_json()),
+                ("billions".into(), JsonValue::Number(*billions)),
+            ]),
+            other => unreachable!("model {other:?} has no manifest v{FORMAT_VERSION} encoding"),
+        }
+    }
+
+    fn from_json(doc: &JsonValue, _: &str) -> Result<Self, String> {
+        match doc {
+            JsonValue::Text(name) => match name.as_str() {
+                "MobileNetV2" => Ok(ModelKind::MobileNetV2),
+                "Transformer" => Ok(ModelKind::Transformer),
+                "Llama2" => Ok(ModelKind::Llama2),
+                other => Err(format!("unknown model kind {other:?}")),
+            },
+            JsonValue::Object(_) => Ok(ModelKind::LeaderboardLlm {
+                name: field(doc, "leaderboard")?,
+                billions: doc
+                    .get("billions")
+                    .and_then(JsonValue::as_f64)
+                    .ok_or_else(|| missing("billions"))?,
+            }),
+            _ => Err("model must be a name or a leaderboard object".into()),
+        }
+    }
+}
+
+/// The rewrite's `kind` tag decides which extra fields follow it.
+impl Json for ElementRewrite {
+    fn to_json(&self) -> JsonValue {
+        let mut fields = vec![
+            ("index".into(), self.index.to_json()),
+            ("flags_offset".into(), self.flags_offset.to_json()),
+            ("payload_range".into(), self.payload_range.to_json()),
+        ];
+        match &self.kind {
+            RewriteKind::ArchSlice => {
+                fields.push(("kind".into(), JsonValue::Text("arch_slice".into())));
+            }
+            RewriteKind::CompressedSlice { uncompressed_size, used_kernels } => fields.extend([
+                ("kind".into(), JsonValue::Text("compressed_slice".into())),
+                ("uncompressed_size".into(), uncompressed_size.to_json()),
+                ("used_kernels".into(), used_kernels.to_json()),
+            ]),
+        }
+        JsonValue::Object(fields)
+    }
+
+    fn from_json(doc: &JsonValue, _: &str) -> Result<Self, String> {
+        let kind = match field::<String>(doc, "kind")?.as_str() {
+            "arch_slice" => RewriteKind::ArchSlice,
+            "compressed_slice" => RewriteKind::CompressedSlice {
+                uncompressed_size: field(doc, "uncompressed_size")?,
+                used_kernels: field(doc, "used_kernels")?,
+            },
+            other => return Err(format!("unknown rewrite kind {other:?}")),
+        };
+        Ok(ElementRewrite {
+            index: field(doc, "index")?,
+            flags_offset: field(doc, "flags_offset")?,
+            payload_range: field(doc, "payload_range")?,
+            kind,
+        })
+    }
+}
+
+/// A range is `start`/`end` offsets, and never runs backwards.
+impl Json for FileRange {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("start".into(), self.start.to_json()),
+            ("end".into(), self.end.to_json()),
+        ])
+    }
+
+    fn from_json(doc: &JsonValue, _: &str) -> Result<Self, String> {
+        let (start, end) = (field(doc, "start")?, field(doc, "end")?);
+        if start > end {
+            return Err(format!("invalid file range: start {start:#x} > end {end:#x}"));
+        }
+        Ok(FileRange { start, end })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simml::Operation;
+    use crate::arbitrary::{Arbitrary, Gen};
 
     fn sample_plan() -> BundlePlan {
         BundlePlan {
@@ -1092,8 +987,7 @@ mod tests {
         };
         w.devices = vec![GpuModel::A100; 8];
         w.load_mode = LoadMode::Lazy;
-        let doc = workload_to_json(&w);
-        let back = workload_from_json(&doc).expect("workload decodes");
+        let back = Workload::from_json(&w.to_json(), "workload").expect("workload decodes");
         assert_eq!(back, w);
         for gpu in [
             GpuModel::V100,
@@ -1103,7 +997,7 @@ mod tests {
             GpuModel::L4,
             GpuModel::H100,
         ] {
-            assert_eq!(parse_gpu(gpu_name(gpu)).unwrap(), gpu);
+            assert_eq!(GpuModel::from_json(&gpu.to_json(), "gpu").unwrap(), gpu);
         }
     }
 
@@ -1116,20 +1010,16 @@ mod tests {
         })
     }
 
-    /// Re-stamp an edited file's self-hash field (`field(hash)` renders
-    /// it under `key`) with `digest` over the zeroed rendering — what a
-    /// writer using that digest would have produced.
-    fn restamp_self_hash(
-        text: &str,
-        key: &str,
-        field: fn(u64) -> String,
-        digest: fn(&[u8]) -> u64,
-    ) -> String {
+    /// Re-stamp an edited file's self-hash field `key` with `digest`
+    /// over the zeroed rendering — what a writer using that digest would
+    /// have produced.
+    fn restamp_self_hash(text: &str, key: &str, digest: fn(&[u8]) -> u64) -> String {
         let mut text = text.to_owned();
         let hash_start = text.find(&format!("\"{key}\":")).expect("self-hash field present");
-        text.replace_range(hash_start..hash_start + field(0).len(), &field(0));
+        let zeroed = self_hash_field(key, 0);
+        text.replace_range(hash_start..hash_start + zeroed.len(), &zeroed);
         let rehashed = digest(text.as_bytes());
-        text.replacen(&field(0), &field(rehashed), 1)
+        text.replacen(&zeroed, &self_hash_field(key, rehashed), 1)
     }
 
     #[test]
@@ -1154,7 +1044,7 @@ mod tests {
                     fleet_start + old[fleet_start..].find(']').expect("fleet is an array") + 1;
                 old.replace_range(fleet_start..fleet_end, "\"arch\": 75");
             }
-            let old = restamp_self_hash(&old, HASH_KEY, hash_field, legacy_fnv1a);
+            let old = restamp_self_hash(&old, HASH_KEY, legacy_fnv1a);
 
             let err = StoreManifest::decode(&old).unwrap_err();
             assert!(
@@ -1241,7 +1131,7 @@ mod tests {
             1,
         );
         next = next.replacen("\"artifact_id\"", "\"artifact_ref\"", 1);
-        let next = restamp_self_hash(&next, REGISTRY_HASH_KEY, registry_hash_field, content_hash);
+        let next = restamp_self_hash(&next, REGISTRY_HASH_KEY, content_hash);
 
         let err = RegistryIndex::decode(&next).unwrap_err();
         assert!(
@@ -1261,7 +1151,7 @@ mod tests {
             "\"format_version\": 1",
             1,
         );
-        let old = restamp_self_hash(&old, REGISTRY_HASH_KEY, registry_hash_field, legacy_fnv1a);
+        let old = restamp_self_hash(&old, REGISTRY_HASH_KEY, legacy_fnv1a);
         let err = RegistryIndex::decode(&old).unwrap_err();
         assert!(
             err.contains("unsupported registry index format version 1"),
@@ -1289,5 +1179,92 @@ mod tests {
         let plan_text = encode_plan(&sample_plan());
         let err = decode_plan(&plan_text.replace("\"retain\"", "\"unretain\"")).unwrap_err();
         assert!(err.contains("retain"), "{err}");
+    }
+
+    /// The bytes the encoders wrote for `sample_manifest`, `sample_index`
+    /// and `sample_plan` before their codecs were derived from field
+    /// lists, kept verbatim: any change to the encoded bytes fails here.
+    #[test]
+    fn encoders_reproduce_the_pinned_golden_bytes() {
+        let manifest = include_str!("../testdata/manifest.json");
+        assert_eq!(sample_manifest().encode(), manifest);
+        assert_eq!(StoreManifest::decode(manifest).unwrap(), sample_manifest());
+
+        let index = include_str!("../testdata/registry_index.json");
+        assert_eq!(sample_index().encode(), index);
+        assert_eq!(RegistryIndex::decode(index).unwrap(), sample_index());
+
+        let plan = include_str!("../testdata/plan.json");
+        assert_eq!(encode_plan(&sample_plan()), plan);
+        assert_eq!(decode_plan(plan).unwrap(), sample_plan());
+    }
+
+    #[test]
+    fn u32_fields_above_u32_max_fail_instead_of_truncating() {
+        // 2^32 + 3 truncates to 3 through `as u32`: a manifest stamped
+        // with it must not pass the v3 gate, and a rewrite of element
+        // 2^32 + 3 must not become a rewrite of element 3.
+        let wide = (1u64 << 32) + 3;
+        // `text` with the first number after `"key": ` set to 2^32 + 3.
+        let widen = |text: &str, key: &str| {
+            let at = text.find(&format!("\"{key}\": ")).expect("field present") + key.len() + 4;
+            let at = at + text[at..].find(|c: char| c.is_ascii_digit()).unwrap();
+            let len = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            let mut text = text.to_owned();
+            text.replace_range(at..at + len, &wide.to_string());
+            text
+        };
+        let manifest = sample_manifest().encode();
+        let decode = |key| {
+            let text = restamp_self_hash(&widen(&manifest, key), HASH_KEY, content_hash);
+            StoreManifest::decode(&text).unwrap_err()
+        };
+        let err = decode("format_version");
+        assert!(err.contains(&format!("unsupported manifest format version {wide}")), "{err}");
+        // The manifest's other u32 fields: the workload's counts and the
+        // fleet's architecture numbers.
+        for key in ["batch_size", "epochs", "inference_steps", "fleet"] {
+            let err = decode(key);
+            assert!(err.contains(&format!("\"{key}\"")) && err.contains("u32"), "{key}: {err}");
+        }
+        let err = decode_plan(&widen(&encode_plan(&sample_plan()), "index")).unwrap_err();
+        assert!(err.contains("\"index\"") && err.contains("u32"), "{err}");
+    }
+
+    #[test]
+    fn generated_manifests_indexes_and_plans_round_trip() {
+        let mut g = Gen(0x5eed_c0de_cafe_f00d);
+        let mut shapes = std::collections::BTreeSet::new();
+        for _ in 0..300 {
+            let manifest =
+                StoreManifest { version: FORMAT_VERSION, ..Arbitrary::arbitrary(&mut g) };
+            assert_eq!(StoreManifest::decode(&manifest.encode()).unwrap(), manifest);
+            let index =
+                RegistryIndex { version: REGISTRY_FORMAT_VERSION, ..Arbitrary::arbitrary(&mut g) };
+            assert_eq!(RegistryIndex::decode(&index.encode()).unwrap(), index);
+            let plan: BundlePlan = Arbitrary::arbitrary(&mut g);
+            assert_eq!(decode_plan(&encode_plan(&plan)).unwrap(), plan);
+
+            for retain in &plan.retain {
+                let ranges = [retain.text_range, retain.fatbin_range];
+                shapes.extend(ranges.map(|r| if r.is_some() { "a range" } else { "no range" }));
+                shapes.extend(retain.rewrites.iter().map(|rewrite| match rewrite.kind {
+                    RewriteKind::ArchSlice => "an arch slice",
+                    RewriteKind::CompressedSlice { .. } => "a compressed slice",
+                }));
+            }
+            for record in &manifest.workloads {
+                if let ModelKind::LeaderboardLlm { .. } = record.workload.model {
+                    shapes.insert("a leaderboard model");
+                }
+            }
+            if manifest.entries.is_empty() {
+                shapes.insert("an empty list");
+            }
+            if manifest.key.fleet.members().len() > 1 {
+                shapes.insert("a multi-member fleet");
+            }
+        }
+        assert_eq!(shapes.len(), 7, "the generator must produce every shape, got {shapes:?}");
     }
 }

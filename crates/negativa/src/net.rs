@@ -7,7 +7,9 @@
 //!
 //! - **Framed RPC** — every message is one length-prefixed frame:
 //!   a 12-byte header (magic, protocol version, verb, payload length)
-//!   followed by a hand-rolled little-endian binary payload. Framing
+//!   followed by a little-endian binary payload. Each verb is declared
+//!   once, with its tag and its fields in payload order, and both the
+//!   encoder and the strict decoder are derived from that list. Framing
 //!   faults are *typed* ([`NetError::FrameTooLarge`],
 //!   [`NetError::ProtocolVersion`], [`NetError::Truncated`],
 //!   [`NetError::Malformed`]) so a transport failure is never confused
@@ -86,26 +88,6 @@ pub const MAX_FRAME_PAYLOAD: u32 = 4 * 1024 * 1024;
 
 /// Default object-transfer chunk length (range-read granularity).
 pub const DEFAULT_CHUNK_LEN: u32 = 256 * 1024;
-
-// Request verbs.
-const REQ_PING: u8 = 1;
-const REQ_RESOLVE: u8 = 2;
-const REQ_OFFER: u8 = 3;
-const REQ_MANIFEST: u8 = 4;
-const REQ_GET_OBJECT: u8 = 5;
-const REQ_RECORDS: u8 = 6;
-const REQ_WANT: u8 = 7;
-const REQ_PUT_OBJECT: u8 = 8;
-const REQ_INSTALL: u8 = 9;
-
-// Response verbs.
-const RESP_OK: u8 = 128;
-const RESP_RECORD: u8 = 129;
-const RESP_MANIFEST: u8 = 130;
-const RESP_CHUNK: u8 = 131;
-const RESP_WANT: u8 = 132;
-const RESP_RECORDS: u8 = 133;
-const RESP_ERROR: u8 = 134;
 
 // Remote error codes (the `code` field of an error response).
 const ERR_NOT_FOUND_ARTIFACT: u8 = 1;
@@ -291,37 +273,11 @@ struct NetCounters {
 }
 
 // ---------------------------------------------------------------------
-// Binary payload codec: little-endian scalars, length-prefixed blobs.
+// Binary payload codec: little-endian scalars, and a `u32` count in
+// front of every string, byte blob and list. Each field type says how
+// it is laid out once (`Wire`); each record and each verb lists its
+// fields once, and both directions are derived from that list.
 // ---------------------------------------------------------------------
-
-/// Little-endian payload writer.
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
-    }
-}
 
 /// Little-endian payload reader with strict bounds: any underrun is
 /// [`NetError::Malformed`], and [`Reader::finish`] rejects trailing
@@ -336,13 +292,17 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], NetError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(NetError::Malformed {
                 detail: format!(
                     "payload underrun: needed {n} more bytes at offset {}, have {}",
                     self.pos,
-                    self.buf.len() - self.pos
+                    self.remaining()
                 ),
             });
         }
@@ -351,288 +311,233 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> std::result::Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn bytes(&mut self) -> std::result::Result<Vec<u8>, NetError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> std::result::Result<String, NetError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| NetError::Malformed { detail: "string field is not UTF-8".into() })
-    }
-
     fn finish(self) -> std::result::Result<(), NetError> {
         if self.pos != self.buf.len() {
             return Err(NetError::Malformed {
-                detail: format!(
-                    "{} trailing bytes after the last payload field",
-                    self.buf.len() - self.pos
-                ),
+                detail: format!("{} trailing bytes after the last payload field", self.remaining()),
             });
         }
         Ok(())
     }
 }
 
-fn put_record(w: &mut Writer, record: &RegistryRecord) {
-    w.put_str(&record.artifact_id);
-    w.put_u64(record.manifest_hash);
-    w.put_u64(record.plan.hash);
-    w.put_u64(record.plan.byte_len);
-    w.put_u64(record.published_ns);
-    w.put_u32(record.objects.len() as u32);
-    for object in &record.objects {
-        w.put_u64(object.hash);
-        w.put_u64(object.byte_len);
+/// How one field type is laid out in a frame payload.
+trait Wire: Sized {
+    fn write_to(&self, out: &mut Vec<u8>);
+
+    fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError>;
+
+    /// `items` back to back (`u8` copies the slice whole).
+    fn write_many(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.write_to(out);
+        }
+    }
+
+    /// `count` values back to back (`u8` takes one slice). Grows as
+    /// values arrive, so a count alone never reserves memory.
+    fn read_many(r: &mut Reader<'_>, count: usize) -> std::result::Result<Vec<Self>, NetError> {
+        (0..count).map(|_| Self::read_from(r)).collect()
     }
 }
 
-fn read_record(r: &mut Reader<'_>) -> std::result::Result<RegistryRecord, NetError> {
-    let artifact_id = r.string()?;
-    let manifest_hash = r.u64()?;
-    let plan = ObjectRef { hash: r.u64()?, byte_len: r.u64()? };
-    let published_ns = r.u64()?;
-    let count = r.u32()? as usize;
-    // 16 bytes per object: an impossible count cannot make us
-    // pre-allocate past the (already bounded) payload.
-    if count > r.buf.len() / 16 {
-        return Err(NetError::Malformed {
-            detail: format!("record announces {count} objects, payload cannot hold them"),
-        });
+impl Wire for u8 {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.push(*self);
     }
-    let mut objects = Vec::with_capacity(count);
-    for _ in 0..count {
-        objects.push(ObjectRef { hash: r.u64()?, byte_len: r.u64()? });
+
+    fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError> {
+        Ok(r.take(1)?[0])
     }
-    Ok(RegistryRecord { artifact_id, manifest_hash, plan, published_ns, objects })
+
+    fn write_many(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn read_many(r: &mut Reader<'_>, count: usize) -> std::result::Result<Vec<u8>, NetError> {
+        Ok(r.take(count)?.to_vec())
+    }
+}
+
+macro_rules! wire_scalars {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn write_to(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError> {
+                let bytes = r.take(std::mem::size_of::<$int>())?;
+                Ok(<$int>::from_le_bytes(bytes.try_into().expect("took exactly its width")))
+            }
+        }
+    )*};
+}
+
+wire_scalars!(u32, u64);
+
+impl<T: Wire> Wire for Vec<T> {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).write_to(out);
+        T::write_many(self, out);
+    }
+
+    fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError> {
+        let count = u32::read_from(r)? as usize;
+        // Every value takes at least one payload byte, so a count past
+        // what remains is malformed before any value is read.
+        if count > r.remaining() {
+            return Err(NetError::Malformed {
+                detail: format!(
+                    "list announces {count} values, {} payload bytes cannot hold them",
+                    r.remaining()
+                ),
+            });
+        }
+        T::read_many(r, count)
+    }
+}
+
+impl Wire for String {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).write_to(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError> {
+        String::from_utf8(Vec::read_from(r)?)
+            .map_err(|_| NetError::Malformed { detail: "string field is not UTF-8".into() })
+    }
+}
+
+/// A record's payload is its fields, in the order listed.
+macro_rules! wire_record {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Wire for $ty {
+            fn write_to(&self, out: &mut Vec<u8>) {
+                $(self.$field.write_to(out);)*
+            }
+
+            fn read_from(r: &mut Reader<'_>) -> std::result::Result<Self, NetError> {
+                Ok($ty { $($field: Wire::read_from(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_record! {
+    ObjectRef { hash, byte_len }
+    RegistryRecord { artifact_id, manifest_hash, plan, published_ns, objects }
 }
 
 // ---------------------------------------------------------------------
 // Requests and responses.
 // ---------------------------------------------------------------------
 
-/// One client request — the wire protocol's verb set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Request {
-    /// Liveness probe.
-    Ping,
-    /// Compatibility-keyed lookup: the best record whose fleet runs on
-    /// this architecture.
-    Resolve { arch: u32 },
-    /// One artifact's index record (the offer half of the handshake).
-    Offer { artifact_id: String },
-    /// One artifact's raw manifest bytes.
-    Manifest { artifact_id: String },
-    /// A range read of one pool object.
-    GetObject { hash: u64, offset: u64, len: u32 },
-    /// Every live index record.
-    Records,
-    /// The want half of a push: which of a record's objects the server
-    /// pool lacks.
-    Want { record: RegistryRecord },
-    /// One chunk of an object upload (staged server-side, hash-checked
-    /// on completion, only then pooled).
-    PutObject { hash: u64, total_len: u64, offset: u64, bytes: Vec<u8> },
-    /// Finish a push: install the record after the server
-    /// presence-verifies its full closure.
-    Install { record: RegistryRecord, manifest_bytes: Vec<u8> },
+/// Declare a verb set once: each verb's frame tag and its fields, in
+/// payload order. Emits the enum plus its `tag`, its `encode` (tag and
+/// payload) and its strict `decode` (unknown tags and trailing bytes are
+/// [`NetError::Malformed`]).
+macro_rules! wire_verbs {
+    ($(#[$meta:meta])* enum $name:ident ($what:literal) {
+        $($(#[$vmeta:meta])* $verb:ident $({ $($field:ident: $ty:ty),* $(,)? })? = $tag:literal,)*
+    }) => {
+        $(#[$meta])*
+        enum $name {
+            $($(#[$vmeta])* $verb $({ $($field: $ty),* })?,)*
+        }
+
+        impl $name {
+            fn tag(&self) -> u8 {
+                match self {
+                    $($name::$verb { .. } => $tag,)*
+                }
+            }
+
+            fn encode(&self) -> (u8, Vec<u8>) {
+                let mut out = Vec::new();
+                match self {
+                    $($name::$verb $({ $($field),* })? => {
+                        $($($field.write_to(&mut out);)*)?
+                    })*
+                }
+                (self.tag(), out)
+            }
+
+            fn decode(tag: u8, payload: &[u8]) -> std::result::Result<$name, NetError> {
+                let mut r = Reader::new(payload);
+                let value = match tag {
+                    $($tag => $name::$verb $({ $($field: Wire::read_from(&mut r)?),* })?,)*
+                    other => {
+                        return Err(NetError::Malformed {
+                            detail: format!(concat!("unknown ", $what, " verb {}"), other),
+                        })
+                    }
+                };
+                r.finish()?;
+                Ok(value)
+            }
+
+            /// One value of every verb, its fields generated.
+            #[cfg(test)]
+            fn arbitrary_each(g: &mut crate::arbitrary::Gen) -> Vec<$name> {
+                vec![$($name::$verb $({
+                    $($field: crate::arbitrary::Arbitrary::arbitrary(g)),*
+                })?),*]
+            }
+        }
+    };
 }
 
-impl Request {
-    fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = Writer::default();
-        let kind = match self {
-            Request::Ping => REQ_PING,
-            Request::Resolve { arch } => {
-                w.put_u32(*arch);
-                REQ_RESOLVE
-            }
-            Request::Offer { artifact_id } => {
-                w.put_str(artifact_id);
-                REQ_OFFER
-            }
-            Request::Manifest { artifact_id } => {
-                w.put_str(artifact_id);
-                REQ_MANIFEST
-            }
-            Request::GetObject { hash, offset, len } => {
-                w.put_u64(*hash);
-                w.put_u64(*offset);
-                w.put_u32(*len);
-                REQ_GET_OBJECT
-            }
-            Request::Records => REQ_RECORDS,
-            Request::Want { record } => {
-                put_record(&mut w, record);
-                REQ_WANT
-            }
-            Request::PutObject { hash, total_len, offset, bytes } => {
-                w.put_u64(*hash);
-                w.put_u64(*total_len);
-                w.put_u64(*offset);
-                w.put_bytes(bytes);
-                REQ_PUT_OBJECT
-            }
-            Request::Install { record, manifest_bytes } => {
-                put_record(&mut w, record);
-                w.put_bytes(manifest_bytes);
-                REQ_INSTALL
-            }
-        };
-        (kind, w.buf)
-    }
-
-    fn decode(kind: u8, payload: &[u8]) -> std::result::Result<Request, NetError> {
-        let mut r = Reader::new(payload);
-        let req = match kind {
-            REQ_PING => Request::Ping,
-            REQ_RESOLVE => Request::Resolve { arch: r.u32()? },
-            REQ_OFFER => Request::Offer { artifact_id: r.string()? },
-            REQ_MANIFEST => Request::Manifest { artifact_id: r.string()? },
-            REQ_GET_OBJECT => {
-                Request::GetObject { hash: r.u64()?, offset: r.u64()?, len: r.u32()? }
-            }
-            REQ_RECORDS => Request::Records,
-            REQ_WANT => Request::Want { record: read_record(&mut r)? },
-            REQ_PUT_OBJECT => Request::PutObject {
-                hash: r.u64()?,
-                total_len: r.u64()?,
-                offset: r.u64()?,
-                bytes: r.bytes()?,
-            },
-            REQ_INSTALL => {
-                Request::Install { record: read_record(&mut r)?, manifest_bytes: r.bytes()? }
-            }
-            other => {
-                return Err(NetError::Malformed { detail: format!("unknown request verb {other}") })
-            }
-        };
-        r.finish()?;
-        Ok(req)
+wire_verbs! {
+    /// One client request — the wire protocol's verb set.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Request("request") {
+        /// Liveness probe.
+        Ping = 1,
+        /// Compatibility-keyed lookup: the best record whose fleet runs
+        /// on this architecture.
+        Resolve { arch: u32 } = 2,
+        /// One artifact's index record (the offer half of the handshake).
+        Offer { artifact_id: String } = 3,
+        /// One artifact's raw manifest bytes.
+        Manifest { artifact_id: String } = 4,
+        /// A range read of one pool object.
+        GetObject { hash: u64, offset: u64, len: u32 } = 5,
+        /// Every live index record.
+        Records = 6,
+        /// The want half of a push: which of a record's objects the
+        /// server pool lacks.
+        Want { record: RegistryRecord } = 7,
+        /// One chunk of an object upload (staged server-side,
+        /// hash-checked on completion, only then pooled).
+        PutObject { hash: u64, total_len: u64, offset: u64, bytes: Vec<u8> } = 8,
+        /// Finish a push: install the record after the server
+        /// presence-verifies its full closure.
+        Install { record: RegistryRecord, manifest_bytes: Vec<u8> } = 9,
     }
 }
 
-/// One server response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Response {
-    /// The request succeeded and carries no data.
-    Ok,
-    /// One index record.
-    Record { record: RegistryRecord },
-    /// Raw manifest bytes.
-    Manifest { bytes: Vec<u8> },
-    /// One range of an object, plus the object's full length.
-    Chunk { total_len: u64, bytes: Vec<u8> },
-    /// The hashes the server pool lacks, in offer order.
-    Want { hashes: Vec<u64> },
-    /// Every live index record.
-    Records { records: Vec<RegistryRecord> },
-    /// A typed remote fault: a small fixed code plus a text and a
-    /// numeric detail slot, enough for the client to rebuild the
-    /// original typed error.
-    Error { code: u8, text: String, num: u64 },
-}
-
-impl Response {
-    fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = Writer::default();
-        let kind = match self {
-            Response::Ok => RESP_OK,
-            Response::Record { record } => {
-                put_record(&mut w, record);
-                RESP_RECORD
-            }
-            Response::Manifest { bytes } => {
-                w.put_bytes(bytes);
-                RESP_MANIFEST
-            }
-            Response::Chunk { total_len, bytes } => {
-                w.put_u64(*total_len);
-                w.put_bytes(bytes);
-                RESP_CHUNK
-            }
-            Response::Want { hashes } => {
-                w.put_u32(hashes.len() as u32);
-                for hash in hashes {
-                    w.put_u64(*hash);
-                }
-                RESP_WANT
-            }
-            Response::Records { records } => {
-                w.put_u32(records.len() as u32);
-                for record in records {
-                    put_record(&mut w, record);
-                }
-                RESP_RECORDS
-            }
-            Response::Error { code, text, num } => {
-                w.put_u8(*code);
-                w.put_str(text);
-                w.put_u64(*num);
-                RESP_ERROR
-            }
-        };
-        (kind, w.buf)
-    }
-
-    fn decode(kind: u8, payload: &[u8]) -> std::result::Result<Response, NetError> {
-        let mut r = Reader::new(payload);
-        let resp = match kind {
-            RESP_OK => Response::Ok,
-            RESP_RECORD => Response::Record { record: read_record(&mut r)? },
-            RESP_MANIFEST => Response::Manifest { bytes: r.bytes()? },
-            RESP_CHUNK => Response::Chunk { total_len: r.u64()?, bytes: r.bytes()? },
-            RESP_WANT => {
-                let count = r.u32()? as usize;
-                if count > r.buf.len() / 8 {
-                    return Err(NetError::Malformed {
-                        detail: format!(
-                            "want list announces {count} hashes, payload cannot hold them"
-                        ),
-                    });
-                }
-                let mut hashes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    hashes.push(r.u64()?);
-                }
-                Response::Want { hashes }
-            }
-            RESP_RECORDS => {
-                let count = r.u32()? as usize;
-                if count > r.buf.len() / 16 {
-                    return Err(NetError::Malformed {
-                        detail: format!(
-                            "index announces {count} records, payload cannot hold them"
-                        ),
-                    });
-                }
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    records.push(read_record(&mut r)?);
-                }
-                Response::Records { records }
-            }
-            RESP_ERROR => Response::Error { code: r.u8()?, text: r.string()?, num: r.u64()? },
-            other => {
-                return Err(NetError::Malformed {
-                    detail: format!("unknown response verb {other}"),
-                })
-            }
-        };
-        r.finish()?;
-        Ok(resp)
+wire_verbs! {
+    /// One server response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Response("response") {
+        /// The request succeeded and carries no data.
+        Ok = 128,
+        /// One index record.
+        Record { record: RegistryRecord } = 129,
+        /// Raw manifest bytes.
+        Manifest { bytes: Vec<u8> } = 130,
+        /// One range of an object, plus the object's full length.
+        Chunk { total_len: u64, bytes: Vec<u8> } = 131,
+        /// The hashes the server pool lacks, in offer order.
+        Want { hashes: Vec<u64> } = 132,
+        /// Every live index record.
+        Records { records: Vec<RegistryRecord> } = 133,
+        /// A typed remote fault: a small fixed code plus a text and a
+        /// numeric detail slot, enough for the client to rebuild the
+        /// original typed error.
+        Error { code: u8, text: String, num: u64 } = 134,
     }
 }
 
@@ -1221,16 +1126,9 @@ impl NetClient {
 
 /// A response of the wrong shape for the request — protocol breakage.
 fn unexpected(resp: &Response) -> NetError {
-    let label = match resp {
-        Response::Ok => "ok",
-        Response::Record { .. } => "record",
-        Response::Manifest { .. } => "manifest",
-        Response::Chunk { .. } => "chunk",
-        Response::Want { .. } => "want-list",
-        Response::Records { .. } => "records",
-        Response::Error { .. } => "error",
-    };
-    NetError::Malformed { detail: format!("unexpected {label} response for this request") }
+    NetError::Malformed {
+        detail: format!("unexpected response verb {} for this request", resp.tag()),
+    }
 }
 
 /// Rebuild a remote error the client cannot retype more precisely.
@@ -1916,10 +1814,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_and_responses_round_trip() {
+    /// One example of every request verb.
+    fn request_cases() -> Vec<Request> {
         let record = record_fixture();
-        let cases = vec![
+        vec![
             Request::Ping,
             Request::Resolve { arch: 75 },
             Request::Offer { artifact_id: "a-b".into() },
@@ -1928,13 +1826,14 @@ mod tests {
             Request::Records,
             Request::Want { record: record.clone() },
             Request::PutObject { hash: 9, total_len: 10, offset: 4, bytes: vec![1, 2, 3] },
-            Request::Install { record: record.clone(), manifest_bytes: b"{}".to_vec() },
-        ];
-        for request in cases {
-            let (kind, payload) = request.encode();
-            assert_eq!(Request::decode(kind, &payload).unwrap(), request);
-        }
-        let cases = vec![
+            Request::Install { record, manifest_bytes: b"{}".to_vec() },
+        ]
+    }
+
+    /// One example of every response verb.
+    fn response_cases() -> Vec<Response> {
+        let record = record_fixture();
+        vec![
             Response::Ok,
             Response::Record { record: record.clone() },
             Response::Manifest { bytes: b"{}".to_vec() },
@@ -1942,21 +1841,84 @@ mod tests {
             Response::Want { hashes: vec![1, 2, 3] },
             Response::Records { records: vec![record] },
             Response::Error { code: ERR_CORRUPT, text: "objects/x.bin".into(), num: 5 },
-        ];
-        for response in cases {
+        ]
+    }
+
+    #[test]
+    fn requests_and_responses_round_trip() {
+        for request in request_cases() {
+            let (kind, payload) = request.encode();
+            assert_eq!(Request::decode(kind, &payload).unwrap(), request);
+        }
+        for response in response_cases() {
             let (kind, payload) = response.encode();
             assert_eq!(Response::decode(kind, &payload).unwrap(), response);
         }
     }
 
+    /// The tag and payload every case encoded to before the verbs were
+    /// declared once, kept verbatim (`<tag> <hex payload>`, one line per
+    /// request case, then one per response case): protocol version 1's
+    /// bytes must not move, and they must decode back to each case.
+    #[test]
+    fn every_verb_encodes_to_its_pinned_golden_payload() {
+        let line = |tag: u8, payload: &[u8]| {
+            let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+            format!("{tag} {hex}\n")
+        };
+        let mut rendered = String::new();
+        for request in request_cases() {
+            let (tag, payload) = request.encode();
+            assert_eq!(Request::decode(tag, &payload).unwrap(), request);
+            rendered += &line(tag, &payload);
+        }
+        for response in response_cases() {
+            let (tag, payload) = response.encode();
+            assert_eq!(Response::decode(tag, &payload).unwrap(), response);
+            rendered += &line(tag, &payload);
+        }
+        assert_eq!(rendered, include_str!("../testdata/wire_payloads.txt"));
+    }
+
+    #[test]
+    fn generated_requests_and_responses_round_trip() {
+        let mut g = crate::arbitrary::Gen(0x0dd_ba11_5eed);
+        for _ in 0..300 {
+            for request in Request::arbitrary_each(&mut g) {
+                let (tag, payload) = request.encode();
+                assert_eq!(Request::decode(tag, &payload).unwrap(), request);
+            }
+            for response in Response::arbitrary_each(&mut g) {
+                let (tag, payload) = response.encode();
+                assert_eq!(Response::decode(tag, &payload).unwrap(), response);
+            }
+        }
+    }
+
+    #[test]
+    fn counts_past_the_payload_and_trailing_bytes_are_malformed() {
+        let (want, mut hostile) = Response::Want { hashes: vec![1, 2] }.encode();
+        hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (records, mut short) = Response::Records { records: vec![record_fixture()] }.encode();
+        short[..4].copy_from_slice(&2u32.to_le_bytes());
+        let (chunk, mut trailing) = Response::Chunk { total_len: 1, bytes: vec![7] }.encode();
+        trailing.push(0);
+        for (tag, payload) in [(want, hostile), (records, short), (chunk, trailing), (127, vec![])]
+        {
+            let decoded = Response::decode(tag, &payload);
+            assert!(matches!(decoded, Err(NetError::Malformed { .. })), "{tag}: {decoded:?}");
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_count_bytes() {
+        let (ping, _) = Request::Ping.encode();
         let mut wire = Vec::new();
-        let sent = write_frame(&mut wire, "test", REQ_PING, b"hello").unwrap();
+        let sent = write_frame(&mut wire, "test", ping, b"hello").unwrap();
         assert_eq!(sent, (HEADER_LEN + 5) as u64);
         let mut cursor = &wire[..];
         let (kind, payload, received) = read_frame(&mut cursor, "test").unwrap().unwrap();
-        assert_eq!(kind, REQ_PING);
+        assert_eq!(kind, ping);
         assert_eq!(payload, b"hello");
         assert_eq!(received, sent);
         // A second read on the drained stream is a clean EOF.
@@ -1967,7 +1929,7 @@ mod tests {
     fn frame_errors_are_typed() {
         // Truncated header.
         let mut wire = Vec::new();
-        write_frame(&mut wire, "test", REQ_PING, b"payload").unwrap();
+        write_frame(&mut wire, "test", Request::Ping.encode().0, b"payload").unwrap();
         let mut cursor = &wire[..HEADER_LEN - 3];
         assert_eq!(
             read_frame(&mut cursor, "test").unwrap_err(),

@@ -200,18 +200,13 @@ pub struct ServiceStats {
     /// requester's response references behind the batch's `Arc`, plus
     /// libraries whose plan had nothing to zero. Grows with the fan-out
     /// while [`ServiceStats::bytes_copied`] does not — their ratio is
-    /// the zero-copy win ([`ServiceStats::sharing_ratio`]).
+    /// the zero-copy win.
     pub bytes_shared: u64,
     /// Payload bytes executed batches removed because the element's
     /// architecture runs on no fleet member
     /// ([`crate::LibraryReport::bytes_sliced_arch`], summed); always 0
     /// for a single-architecture fleet.
     pub bytes_sliced_arch: u64,
-    /// Non-zero bytes executed batches eliminated by rewriting kept
-    /// compressed elements in place with their unused kernels sliced
-    /// ([`crate::LibraryReport::bytes_sliced_compressed`], summed);
-    /// always 0 for a single-architecture fleet.
-    pub bytes_sliced_compressed: u64,
     /// Compressed elements executed batches rewrote in place
     /// ([`crate::LibraryReport::compressed_rewritten`], summed).
     pub compressed_rewritten: u64,
@@ -226,30 +221,6 @@ impl ServiceStats {
             0.0
         } else {
             self.batched_requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Fraction of served library bytes that were *shared* rather than
-    /// deep-copied (0.0 before any traffic — never NaN). 0.5 means
-    /// every byte copied once was handed out once more for free; a
-    /// well-batched burst pushes this toward 1.0.
-    pub fn sharing_ratio(&self) -> f64 {
-        let total = self.bytes_copied + self.bytes_shared;
-        if total == 0 {
-            0.0
-        } else {
-            self.bytes_shared as f64 / total as f64
-        }
-    }
-
-    /// Requests answered per request accepted (0.0 before any traffic —
-    /// never NaN). Completed and failed both count as answered; the
-    /// gap to 1.0 is work still in flight.
-    pub fn answered_ratio(&self) -> f64 {
-        if self.accepted == 0 {
-            0.0
-        } else {
-            (self.completed + self.failed) as f64 / self.accepted as f64
         }
     }
 }
@@ -329,7 +300,6 @@ impl DebloatServiceBuilder {
             bytes_copied: AtomicU64::new(0),
             bytes_shared: AtomicU64::new(0),
             bytes_sliced_arch: AtomicU64::new(0),
-            bytes_sliced_compressed: AtomicU64::new(0),
             compressed_rewritten: AtomicU64::new(0),
         });
         let (admission_tx, admission_rx) = mpsc::sync_channel::<QueueItem>(self.queue_capacity);
@@ -421,7 +391,6 @@ struct ServiceShared {
     bytes_copied: AtomicU64,
     bytes_shared: AtomicU64,
     bytes_sliced_arch: AtomicU64,
-    bytes_sliced_compressed: AtomicU64,
     compressed_rewritten: AtomicU64,
 }
 
@@ -645,7 +614,6 @@ fn execute(shared: &ServiceShared, batch: Batch) {
             .fetch_add(artifact.report.bytes_shared + size as u64 * fanned_out, Ordering::Relaxed);
         let totals = artifact.report.totals();
         shared.bytes_sliced_arch.fetch_add(totals.bytes_sliced_arch, Ordering::Relaxed);
-        shared.bytes_sliced_compressed.fetch_add(totals.bytes_sliced_compressed, Ordering::Relaxed);
         shared.compressed_rewritten.fetch_add(totals.compressed_rewritten, Ordering::Relaxed);
         DebloatResponse { report: artifact.report, libraries: Arc::new(artifact.libraries) }
     });
@@ -824,7 +792,6 @@ impl DebloatService {
             bytes_copied: self.shared.bytes_copied.load(Ordering::Relaxed),
             bytes_shared: self.shared.bytes_shared.load(Ordering::Relaxed),
             bytes_sliced_arch: self.shared.bytes_sliced_arch.load(Ordering::Relaxed),
-            bytes_sliced_compressed: self.shared.bytes_sliced_compressed.load(Ordering::Relaxed),
             compressed_rewritten: self.shared.compressed_rewritten.load(Ordering::Relaxed),
         }
     }
@@ -959,31 +926,7 @@ mod tests {
         let stats = service.stats();
         service.shutdown();
         assert_eq!(stats, ServiceStats::default());
-        for (name, ratio) in [
-            ("mean_batch_size", stats.mean_batch_size()),
-            ("sharing_ratio", stats.sharing_ratio()),
-            ("answered_ratio", stats.answered_ratio()),
-        ] {
-            assert_eq!(ratio, 0.0, "{name} must be exactly 0.0 with no traffic");
-            assert!(ratio.is_finite(), "{name} must never be NaN/inf");
-        }
-    }
-
-    #[test]
-    fn sharing_and_answered_ratios_guard_their_denominators() {
-        let stats = ServiceStats {
-            bytes_copied: 100,
-            bytes_shared: 300,
-            accepted: 8,
-            completed: 5,
-            failed: 1,
-            ..ServiceStats::default()
-        };
-        assert!((stats.sharing_ratio() - 0.75).abs() < 1e-9);
-        assert!((stats.answered_ratio() - 0.75).abs() < 1e-9);
-        // All-copied traffic is a valid 0.0, not a divide-by-zero dodge.
-        let all_copied = ServiceStats { bytes_copied: 100, ..ServiceStats::default() };
-        assert_eq!(all_copied.sharing_ratio(), 0.0);
+        assert_eq!(stats.mean_batch_size(), 0.0, "mean_batch_size must be exactly 0.0");
     }
 
     #[test]

@@ -75,7 +75,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use simelf::ElfImage;
-use simml::{cached_bundle, cached_indexes, FrameworkBundle, GeneratedLibrary, RunConfig};
+use simml::{cached_indexes, FrameworkBundle, GeneratedLibrary, RunConfig};
 
 use crate::codec::content_hash;
 use crate::manifest::{
@@ -571,12 +571,6 @@ impl StoredArtifact {
             );
         }
         Ok(bytes)
-    }
-
-    /// Sanity accessor used by tooling: the original bundle the
-    /// artifact's framework generates, for size comparisons.
-    pub fn original_bundle(&self) -> simml::BundleHandle {
-        cached_bundle(self.manifest.key.framework)
     }
 }
 
