@@ -111,7 +111,7 @@ impl UsageMap {
 }
 
 /// What changed between two [`UsageMap`]s, per library — the input of
-/// incremental re-planning ([`crate::PlanCache::refresh_incremental`]).
+/// incremental re-planning ([`crate::plan::locate_all_incremental`]).
 ///
 /// A library is *touched* if its kernel set or its host-function set
 /// differs between the two maps (including appearing in only one of
@@ -139,17 +139,12 @@ impl UsageDiff {
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
-
-    /// Total symbols that changed hands in either direction.
-    pub fn changed_symbols(&self) -> usize {
-        self.added_kernels + self.removed_kernels + self.added_host_fns + self.removed_host_fns
-    }
 }
 
 impl UsageMap {
     /// Diff this (old) usage against `new`: which libraries' symbol sets
     /// were touched, and how many symbols moved. Drives
-    /// [`crate::PlanCache::refresh_incremental`], which re-locates only
+    /// [`crate::plan::locate_all_incremental`], which re-locates only
     /// the touched libraries against the cached plan.
     pub fn diff(&self, new: &UsageMap) -> UsageDiff {
         let mut diff = UsageDiff::default();
@@ -298,7 +293,7 @@ mod tests {
         a.record_host_fn("lib.so", "f1");
         let diff = a.diff(&a.clone());
         assert!(diff.is_empty());
-        assert_eq!(diff.changed_symbols(), 0);
+        assert_eq!(diff, UsageDiff::default(), "no library touched, no symbol moved");
     }
 
     #[test]
@@ -328,7 +323,6 @@ mod tests {
         assert_eq!(diff.removed_kernels, 1, "k2");
         assert_eq!(diff.added_host_fns, 0);
         assert_eq!(diff.removed_host_fns, 1, "g1");
-        assert_eq!(diff.changed_symbols(), 4);
     }
 
     #[test]

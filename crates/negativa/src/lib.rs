@@ -38,7 +38,7 @@
 //!    place (offsets never move; the debloated library is a drop-in
 //!    replacement) and re-run *every* contributing workload, demanding
 //!    bit-identical output against its own baseline checksum. The
-//!    re-runs are deduplicated by (workload, config) fingerprint —
+//!    re-runs are deduplicated by workload fingerprint —
 //!    each unique workload verifies exactly once, duplicates share the
 //!    outcome — and fan out through the same bounded [`WorkerPool`] as
 //!    the locate and compact passes, in input order with first-error
@@ -127,8 +127,8 @@ use simcuda::cupti::CuptiSubscriber;
 use simcuda::GpuModel;
 use simelf::ElfIndex;
 use simml::{
-    cached_bundle, cached_bundle_with, cached_indexes, generate_library, BundleHandle,
-    FrameworkBundle, FrameworkKind, GeneratedLibrary, RunConfig, RunOutcome, Workload,
+    cached_bundle_with, cached_indexes, generate_library, BundleHandle, FrameworkBundle,
+    FrameworkKind, GeneratedLibrary, RunConfig, RunOutcome, Workload,
 };
 
 #[cfg(test)]
@@ -155,11 +155,11 @@ pub use fatbin::{FleetSpec, SmArch};
 pub use locate::{locate, ElementRewrite, LocateStats, RetainPlan, RewriteKind};
 pub use manifest::{ManifestEntry, StoreManifest, WorkloadRecord};
 pub use net::{
-    Dialer, FaultInjector, NetClient, NetError, NetStats, RegistryServer, RemoteRegistry,
-    RetryPolicy, TcpDialer,
+    Dialer, FaultInjector, NetError, NetStats, RegistryServer, RemoteRegistry, RetryPolicy,
+    TcpDialer,
 };
-pub use plan::{BundlePlan, PlanCache, PlanCacheStats, PlanKey, PlanSource, WorkloadBaseline};
-pub use pool::{Parallelism, PoolStats, WorkerPool};
+pub use plan::{BundlePlan, PlanCache, PlanCacheStats, PlanKey, WorkloadBaseline};
+pub use pool::{PoolStats, WorkerPool};
 pub use registry::{
     ArtifactOffer, ExpireReport, GcReport, Registry, RegistryStats, ShipReport, WantList,
 };
@@ -170,6 +170,8 @@ pub use service::{
 };
 pub use store::{StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
 pub use verify::verify_indexed;
+
+use plan::PlanSource;
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, NegativaError>;
@@ -232,13 +234,14 @@ impl<K: Copy + Eq + std::hash::Hash, V: Clone> Memo<K, V> {
     }
 }
 
-/// Per-workload detection memo, keyed by ([`plan::workload_fingerprint`],
-/// [`plan::config_fingerprint`]) — the workload fingerprint covers the
-/// normalized device list, so one GPU's measurements never serve
-/// another's. This is what powers incremental re-planning: when one
-/// workload in a set changes, the unchanged workloads' usage and
-/// baselines come from here instead of re-running detection.
-type DetectionCache = Memo<(u64, u64), DetectionMemo>;
+/// Per-workload detection memo, keyed by the workload fingerprint
+/// ([`plan::workload_fingerprint`]) — it covers the normalized device
+/// list, so one GPU's measurements never serve another's, and every run
+/// uses the default [`RunConfig`]. This is what powers incremental
+/// re-planning: when one workload in a set changes, the unchanged
+/// workloads' usage and baselines come from here instead of re-running
+/// detection.
+type DetectionCache = Memo<u64, DetectionMemo>;
 
 /// One memoized detection: the usage a workload exercised plus the
 /// baseline it was measured against, shared between the memo map and
@@ -246,15 +249,14 @@ type DetectionCache = Memo<(u64, u64), DetectionMemo>;
 type DetectionMemo = Arc<(UsageMap, WorkloadBaseline)>;
 
 /// Cross-pair verification memo: one proven [`RunOutcome`] per
-/// ([`plan::workload_fingerprint`], [`plan::config_fingerprint`],
-/// [`plan::bundle_fingerprint`]) triple. The bundle fingerprint folds
-/// the per-library content hashes — the same digests an artifact
-/// manifest's entries record — so a hit means *these exact bytes* were
-/// already verified for this workload under this config, and runs are
-/// deterministic in exactly that triple. Identical (workload, bundle)
-/// pairs are therefore deduplicated **across** verify passes, not just
-/// within one.
-type VerifyCache = Memo<(u64, u64, u64), RunOutcome>;
+/// ([`plan::workload_fingerprint`], [`plan::bundle_fingerprint`]) pair.
+/// The bundle fingerprint folds the per-library content hashes — the
+/// same digests an artifact manifest's entries record — so a hit means
+/// *these exact bytes* were already verified for this workload, and
+/// runs (always under the default [`RunConfig`]) are deterministic in
+/// exactly that pair. Identical (workload, bundle) pairs are therefore
+/// deduplicated **across** verify passes, not just within one.
+type VerifyCache = Memo<(u64, u64), RunOutcome>;
 
 /// The diff base for incremental re-planning: the last planned identity
 /// and its normalized workload set, per framework, shared by a
@@ -262,23 +264,22 @@ type VerifyCache = Memo<(u64, u64, u64), RunOutcome>;
 type PriorPlans = Arc<Mutex<HashMap<FrameworkKind, (PlanKey, Vec<Workload>)>>>;
 
 /// One verification the memo could not serve: the unique slot it
-/// fills, its `(workload fp, config fp, bundle fp)` memo key, and the
-/// workload with its expected baseline checksum.
-type PendingVerify<'w> = (usize, (u64, u64, u64), &'w Workload, u64);
+/// fills, its `(workload fp, bundle fp)` memo key, and the workload
+/// with its expected baseline checksum.
+type PendingVerify<'w> = (usize, (u64, u64), &'w Workload, u64);
 
 /// The end-to-end debloat pipeline for one GPU model.
 #[derive(Debug, Clone)]
 pub struct Debloater {
     gpu: GpuModel,
     fleet: FleetSpec,
-    config: RunConfig,
-    parallelism: Parallelism,
+    pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
     /// Per-workload detection memo, shared across this debloater's
     /// sessions (and their clones) to feed incremental re-planning.
     detections: Arc<DetectionCache>,
     /// Cross-pair verification memo, shared the same way: identical
-    /// (workload, config, bundle content) verifications run once per
+    /// (workload, bundle content) verifications run once per
     /// debloater, across passes.
     verifications: Arc<VerifyCache>,
     /// Last planned identity per framework: the diff base for
@@ -288,22 +289,14 @@ pub struct Debloater {
 
 impl Debloater {
     /// A debloater targeting `gpu` with default execution settings: the
-    /// process-wide shared [`WorkerPool`] and [`PlanCache`].
+    /// process-wide shared [`WorkerPool`] and [`PlanCache`]. Every run
+    /// — baseline, detection and verification — uses the default
+    /// [`RunConfig`].
     pub fn new(gpu: GpuModel) -> Debloater {
-        Debloater::with_config(gpu, RunConfig::default())
-    }
-
-    /// Override the execution settings (scale, cost model, sampling).
-    ///
-    /// Subscribers in `config` are attached to *every* run including
-    /// verification; the kernel detector is added on top (one per rank)
-    /// for detection runs.
-    pub fn with_config(gpu: GpuModel, config: RunConfig) -> Debloater {
         Debloater {
             gpu,
             fleet: FleetSpec::single(gpu.arch()),
-            config,
-            parallelism: Parallelism::shared(),
+            pool: WorkerPool::shared(),
             cache: plan::process_cache(),
             detections: Arc::new(DetectionCache::default()),
             verifications: Arc::new(VerifyCache::default()),
@@ -311,20 +304,12 @@ impl Debloater {
         }
     }
 
-    /// Toggle the per-library locate/compact fan-out (on by default,
-    /// through the process-wide shared [`WorkerPool`]). The serial path
-    /// produces byte-identical results; turn it off to debug or to pin
-    /// work to one core.
-    pub fn with_parallelism(mut self, parallel: bool) -> Debloater {
-        self.parallelism = if parallel { Parallelism::shared() } else { Parallelism::Serial };
-        self
-    }
-
     /// Fan per-library work out through `pool` instead of the
     /// process-wide shared one — e.g. a service's private pool with an
-    /// explicit bound.
+    /// explicit bound, or `WorkerPool::new(1)` to run one job at a
+    /// time. The pool's size never changes a result.
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Debloater {
-        self.parallelism = Parallelism::Pool(pool);
+        self.pool = pool;
         self
     }
 
@@ -373,8 +358,7 @@ impl Debloater {
         DebloatSession {
             gpu: self.gpu,
             fleet: self.fleet,
-            config: self.config.clone(),
-            parallelism: self.parallelism.clone(),
+            pool: self.pool.clone(),
             cache: self.cache.clone(),
             detections: self.detections.clone(),
             verifications: self.verifications.clone(),
@@ -385,24 +369,21 @@ impl Debloater {
         }
     }
 
-    /// The pinned, process-shared bundle for `framework`. With a worker
-    /// pool configured, a cold cache is filled by fanning per-library
-    /// generation out through that pool ([`generate_library`] per
-    /// roster entry, reassembled via
-    /// [`FrameworkBundle::from_libraries`]); generation is pure, so the
-    /// result is byte-identical to the serial fill and whichever path
-    /// ran first is unobservable to every later caller.
+    /// The pinned, process-shared bundle for `framework`. A cold cache
+    /// is filled by fanning per-library generation out through the
+    /// debloater's pool ([`generate_library`] per roster entry,
+    /// reassembled via [`FrameworkBundle::from_libraries`]); generation
+    /// is pure, so the result is byte-identical to a serial fill and
+    /// whichever caller ran first is unobservable to every later one.
     fn bundle_for(&self, framework: FrameworkKind) -> BundleHandle {
-        match &self.parallelism {
-            Parallelism::Serial => cached_bundle(framework),
-            pooled => cached_bundle_with::<NegativaError>(framework, || {
-                let specs = framework.lib_specs();
-                let libraries = pooled
-                    .run(&specs, |_, spec| generate_library(spec).map_err(NegativaError::from))?;
-                FrameworkBundle::from_libraries(framework, libraries).map_err(NegativaError::from)
-            })
-            .expect("bundle generation is deterministic and must not fail"),
-        }
+        cached_bundle_with::<NegativaError>(framework, || {
+            let specs = framework.lib_specs();
+            let libraries = self
+                .pool
+                .run(&specs, |_, spec| generate_library(spec).map_err(NegativaError::from))?;
+            FrameworkBundle::from_libraries(framework, libraries).map_err(NegativaError::from)
+        })
+        .expect("bundle generation is deterministic and must not fail")
     }
 
     /// Debloat one shared bundle against the **union** usage of one or
@@ -470,8 +451,7 @@ pub struct Detection {
 pub struct DebloatSession {
     gpu: GpuModel,
     fleet: FleetSpec,
-    config: RunConfig,
-    parallelism: Parallelism,
+    pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
     detections: Arc<DetectionCache>,
     verifications: Arc<VerifyCache>,
@@ -556,7 +536,7 @@ impl DebloatSession {
             // write through to the memo so a later *incremental*
             // re-plan can reuse the unchanged workloads' measurements.
             let memo = Arc::new(self.detect_one(workload)?);
-            self.detections.insert(self.memo_key(workload), memo.clone());
+            self.detections.insert(plan::workload_fingerprint(workload), memo.clone());
             usage.merge(&memo.0);
             baselines.push(memo.1.clone());
         }
@@ -566,22 +546,21 @@ impl DebloatSession {
     /// Run one workload twice — baseline, then detection with one
     /// [`KernelDetector`] per rank — and return its usage union and
     /// baseline record. Pure measurement of a deterministic run: the
-    /// result depends only on (workload, config, bundle).
+    /// result depends only on (workload, bundle).
     fn detect_one(&self, workload: &Workload) -> Result<(UsageMap, WorkloadBaseline)> {
         let libraries = self.bundle.libraries();
-        let baseline = self.run(workload, libraries, &self.config)?;
+        let baseline = self.run(workload, libraries, &RunConfig::default())?;
 
         let detectors: Vec<Arc<KernelDetector>> =
             (0..workload.devices.len()).map(|_| Arc::new(KernelDetector::new())).collect();
-        let mut detect_config = self.config.clone();
         let handout = detectors.clone();
-        // Pushed, not assigned: any caller-installed per-rank
-        // profilers keep receiving the detection run's events.
-        detect_config
-            .rank_subscribers
-            .push(simml::RankSubscriberSpec::new("negativa-rank-detectors", move |rank| {
-                handout[rank].clone() as Arc<dyn CuptiSubscriber>
-            }));
+        let detect_config = RunConfig {
+            rank_subscribers: vec![simml::RankSubscriberSpec::new(
+                "negativa-rank-detectors",
+                move |rank| handout[rank].clone() as Arc<dyn CuptiSubscriber>,
+            )],
+            ..RunConfig::default()
+        };
         let detection = self.run(workload, libraries, &detect_config)?;
         let mut usage = UsageMap::new();
         for detector in &detectors {
@@ -596,18 +575,11 @@ impl DebloatSession {
         Ok((usage, baseline))
     }
 
-    /// Memo key of one normalized workload's detection (the workload
-    /// fingerprint covers the normalized device list, so the session's
-    /// GPU is part of the key).
-    fn memo_key(&self, workload: &Workload) -> (u64, u64) {
-        (plan::workload_fingerprint(workload), plan::config_fingerprint(&self.config))
-    }
-
     /// [`DebloatSession::detect_one`] through the shared memo: a hit
     /// skips both runs (detection is a pure measurement), a miss
     /// measures and writes through.
     fn detect_one_memoized(&self, workload: &Workload) -> Result<DetectionMemo> {
-        let key = self.memo_key(workload);
+        let key = plan::workload_fingerprint(workload);
         if let Some(memo) = self.detections.get(key) {
             return Ok(memo);
         }
@@ -619,19 +591,15 @@ impl DebloatSession {
     /// Phase 2 — turn a detection result into a cacheable
     /// [`BundlePlan`]: locate every library under the union usage,
     /// fanned out per library through the session's bounded
-    /// [`WorkerPool`] (byte-identical to the serial path).
+    /// [`WorkerPool`] (the pool's size never changes a plan).
     ///
     /// # Errors
     ///
     /// [`NegativaError::Elf`] / [`NegativaError::Fatbin`] for images
     /// that fail to parse during location.
     pub fn plan(&self, detection: &Detection) -> Result<BundlePlan> {
-        let retain = plan::locate_all(
-            self.bundle.libraries(),
-            &detection.usage,
-            self.fleet,
-            &self.parallelism,
-        )?;
+        let retain =
+            plan::locate_all(self.bundle.libraries(), &detection.usage, self.fleet, &self.pool)?;
         Ok(BundlePlan {
             framework: self.framework,
             gpu: self.gpu,
@@ -644,11 +612,11 @@ impl DebloatSession {
     }
 
     /// The plan identity of an already-normalized workload set on this
-    /// session: framework, fleet, workloads and run configuration. The
-    /// single home of the keying logic, shared with the service's
-    /// batcher so the two can never drift.
+    /// session: framework, fleet and workloads. The single home of the
+    /// keying logic, shared with the service's batcher so the two can
+    /// never drift.
     pub(crate) fn plan_key(&self, normalized: &[Workload]) -> PlanKey {
-        PlanKey::for_fleet(self.framework, self.fleet, &self.config, normalized)
+        PlanKey::for_fleet(self.framework, self.fleet, normalized)
     }
 
     /// Resolve the plan of an already-normalized workload set through
@@ -663,8 +631,8 @@ impl DebloatSession {
     /// fingerprint drift, roster mismatch — falls back to a full
     /// detect + plan. Both paths produce equal plans (location is
     /// per-library and detection is a pure measurement), so the choice
-    /// is invisible in the output and recorded only in [`PlanSource`]
-    /// and the cache stats.
+    /// is invisible in the output and recorded only in the returned
+    /// `PlanSource` and the cache stats.
     fn plan_cached_normalized(
         &self,
         normalized: &[Workload],
@@ -717,7 +685,7 @@ impl DebloatSession {
         // changed, so the diff is off the table.
         let mut old_usage = UsageMap::new();
         for workload in prior_workloads {
-            match self.detections.get(self.memo_key(workload)) {
+            match self.detections.get(plan::workload_fingerprint(workload)) {
                 Some(memo) => old_usage.merge(&memo.0),
                 None => return Ok(None),
             }
@@ -743,7 +711,7 @@ impl DebloatSession {
             &old_usage,
             &new_usage,
             self.fleet,
-            &self.parallelism,
+            &self.pool,
         )?;
         Ok(Some(BundlePlan {
             framework: self.framework,
@@ -840,8 +808,7 @@ impl DebloatSession {
                 ),
             });
         }
-        let compacted =
-            self.parallelism.run(libraries, |i, lib| compact(&lib.image, &plan.retain[i]))?;
+        let compacted = self.pool.run(libraries, |i, lib| compact(&lib.image, &plan.retain[i]))?;
         let mut reports = Vec::with_capacity(libraries.len());
         let mut debloated = Vec::with_capacity(libraries.len());
         for ((image, outcome), (retain, lib)) in
@@ -860,13 +827,13 @@ impl DebloatSession {
     /// composed entry point normalizes exactly once, up front.
     ///
     /// Verification runs are deduplicated by detection identity (the
-    /// (workload, config) fingerprint pair): a set containing the same
-    /// workload twice re-executes it once and hands the duplicate a
-    /// clone of the [`RunOutcome`], and the unique runs fan out through
-    /// the session's bounded [`WorkerPool`] — the same admission
+    /// workload fingerprint): a set containing the same workload twice
+    /// re-executes it once and hands the duplicate a clone of the
+    /// [`RunOutcome`], and the unique runs fan out through the
+    /// session's bounded [`WorkerPool`] — the same admission
     /// discipline as the locate and compact passes. On top of that,
     /// unique runs are memoized **across** verify passes on the
-    /// debloater's shared cache, keyed by (workload, config, bundle
+    /// debloater's shared cache, keyed by (workload fingerprint, bundle
     /// *content* fingerprint — the same per-library hashes an artifact
     /// manifest records): re-verifying a pair already proven against
     /// byte-identical debloated libraries costs a lookup, not a run. A
@@ -874,7 +841,9 @@ impl DebloatSession {
     /// the baseline checksum this pass expects; any other expectation
     /// falls through to a real run. Dedup, pooling, and memoization
     /// are all invisible in the result: outcomes come back in input
-    /// order, byte-identical to the serial per-workload loop.
+    /// order, byte-identical to a serial per-workload loop. Every pass
+    /// adds its runs and its deduplicated workloads to the pool's
+    /// [`PoolStats`].
     ///
     /// # Errors
     ///
@@ -903,12 +872,13 @@ impl DebloatSession {
         // First-appearance ordering is what preserves first-error
         // semantics: the smallest failing unique index is also the
         // first failing input index.
-        let mut unique: Vec<(&Workload, u64)> = Vec::new();
+        let mut unique: Vec<(u64, &Workload, u64)> = Vec::new();
         let mut slots = Vec::with_capacity(workloads.len());
-        let mut seen: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut seen: HashMap<u64, usize> = HashMap::new();
         for (workload, base) in workloads.iter().zip(&plan.baselines) {
-            let slot = *seen.entry(self.memo_key(workload)).or_insert_with(|| {
-                unique.push((workload, base.checksum));
+            let fingerprint = plan::workload_fingerprint(workload);
+            let slot = *seen.entry(fingerprint).or_insert_with(|| {
+                unique.push((fingerprint, workload, base.checksum));
                 unique.len() - 1
             });
             slots.push(slot);
@@ -923,9 +893,8 @@ impl DebloatSession {
         let bundle_fp = plan::bundle_fingerprint(debloated);
         let mut outcomes: Vec<Option<RunOutcome>> = Vec::with_capacity(unique.len());
         let mut to_run: Vec<PendingVerify> = Vec::new();
-        for (i, &(workload, checksum)) in unique.iter().enumerate() {
-            let (workload_fp, config_fp) = self.memo_key(workload);
-            let key = (workload_fp, config_fp, bundle_fp);
+        for (i, &(workload_fp, workload, checksum)) in unique.iter().enumerate() {
+            let key = (workload_fp, bundle_fp);
             match self.verifications.get(key) {
                 Some(outcome) if outcome.checksum == checksum => outcomes.push(Some(outcome)),
                 _ => {
@@ -937,16 +906,15 @@ impl DebloatSession {
         // Memo hits are proven-good, so errors can only come from the
         // real runs — whose first-appearance order is a subsequence of
         // `unique`'s, preserving first-error semantics.
-        let ran = self.parallelism.run(&to_run, |_, &(_, _, workload, checksum)| {
-            verify_indexed(workload, debloated, Some(&self.indexes), checksum, &self.config)
+        let config = RunConfig::default();
+        let ran = self.pool.run(&to_run, |_, &(_, _, workload, checksum)| {
+            verify_indexed(workload, debloated, Some(&self.indexes), checksum, &config)
         })?;
         for (&(slot, key, _, _), outcome) in to_run.iter().zip(&ran) {
             self.verifications.insert(key, outcome.clone());
             outcomes[slot] = Some(outcome.clone());
         }
-        if let Parallelism::Pool(pool) = &self.parallelism {
-            pool.record_verifies(to_run.len() as u64, (workloads.len() - to_run.len()) as u64);
-        }
+        self.pool.record_verifies(to_run.len() as u64, (workloads.len() - to_run.len()) as u64);
         let outcomes: Vec<RunOutcome> =
             outcomes.into_iter().map(|o| o.expect("every unique slot was filled")).collect();
         Ok(slots.into_iter().map(|slot| outcomes[slot].clone()).collect())
@@ -962,5 +930,51 @@ impl DebloatSession {
     ) -> Result<RunOutcome> {
         simml::run_workload_indexed(workload, libraries, Some(&self.indexes), config)
             .map_err(NegativaError::Workload)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arbitrary::{Arbitrary, Gen};
+    use simcuda::LoadMode;
+    use simml::{ModelKind, Operation};
+
+    /// An incremental plan equals a full plan: one debloater walks
+    /// generated workload sets, each step re-planned against the step
+    /// before it from the detection memo, and every step's plan and
+    /// compacted bytes equal what a fresh debloater computes from
+    /// scratch.
+    #[test]
+    fn incremental_plans_equal_full_plans_over_generated_walks() {
+        let inference =
+            |model| Workload::paper(FrameworkKind::PyTorch, model, Operation::Inference);
+        let mut lazy = inference(ModelKind::MobileNetV2);
+        lazy.load_mode = LoadMode::Lazy;
+        let mut wide = inference(ModelKind::MobileNetV2);
+        wide.batch_size *= 2;
+        let pool =
+            [inference(ModelKind::MobileNetV2), inference(ModelKind::Transformer), lazy, wide];
+        let cache = Arc::new(PlanCache::new(4));
+        let walker = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
+        let mut g = Gen(0x001c_4e5e_ed0f_da7a);
+        let mut steps = 0;
+        while steps < 8 {
+            let mut set: Vec<Workload> =
+                pool.iter().filter(|_| bool::arbitrary(&mut g)).cloned().collect();
+            set.truncate(3);
+            if set.is_empty() {
+                continue;
+            }
+            steps += 1;
+            let walked =
+                walker.session(FrameworkKind::PyTorch).debloat_many_artifact(&set).unwrap();
+            let fresh = Debloater::new(GpuModel::T4).session(FrameworkKind::PyTorch);
+            let full = fresh.plan(&fresh.detect(&set).unwrap()).unwrap();
+            assert_eq!(*walked.plan, full, "step {steps}: {set:?}");
+            let (_, compacted) = fresh.apply(&full).unwrap();
+            assert_eq!(walked.libraries, compacted, "step {steps}: compacted bytes differ");
+        }
+        assert!(cache.stats().incremental > 0, "the walk never re-planned incrementally");
     }
 }

@@ -182,7 +182,7 @@ impl StoreManifest {
     /// unsupported version, missing/mistyped field, or self-hash
     /// mismatch) — the caller wraps it in a typed
     /// [`crate::store::StoreError::CorruptManifest`].
-    pub fn decode(text: &str) -> Result<StoreManifest, String> {
+    pub(crate) fn decode(text: &str) -> Result<StoreManifest, String> {
         let doc = parse_self_hashed(text, "manifest", FORMAT_VERSION, HASH_KEY)?;
         Self::from_json(&doc, "manifest")
     }
@@ -279,7 +279,7 @@ impl RegistryIndex {
     ///
     /// A description of the first violation; the registry wraps it in
     /// [`crate::store::StoreError::CorruptIndex`].
-    pub fn decode(text: &str) -> Result<RegistryIndex, String> {
+    pub(crate) fn decode(text: &str) -> Result<RegistryIndex, String> {
         let doc =
             parse_self_hashed(text, "registry index", REGISTRY_FORMAT_VERSION, REGISTRY_HASH_KEY)?;
         Self::from_json(&doc, REGISTRY_FILE)
@@ -395,8 +395,14 @@ impl Json for u64 {
         JsonValue::u64(*self)
     }
 
+    /// Only the hex string the encoder writes: `as_u64` alone would
+    /// also read a plain number below 2^53.
     fn from_json(value: &JsonValue, key: &str) -> Result<Self, String> {
-        value.as_u64().ok_or_else(|| mistyped(key, "u64 hex"))
+        match value {
+            JsonValue::Text(_) => value.as_u64(),
+            _ => None,
+        }
+        .ok_or_else(|| mistyped(key, "u64 hex"))
     }
 }
 
@@ -1229,6 +1235,38 @@ mod tests {
         }
         let err = decode_plan(&widen(&encode_plan(&sample_plan()), "index")).unwrap_err();
         assert!(err.contains("\"index\"") && err.contains("u32"), "{err}");
+    }
+
+    #[test]
+    fn u64_fields_written_as_numbers_are_mistyped_not_accepted() {
+        // Every u64 is written as fixed-width hex. A plain number in its
+        // place is a mistyped field even behind a valid self-hash, not
+        // the hash, checksum or offset 5.
+        // `text` with the hex string after `"key": ` replaced by `5`.
+        let numeric = |text: &str, key: &str| {
+            let at = text.find(&format!("\"{key}\": \"0x")).expect("hex field") + key.len() + 4;
+            let len = text[at + 1..].find('"').unwrap() + 2;
+            let mut text = text.to_owned();
+            text.replace_range(at..at + len, "5");
+            text
+        };
+        let mistyped = |err: String, key: &str| {
+            assert!(err.contains(&format!("\"{key}\"")) && err.contains("u64 hex"), "{key}: {err}");
+        };
+        let manifest = sample_manifest().encode();
+        for key in
+            ["content_hash", "byte_len", "baseline_checksum", "config_fingerprint", "plan_hash"]
+        {
+            let text = restamp_self_hash(&numeric(&manifest, key), HASH_KEY, content_hash);
+            mistyped(StoreManifest::decode(&text).unwrap_err(), key);
+        }
+        let index = sample_index().encode();
+        let text =
+            restamp_self_hash(&numeric(&index, "published_ns"), REGISTRY_HASH_KEY, content_hash);
+        mistyped(RegistryIndex::decode(&text).unwrap_err(), "published_ns");
+        let plan = encode_plan(&sample_plan());
+        mistyped(decode_plan(&numeric(&plan, "start")).unwrap_err(), "start");
+        mistyped(decode_plan(&numeric(&plan, "checksum")).unwrap_err(), "checksum");
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   **range reads** (offset + length), so an interrupted transfer
 //!   resumes instead of restarting; the server seeks to the offset and
 //!   reads only that range, never the whole object.
-//! - **[`NetClient`] / [`RemoteRegistry`]** — the pulling side: each
-//!   request carries a per-request timeout and bounded retries with
-//!   exponential backoff plus deterministic xorshift jitter. Every
+//! - **[`RemoteRegistry`]** — the pulling side, over one crate-private
+//!   framed-RPC client: each request carries a per-request timeout and
+//!   bounded retries with exponential backoff plus deterministic
+//!   xorshift jitter. Every
 //!   object is checked against its XXH64 content hash
 //!   ([`content_hash`]) on completion; a mismatch throws
 //!   the bytes away and retries — corruption is *never* installed. A
@@ -53,7 +54,7 @@
 //! checked against the hash the index record pinned. The transport can
 //! lose bytes or delay them, but it can never forge content.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -68,7 +69,7 @@ use fatbin::SmArch;
 
 use crate::codec::content_hash;
 use crate::manifest::{ObjectRef, RegistryRecord};
-use crate::registry::{manifest_relative, ArtifactOffer, Registry, ShipReport};
+use crate::registry::{manifest_relative, ship_wanted, ArtifactOffer, Registry, ShipReport};
 use crate::store::{decode_manifest, ObjectSource, StoreError, StoreVerification, StoredArtifact};
 use crate::Result;
 
@@ -242,7 +243,7 @@ impl fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// Snapshot of one client's cumulative wire accounting; see
-/// [`NetClient::stats`] / [`RemoteRegistry::stats`].
+/// [`RemoteRegistry::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Operations re-attempted after a retryable transport fault (or a
@@ -641,7 +642,7 @@ pub trait NetStream: Read + Write + Send {}
 
 impl<T: Read + Write + Send> NetStream for T {}
 
-/// How a [`NetClient`] obtains connections. The production
+/// How a [`RemoteRegistry`] obtains connections. The production
 /// implementation is [`TcpDialer`]; [`FaultInjector`] wraps any dialer
 /// to make its connections misbehave deterministically.
 pub trait Dialer: fmt::Debug + Send + Sync {
@@ -849,7 +850,7 @@ impl Write for FaultyStream {
 // The client.
 // ---------------------------------------------------------------------
 
-/// Retry and timeout policy for one [`NetClient`].
+/// Retry and timeout policy for one [`RemoteRegistry`]'s client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (first try included).
@@ -885,7 +886,7 @@ impl Default for RetryPolicy {
 /// [`RegistryServer`], re-dialed on loss, every operation bounded by
 /// the [`RetryPolicy`]. Wire traffic and recovery events accumulate in
 /// [`NetStats`].
-pub struct NetClient {
+pub(crate) struct NetClient {
     addr: String,
     dialer: Arc<dyn Dialer>,
     policy: RetryPolicy,
@@ -907,7 +908,7 @@ impl fmt::Debug for NetClient {
 
 impl NetClient {
     /// A client for `addr` (`host:port`) over `dialer` under `policy`.
-    pub fn new(addr: impl Into<String>, dialer: Arc<dyn Dialer>, policy: RetryPolicy) -> NetClient {
+    fn new(addr: impl Into<String>, dialer: Arc<dyn Dialer>, policy: RetryPolicy) -> NetClient {
         NetClient {
             addr: addr.into(),
             dialer,
@@ -920,7 +921,7 @@ impl NetClient {
     }
 
     /// Snapshot of this client's cumulative wire accounting.
-    pub fn stats(&self) -> NetStats {
+    fn stats(&self) -> NetStats {
         let c = &self.counters;
         NetStats {
             retries: c.retries.load(Ordering::Relaxed),
@@ -1016,7 +1017,7 @@ impl NetClient {
     /// # Errors
     ///
     /// Transport failures past the retry budget.
-    pub fn ping(&self) -> std::result::Result<(), NetError> {
+    fn ping(&self) -> std::result::Result<(), NetError> {
         match self.rpc(&Request::Ping)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(&other)),
@@ -1034,7 +1035,7 @@ impl NetClient {
     /// [`NetError::RetriesExhausted`] when the budget runs out (the
     /// `last` field names the final transport or hash failure), or a
     /// non-retryable typed failure.
-    pub fn get_object(
+    fn get_object(
         &self,
         entry: &str,
         hash: u64,
@@ -1331,31 +1332,18 @@ impl RemoteRegistry {
         let manifest_bytes = self.fetch_manifest(record)?;
         let want = local.want(&ArtifactOffer { record: record.clone() });
         local.ensure_layout()?;
-        let mut wanted: HashSet<u64> = want.wanted.iter().map(|object| object.hash).collect();
-        let mut report = ShipReport {
-            artifact_id: record.artifact_id.clone(),
-            objects_shipped: 0,
-            bytes_shipped: 0,
-            objects_skipped: 0,
-            bytes_skipped: 0,
-        };
-        for object in record.referenced() {
-            if wanted.remove(&object.hash) {
-                let bytes = self
-                    .client
-                    .get_object(&object.object_path(), object.hash, object.byte_len)?
-                    .ok_or_else(|| StoreError::MissingObject {
-                        artifact_id: record.artifact_id.clone(),
-                        hash: object.hash,
-                    })?;
-                local.pool_object(object, &bytes)?;
-                report.objects_shipped += 1;
-                report.bytes_shipped += object.byte_len;
-            } else {
-                report.objects_skipped += 1;
-                report.bytes_skipped += object.byte_len;
-            }
-        }
+        let wanted = want.wanted.iter().map(|object| object.hash).collect();
+        let report = ship_wanted(record, wanted, |object| {
+            let bytes = self
+                .client
+                .get_object(&object.object_path(), object.hash, object.byte_len)?
+                .ok_or_else(|| StoreError::MissingObject {
+                    artifact_id: record.artifact_id.clone(),
+                    hash: object.hash,
+                })?;
+            local.pool_object(object, &bytes)?;
+            Ok(())
+        })?;
         local.install_shipped(record, &manifest_bytes)?;
         Ok(report)
     }
@@ -1372,36 +1360,15 @@ impl RemoteRegistry {
     /// retry budget.
     pub fn push_from(&self, local: &Registry, artifact_id: &str) -> Result<ShipReport> {
         let offer = local.offer(artifact_id)?;
-        let wanted: HashSet<u64> = match self
-            .client
-            .rpc(&Request::Want { record: offer.record.clone() })?
-        {
+        let wanted = match self.client.rpc(&Request::Want { record: offer.record.clone() })? {
             Response::Want { hashes } => hashes.into_iter().collect(),
             Response::Error { code, text, num } => return Err(self.remote_error(code, text, num)),
             other => return Err(unexpected(&other).into()),
         };
-        let mut report = ShipReport {
-            artifact_id: artifact_id.to_owned(),
-            objects_shipped: 0,
-            bytes_shipped: 0,
-            objects_skipped: 0,
-            bytes_skipped: 0,
-        };
-        let mut seen = HashSet::new();
-        for object in offer.record.referenced() {
-            if !seen.insert(object.hash) {
-                continue;
-            }
-            if wanted.contains(&object.hash) {
-                let bytes = local.object_bytes(artifact_id, object)?;
-                self.put_object(object, &bytes)?;
-                report.objects_shipped += 1;
-                report.bytes_shipped += object.byte_len;
-            } else {
-                report.objects_skipped += 1;
-                report.bytes_skipped += object.byte_len;
-            }
-        }
+        let report = ship_wanted(&offer.record, wanted, |object| {
+            let bytes = local.object_bytes(artifact_id, object)?;
+            self.put_object(object, &bytes)
+        })?;
         let manifest_bytes = local.manifest_bytes(&offer.record)?;
         match self.client.rpc(&Request::Install { record: offer.record.clone(), manifest_bytes })? {
             Response::Ok => Ok(report),

@@ -9,10 +9,11 @@
 //!
 //! Plans live in a [`PlanCache`]: an instantiable LRU cache with a
 //! **per-framework capacity** behind one lock, and **single-flight**
-//! miss handling ([`PlanCache::get_or_compute`]) — concurrent requests
-//! for one key run one detection between them. Keys carry what the
-//! ROADMAP's serve-at-scale direction needs: framework, GPU fleet, and a
-//! fingerprint of the workload set and run configuration. A plan is a
+//! miss handling — concurrent requests for one key run one detection
+//! between them. Keys carry what the ROADMAP's serve-at-scale direction
+//! needs: framework, GPU fleet, and a fingerprint of the workload set.
+//! Every run uses the default [`RunConfig`], whose fingerprint each key
+//! records for the manifest and the artifact id. A plan is a
 //! pure function of its key and the process-pinned bundle, so a cached
 //! plan never goes stale. The long-lived
 //! [`crate::service::DebloatService`] owns one; standalone
@@ -29,14 +30,15 @@ use simml::{FrameworkKind, GeneratedLibrary, RunConfig, Workload, WorkloadMetric
 
 use crate::detect::UsageMap;
 use crate::locate::{locate, RetainPlan};
-use crate::pool::Parallelism;
+use crate::pool::WorkerPool;
 use crate::Result;
 
 /// Cache key of one [`BundlePlan`]: which framework bundle, which GPU
 /// fleet it was located for, a fingerprint of the workload set whose
-/// union usage produced it, and a fingerprint of the execution
-/// configuration the detection runs used (two debloaters with different
-/// cost models or scales must never serve each other's baselines).
+/// union usage produced it, and the fingerprint of the execution
+/// configuration the detection runs used (always the default
+/// [`RunConfig`]; recorded so a manifest names what its baselines were
+/// measured under).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Framework whose bundle the plan compacts.
@@ -44,8 +46,7 @@ pub struct PlanKey {
     /// GPU fleet the location stage targeted. A single-member fleet is
     /// the paper's original per-GPU plan identity.
     pub fleet: FleetSpec,
-    /// Order-sensitive fold of [`workload_fingerprint`] over the
-    /// workload set.
+    /// Order-sensitive fold of the workloads' fingerprints.
     pub workloads: u64,
     /// [`config_fingerprint`] of the detection runs' [`RunConfig`].
     pub config: u64,
@@ -53,24 +54,11 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// The key for debloating `workloads` (already normalized to the
-    /// debloat target GPU) on `gpu` under `config` — a single-member
-    /// fleet of that GPU's architecture.
-    pub fn for_workloads(
-        framework: FrameworkKind,
-        gpu: GpuModel,
-        config: &RunConfig,
-        workloads: &[Workload],
-    ) -> PlanKey {
-        PlanKey::for_fleet(framework, FleetSpec::single(gpu.arch()), config, workloads)
-    }
-
-    /// The key for debloating `workloads` for an entire GPU `fleet`
-    /// under `config`: one artifact identity serving every member
-    /// architecture.
+    /// debloat target GPU) for a GPU `fleet` — a single-member fleet is
+    /// one GPU's plan — under the default [`RunConfig`].
     pub fn for_fleet(
         framework: FrameworkKind,
         fleet: FleetSpec,
-        config: &RunConfig,
         workloads: &[Workload],
     ) -> PlanKey {
         let parts: Vec<String> =
@@ -80,7 +68,7 @@ impl PlanKey {
             framework,
             fleet,
             workloads: stable_hash(&refs),
-            config: config_fingerprint(config),
+            config: config_fingerprint(&RunConfig::default()),
         }
     }
 
@@ -122,7 +110,7 @@ pub fn config_fingerprint(config: &RunConfig) -> u64 {
 /// A stable fingerprint of everything about a [`Workload`] that can
 /// change which code runs: framework, model, operation, dataset, batch
 /// geometry, device list, and loading mode.
-pub fn workload_fingerprint(workload: &Workload) -> u64 {
+pub(crate) fn workload_fingerprint(workload: &Workload) -> u64 {
     let devices: Vec<String> = workload.devices.iter().map(|d| d.to_string()).collect();
     stable_hash(&[
         &workload.label(),
@@ -140,8 +128,8 @@ pub fn workload_fingerprint(workload: &Workload) -> u64 {
 /// folded in roster order. Two bundles fingerprint equal iff every
 /// library's bytes are identical, so a verification outcome measured
 /// against one bundle is valid for any bundle with the same
-/// fingerprint (runs are deterministic in (workload, config, bundle
-/// bytes)). This is the bundle half of the cross-pair verification
+/// fingerprint (runs are deterministic in (workload, bundle bytes)).
+/// This is the bundle half of the cross-pair verification
 /// memo key.
 pub fn bundle_fingerprint(libraries: &[GeneratedLibrary]) -> u64 {
     let mut folded = Vec::with_capacity(libraries.len() * 8);
@@ -191,10 +179,10 @@ pub struct BundlePlan {
 }
 
 /// Compute the retain plan of every library in `libraries` under the
-/// union `usage`, targeting `gpu`. Libraries fan out per `parallelism`
-/// (bounded pool or inline); results are collected in bundle order
-/// either way, so the output — and therefore every compacted byte
-/// downstream — is identical to the serial path.
+/// union `usage`, targeting `fleet`. Libraries fan out through `pool`;
+/// results are collected in bundle order, so the output — and
+/// therefore every compacted byte downstream — does not depend on the
+/// pool's size.
 ///
 /// # Errors
 ///
@@ -204,9 +192,9 @@ pub fn locate_all(
     libraries: &[GeneratedLibrary],
     usage: &UsageMap,
     fleet: FleetSpec,
-    parallelism: &Parallelism,
+    pool: &WorkerPool,
 ) -> Result<Vec<RetainPlan>> {
-    parallelism.run(libraries, |_, lib| locate(&lib.image, usage, fleet))
+    pool.run(libraries, |_, lib| locate(&lib.image, usage, fleet))
 }
 
 /// Incrementally re-locate `libraries` after a usage change: libraries
@@ -235,12 +223,12 @@ pub fn locate_all_incremental(
     old_usage: &UsageMap,
     new_usage: &UsageMap,
     fleet: FleetSpec,
-    parallelism: &Parallelism,
+    pool: &WorkerPool,
 ) -> Result<Vec<RetainPlan>> {
     let diff = old_usage.diff(new_usage);
     let prior_by_soname: HashMap<&str, &RetainPlan> =
         prior.retain.iter().map(|retain| (retain.soname.as_str(), retain)).collect();
-    parallelism.run(libraries, |_, lib| {
+    pool.run(libraries, |_, lib| {
         match prior_by_soname.get(lib.image.soname()) {
             // In the prior roster and untouched by the usage diff: the
             // cached plan is still exact.
@@ -271,13 +259,11 @@ pub struct PlanCacheStats {
     /// Calls that blocked on another thread's in-flight computation of
     /// the same key instead of starting their own.
     pub coalesced: u64,
-    /// Plans produced by the incremental path of
-    /// [`PlanCache::refresh_incremental`]: a usage diff against a prior
-    /// key's cached plan, re-locating only touched libraries.
+    /// Plans produced by incremental re-planning: a usage diff against
+    /// a prior key's cached plan, re-locating only touched libraries.
     pub incremental: u64,
-    /// [`PlanCache::refresh_incremental`] calls that fell back to full
-    /// planning — no usable prior plan, or the incremental closure
-    /// reported divergence.
+    /// Incremental re-plans that fell back to full planning — no usable
+    /// prior plan, or the diff diverged.
     pub incremental_fallbacks: u64,
     /// Cumulative nanoseconds spent inside successful incremental
     /// re-planning closures (perfbench reports it per re-plan as
@@ -287,7 +273,7 @@ pub struct PlanCacheStats {
 
 /// How a [`PlanCache::refresh_incremental`] call obtained its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanSource {
+pub(crate) enum PlanSource {
     /// The plan was already cached (or this call coalesced into another
     /// thread's in-flight computation).
     Cached,
@@ -300,7 +286,7 @@ pub enum PlanSource {
 
 impl PlanSource {
     /// True if the plan was served from cache (no computation ran).
-    pub fn cache_hit(&self) -> bool {
+    pub(crate) fn cache_hit(&self) -> bool {
         matches!(self, PlanSource::Cached)
     }
 }
@@ -383,13 +369,13 @@ impl CacheState {
 ///
 /// ## Single-flight contract
 ///
-/// [`PlanCache::get_or_compute`] guarantees at most one computation per
-/// key runs at a time: the first miss inserts an in-flight marker and
-/// runs `compute` outside the lock; concurrent callers for the same key
-/// block until it finishes and then share the resulting plan (counted
-/// as hits + [`PlanCacheStats::coalesced`]). If the computation fails,
-/// the marker is removed, every waiter wakes, and the first to re-check
-/// becomes the new computer — an error never wedges a key.
+/// A lookup runs at most one computation per key at a time: the first
+/// miss inserts an in-flight marker and computes the plan outside the
+/// lock; concurrent callers for the same key block until it finishes
+/// and then share the resulting plan (counted as hits +
+/// [`PlanCacheStats::coalesced`]). If the computation fails, the marker
+/// is removed, every waiter wakes, and the first to re-check becomes
+/// the new computer — an error never wedges a key.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
@@ -462,7 +448,11 @@ impl PlanCache {
     /// Whatever `compute` returns; the error is delivered to this
     /// caller only, and the key is left uncached so a later request can
     /// retry.
-    pub fn get_or_compute<F>(&self, key: PlanKey, compute: F) -> Result<(Arc<BundlePlan>, bool)>
+    pub(crate) fn get_or_compute<F>(
+        &self,
+        key: PlanKey,
+        compute: F,
+    ) -> Result<(Arc<BundlePlan>, bool)>
     where
         F: FnOnce() -> Result<BundlePlan>,
     {
@@ -534,7 +524,7 @@ impl PlanCache {
     ///
     /// Whatever the closure that ran returns; the key stays uncached
     /// and retryable.
-    pub fn refresh_incremental<I, F>(
+    pub(crate) fn refresh_incremental<I, F>(
         &self,
         key: PlanKey,
         prior: &PlanKey,
@@ -629,27 +619,23 @@ mod tests {
 
     #[test]
     fn plan_keys_distinguish_workload_configs() {
-        let config = RunConfig::default();
         let w = workload();
         let mut lazy = workload();
         lazy.load_mode = LoadMode::Lazy;
         let mut train = workload();
         train.operation = Operation::Train;
-        let key = |w: &Workload| {
-            PlanKey::for_workloads(
+        let on = |gpu: GpuModel, w: &Workload| {
+            PlanKey::for_fleet(
                 FrameworkKind::PyTorch,
-                GpuModel::T4,
-                &config,
+                FleetSpec::single(gpu.arch()),
                 std::slice::from_ref(w),
             )
         };
+        let key = |w: &Workload| on(GpuModel::T4, w);
         assert_eq!(key(&w), key(&workload()));
         assert_ne!(key(&w), key(&lazy));
         assert_ne!(key(&w), key(&train));
-        assert_ne!(
-            key(&w),
-            PlanKey::for_workloads(FrameworkKind::PyTorch, GpuModel::H100, &config, &[workload()]),
-        );
+        assert_ne!(key(&w), on(GpuModel::H100, &workload()));
     }
 
     #[test]
@@ -675,43 +661,38 @@ mod tests {
 
     #[test]
     fn fleet_keys_distinguish_and_normalize_membership() {
-        let config = RunConfig::default();
         let w = [workload()];
-        let single = PlanKey::for_workloads(FrameworkKind::PyTorch, GpuModel::T4, &config, &w);
+        let single =
+            PlanKey::for_fleet(FrameworkKind::PyTorch, FleetSpec::single(GpuModel::T4.arch()), &w);
         assert_eq!(
             single,
-            PlanKey::for_fleet(
-                FrameworkKind::PyTorch,
-                FleetSpec::single(SmArch::SM75),
-                &config,
-                &w
-            ),
-            "for_workloads is the single-member fleet key"
+            PlanKey::for_fleet(FrameworkKind::PyTorch, FleetSpec::single(SmArch::SM75), &w),
+            "a GPU's key is the single-member fleet of its architecture"
         );
         let fleet = FleetSpec::new(&[SmArch::SM90, SmArch::SM75]).unwrap();
-        let multi = PlanKey::for_fleet(FrameworkKind::PyTorch, fleet, &config, &w);
+        let multi = PlanKey::for_fleet(FrameworkKind::PyTorch, fleet, &w);
         assert_ne!(single, multi, "fleet membership is part of the identity");
         let reordered = FleetSpec::new(&[SmArch::SM75, SmArch::SM90]).unwrap();
         assert_eq!(
             multi,
-            PlanKey::for_fleet(FrameworkKind::PyTorch, reordered, &config, &w),
+            PlanKey::for_fleet(FrameworkKind::PyTorch, reordered, &w),
             "member order never splits the cache"
         );
     }
 
     #[test]
-    fn plan_keys_distinguish_run_configs() {
-        let w = [workload()];
+    fn config_fingerprints_distinguish_run_configs() {
         let default = RunConfig::default();
         let mut more_samples = RunConfig::default();
         more_samples.sample_steps += 3;
         let mut rescaled = RunConfig::default();
         rescaled.byte_scale *= 2;
-        let key =
-            |c: &RunConfig| PlanKey::for_workloads(FrameworkKind::PyTorch, GpuModel::T4, c, &w);
-        assert_eq!(key(&default), key(&RunConfig::default()));
-        assert_ne!(key(&default), key(&more_samples), "sampling changes baselines");
-        assert_ne!(key(&default), key(&rescaled), "byte scale changes every measurement");
+        let fp = config_fingerprint;
+        assert_eq!(fp(&default), fp(&RunConfig::default()));
+        assert_ne!(fp(&default), fp(&more_samples), "sampling changes baselines");
+        assert_ne!(fp(&default), fp(&rescaled), "byte scale changes every measurement");
+        let key = PlanKey::for_fleet(FrameworkKind::PyTorch, FleetSpec::single(SmArch::SM75), &[]);
+        assert_eq!(key.config, fp(&default), "every key records the default configuration");
     }
 
     #[test]
@@ -725,8 +706,8 @@ mod tests {
             }
         }
         let fleet = FleetSpec::single(SmArch::SM75);
-        let serial = locate_all(bundle.libraries(), &usage, fleet, &Parallelism::Serial).unwrap();
-        let pooled = locate_all(bundle.libraries(), &usage, fleet, &Parallelism::shared()).unwrap();
+        let serial = locate_all(bundle.libraries(), &usage, fleet, &WorkerPool::new(1)).unwrap();
+        let pooled = locate_all(bundle.libraries(), &usage, fleet, &WorkerPool::shared()).unwrap();
         assert_eq!(serial, pooled, "fan-out must not change any plan byte");
     }
 

@@ -13,10 +13,10 @@
 //! order, so the output (and every compacted byte downstream) is
 //! byte-identical to the serial path.
 //!
-//! [`Parallelism`] is the knob sessions carry: `Serial` runs inline on
-//! the calling thread, `Pool` routes through a (possibly shared)
-//! [`WorkerPool`]. [`WorkerPool::shared`] is the process-wide default
-//! sized to the machine.
+//! Every session fans out through a [`WorkerPool`].
+//! [`WorkerPool::shared`] is the process-wide default sized to the
+//! machine; `WorkerPool::new(1)` runs one job at a time, for a caller
+//! that wants to pin work to one core.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -44,15 +44,14 @@ pub struct PoolStats {
     /// process) adds one more.
     pub fan_outs: u64,
     /// Verification runs actually executed through this pool. The
-    /// verify stage deduplicates by (workload, config) fingerprint, so
-    /// a workload set with duplicates advances this once per *unique*
-    /// workload — the batch-scoped verify accounting, mirroring
-    /// [`PoolStats::fan_outs`]. Reported via
-    /// [`WorkerPool::record_verifies`].
+    /// verify stage deduplicates by workload fingerprint, so a workload
+    /// set with duplicates advances this once per *unique* workload —
+    /// the batch-scoped verify accounting, mirroring
+    /// [`PoolStats::fan_outs`].
     pub verify_runs: u64,
     /// Workloads whose verification outcome was served by a duplicate's
-    /// run instead of a re-execution (`submitted - unique` per verify
-    /// pass). Reported via [`WorkerPool::record_verifies`].
+    /// run or the verify memo instead of a re-execution, counted by
+    /// every verify pass.
     pub verify_deduped: u64,
 }
 
@@ -80,7 +79,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Size of the process-wide [`WorkerPool::shared`] pool: the
     /// machine's available parallelism, at least 2.
-    pub fn default_workers() -> usize {
+    fn default_workers() -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(2)
     }
 
@@ -99,8 +98,8 @@ impl WorkerPool {
         })
     }
 
-    /// The process-wide default pool, sized by
-    /// [`WorkerPool::default_workers`]. Every [`crate::Debloater`] that
+    /// The process-wide default pool, sized to the machine's available
+    /// parallelism (at least 2). Every [`crate::Debloater`] that
     /// was not given an explicit pool fans out through this one, so even
     /// independent debloaters cannot oversubscribe the machine.
     pub fn shared() -> Arc<WorkerPool> {
@@ -130,15 +129,9 @@ impl WorkerPool {
     /// workloads were actually re-executed, `deduped` duplicates were
     /// served their twin's [`simml::RunOutcome`] without a run. Called
     /// by the debloat session after its verify fan-out.
-    pub fn record_verifies(&self, runs: u64, deduped: u64) {
+    pub(crate) fn record_verifies(&self, runs: u64, deduped: u64) {
         self.verify_runs.fetch_add(runs, Ordering::Relaxed);
         self.verify_deduped.fetch_add(deduped, Ordering::Relaxed);
-    }
-
-    /// Jobs executing through this pool right now (a point-in-time
-    /// gauge; see [`PoolStats::peak_active`] for the high-water mark).
-    pub fn active(&self) -> usize {
-        *self.active.lock().expect("worker pool poisoned")
     }
 
     /// Run `f` over every item, at most [`WorkerPool::workers`] at a
@@ -226,44 +219,6 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// How a session executes its per-library fan-outs.
-#[derive(Debug, Clone)]
-pub enum Parallelism {
-    /// Run items inline on the calling thread (debugging, pinning work
-    /// to one core). Byte-identical to the pooled path.
-    Serial,
-    /// Fan out through a bounded [`WorkerPool`], possibly shared with
-    /// other sessions and requests.
-    Pool(Arc<WorkerPool>),
-}
-
-impl Parallelism {
-    /// The default: fan out through the process-wide
-    /// [`WorkerPool::shared`] pool.
-    pub fn shared() -> Parallelism {
-        Parallelism::Pool(WorkerPool::shared())
-    }
-
-    /// Run `f` over `items` per the policy; results in item order, the
-    /// smallest failing index's error on failure (see
-    /// [`WorkerPool::run`]).
-    ///
-    /// # Errors
-    ///
-    /// The first error in item order, if any item's `f` fails.
-    pub fn run<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> Result<R> + Sync,
-    {
-        match self {
-            Parallelism::Serial => items.iter().enumerate().map(|(i, item)| f(i, item)).collect(),
-            Parallelism::Pool(pool) => pool.run(items, f),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +227,7 @@ mod tests {
     #[test]
     fn pooled_run_matches_serial_and_keeps_order() {
         let items: Vec<u64> = (0..37).collect();
-        let serial = Parallelism::Serial.run(&items, |i, v| Ok(i as u64 * 1000 + v)).unwrap();
+        let serial = WorkerPool::new(1).run(&items, |i, v| Ok(i as u64 * 1000 + v)).unwrap();
         let pooled = WorkerPool::new(3).run(&items, |i, v| Ok(i as u64 * 1000 + v)).unwrap();
         assert_eq!(serial, pooled);
         assert_eq!(serial[3], 3003);
@@ -281,7 +236,7 @@ mod tests {
     #[test]
     fn errors_propagate_and_prefer_the_smallest_index() {
         let items: Vec<u64> = (0..16).collect();
-        for par in [Parallelism::Serial, Parallelism::Pool(WorkerPool::new(4))] {
+        for par in [WorkerPool::new(1), WorkerPool::new(4)] {
             let err = par
                 .run(&items, |_, v| {
                     if *v >= 5 {
@@ -318,7 +273,7 @@ mod tests {
         assert_eq!(stats.completed, 64);
         assert_eq!(stats.workers, 3);
         assert_eq!(stats.fan_outs, 1, "one run() call is one fan-out");
-        assert_eq!(pool.active(), 0, "all permits released");
+        assert_eq!(*pool.active.lock().unwrap(), 0, "all permits released");
     }
 
     #[test]

@@ -192,6 +192,40 @@ pub struct ExpireReport {
     pub gc: GcReport,
 }
 
+/// The one want-list ship loop, shared by [`Registry::push`] and the
+/// wire's pull and push: walk `record`'s referenced objects in order,
+/// hand each hash in `wanted` to `ship` once, and count every other
+/// reference — an object the receiver already holds, or a repeat of a
+/// hash already moved — as skipped.
+///
+/// # Errors
+///
+/// The first error `ship` returns; nothing after it is moved.
+pub(crate) fn ship_wanted(
+    record: &RegistryRecord,
+    mut wanted: HashSet<u64>,
+    mut ship: impl FnMut(&ObjectRef) -> Result<()>,
+) -> Result<ShipReport> {
+    let mut report = ShipReport {
+        artifact_id: record.artifact_id.clone(),
+        objects_shipped: 0,
+        bytes_shipped: 0,
+        objects_skipped: 0,
+        bytes_skipped: 0,
+    };
+    for object in record.referenced() {
+        if wanted.remove(&object.hash) {
+            ship(object)?;
+            report.objects_shipped += 1;
+            report.bytes_shipped += object.byte_len;
+        } else {
+            report.objects_skipped += 1;
+            report.bytes_skipped += object.byte_len;
+        }
+    }
+    Ok(report)
+}
+
 /// A multi-artifact registry rooted at one directory; see the
 /// [module docs](self).
 #[derive(Debug, Clone)]
@@ -387,25 +421,12 @@ impl Registry {
         let offer = self.offer(artifact_id)?;
         let want = to.want(&offer);
         to.ensure_layout()?;
-        let mut wanted: HashSet<u64> = want.wanted.iter().map(|object| object.hash).collect();
-        let mut report = ShipReport {
-            artifact_id: artifact_id.to_owned(),
-            objects_shipped: 0,
-            bytes_shipped: 0,
-            objects_skipped: 0,
-            bytes_skipped: 0,
-        };
-        for object in offer.record.referenced() {
-            if wanted.remove(&object.hash) {
-                let bytes = self.object_bytes(artifact_id, object)?;
-                to.pool_object(object, &bytes)?;
-                report.objects_shipped += 1;
-                report.bytes_shipped += object.byte_len;
-            } else {
-                report.objects_skipped += 1;
-                report.bytes_skipped += object.byte_len;
-            }
-        }
+        let wanted = want.wanted.iter().map(|object| object.hash).collect();
+        let report = ship_wanted(&offer.record, wanted, |object| {
+            let bytes = self.object_bytes(artifact_id, object)?;
+            to.pool_object(object, &bytes)?;
+            Ok(())
+        })?;
         RegistryCounters::add(&self.counters.objects_shipped, report.objects_shipped);
         RegistryCounters::add(&self.counters.bytes_shipped, report.bytes_shipped);
         RegistryCounters::add(&self.counters.objects_delta_skipped, report.objects_skipped);

@@ -17,8 +17,8 @@
 //!    instead of piling up unbounded work.
 //! 2. **Batching.** A batcher thread drains admitted requests and
 //!    groups those sharing a *plan identity* — framework, target GPU
-//!    fleet, and the workload/config fingerprints of
-//!    [`crate::PlanKey`] — into one batch. Batching is adaptive: while
+//!    fleet, and the workload fingerprint of [`crate::PlanKey`] — into
+//!    one batch. Batching is adaptive: while
 //!    every executor is busy, arriving requests accumulate into the
 //!    pending batch of their identity (up to
 //!    [`DebloatService::DEFAULT_MAX_BATCH`] requests), so a

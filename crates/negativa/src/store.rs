@@ -139,15 +139,14 @@ pub enum StoreError {
         /// What the bytes on disk actually hash to.
         actual: u64,
     },
-    /// [`StoredArtifact::verify_with_config`] was asked to replay
-    /// workloads under a
-    /// [`RunConfig`] whose fingerprint differs from the one the
-    /// baselines were recorded with — the checksums would be
+    /// [`StoredArtifact::verify`] was handed a manifest recorded under
+    /// a [`RunConfig`] other than this build's default, the only one
+    /// it replays workloads under — the checksums would be
     /// incomparable, so verification refuses to start.
     ConfigMismatch {
         /// The config fingerprint recorded in the manifest.
         stored: u64,
-        /// The fingerprint of the config passed to verify.
+        /// The fingerprint of this build's default config.
         provided: u64,
     },
     /// A registry root's `REGISTRY.json` exists but fails parsing, its
@@ -223,8 +222,9 @@ impl fmt::Display for StoreError {
             ),
             StoreError::ConfigMismatch { stored, provided } => write!(
                 f,
-                "run-config fingerprint {provided:#018x} does not match the manifest's \
-                 {stored:#018x}; baselines were recorded under a different configuration"
+                "this build's run-config fingerprint {provided:#018x} does not match the \
+                 manifest's {stored:#018x}; baselines were recorded under a different \
+                 configuration"
             ),
             StoreError::CorruptIndex { path, detail } => {
                 write!(f, "corrupt registry index at {path}: {detail}")
@@ -469,24 +469,14 @@ impl StoredArtifact {
         Ok(bytes)
     }
 
-    /// Cold re-verification under the default [`RunConfig`]; see
-    /// [`StoredArtifact::verify_with_config`].
-    ///
-    /// # Errors
-    ///
-    /// As [`StoredArtifact::verify_with_config`].
-    pub fn verify(&self) -> Result<StoreVerification> {
-        self.verify_with_config(&RunConfig::default())
-    }
-
     /// The packaging correctness contract, reproduced from stored
-    /// bytes: check
-    /// the plan's content hash, load the bundle (every library hash
-    /// checked), and re-run **every** contributing workload on the
-    /// stored bytes, demanding each reproduce the baseline checksum the
-    /// manifest recorded at publish time. `config` must fingerprint to
-    /// the manifest's recorded configuration — checksums measured under
-    /// a different config would be incomparable.
+    /// bytes: check the plan's content hash, load the bundle (every
+    /// library hash checked), and re-run **every** contributing
+    /// workload on the stored bytes under the default [`RunConfig`],
+    /// demanding each reproduce the baseline checksum the manifest
+    /// recorded at publish time. The manifest must record that same
+    /// configuration — checksums measured under another would be
+    /// incomparable.
     ///
     /// # Errors
     ///
@@ -496,8 +486,9 @@ impl StoredArtifact {
     /// [`NegativaError::ChecksumMismatch`] /
     /// [`NegativaError::OverCompaction`] naming the first workload the
     /// stored bundle breaks.
-    pub fn verify_with_config(&self, config: &RunConfig) -> Result<StoreVerification> {
-        let provided = config_fingerprint(config);
+    pub fn verify(&self) -> Result<StoreVerification> {
+        let config = RunConfig::default();
+        let provided = config_fingerprint(&config);
         if provided != self.manifest.key.config {
             return Err(
                 StoreError::ConfigMismatch { stored: self.manifest.key.config, provided }.into()
@@ -514,7 +505,7 @@ impl StoredArtifact {
                 &libraries,
                 Some(&indexes),
                 record.baseline_checksum,
-                config,
+                &config,
             )?;
             workloads.push(VerifiedWorkload {
                 label: record.label.clone(),

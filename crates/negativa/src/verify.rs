@@ -16,8 +16,8 @@
 //! behavior.
 //!
 //! This module is the single-run primitive. Multi-workload
-//! orchestration — deduplicating re-runs by `(workload, config)`
-//! fingerprint and fanning the unique ones through the bounded
+//! orchestration — deduplicating re-runs by workload fingerprint and
+//! fanning the unique ones through the bounded
 //! [`crate::WorkerPool`] — lives in
 //! [`DebloatSession::verify_all`](crate::DebloatSession::verify_all),
 //! which calls [`verify_indexed`] once per unique workload.

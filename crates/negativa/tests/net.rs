@@ -105,13 +105,13 @@ fn remote_pull_matches_local_pull_and_cold_verifies() {
     let remote = RemoteRegistry::connect(&server.url()).unwrap();
     remote.ping().unwrap();
 
-    // The wire pull ships exactly what the in-process pull ships.
+    // The wire pull ships exactly what the in-process pull ships, and
+    // reports it the same way, skipped repeats included.
     let net_node = Registry::at(&net_root);
     let wire = remote.pull_into(&net_node, &record_big.artifact_id).unwrap();
     let local_node = Registry::at(&local_root);
     let local = local_node.pull(&origin, &record_big.artifact_id).unwrap();
-    assert_eq!(wire.objects_shipped, local.objects_shipped);
-    assert_eq!(wire.bytes_shipped, local.bytes_shipped);
+    assert_eq!(wire, local);
     assert!(wire.objects_shipped > 0);
 
     // Byte-identical pools, and the mirror cold-verifies: every hash
@@ -393,6 +393,7 @@ fn a_missing_origin_pool_object_is_a_typed_missing_object() {
 fn push_over_the_wire_delta_ships_and_the_server_installs_verified() {
     let origin_root = test_root("push-origin");
     let local_root = test_root("push-local");
+    let mirror_root = test_root("push-mirror");
     let (small, big) = artifacts();
     let local = Registry::at(&local_root);
     let record_big = local.publish(big).unwrap();
@@ -410,6 +411,12 @@ fn push_over_the_wire_delta_ships_and_the_server_installs_verified() {
     let delta = remote.push_from(&local, &record_small.artifact_id).unwrap();
     assert!(delta.objects_skipped > 0, "shared objects must not re-upload");
     assert!(delta.bytes_shipped < full.bytes_shipped);
+
+    // Each wire push reports exactly what an in-process push into a
+    // receiver in the same state reports.
+    let mirror = Registry::at(&mirror_root);
+    assert_eq!(full, local.push(&mirror, &record_big.artifact_id).unwrap());
+    assert_eq!(delta, local.push(&mirror, &record_small.artifact_id).unwrap());
 
     let ids: HashSet<String> =
         remote.records().unwrap().into_iter().map(|r| r.artifact_id).collect();

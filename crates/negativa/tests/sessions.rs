@@ -4,7 +4,7 @@
 //! (§4.5), parallel-vs-serial equivalence, and the explicit
 //! empty-device-list error.
 
-use negativa_ml::{Debloater, MultiDebloatReport, NegativaError};
+use negativa_ml::{Debloater, MultiDebloatReport, NegativaError, WorkerPool};
 use simcuda::{GpuModel, LoadMode};
 use simml::{FrameworkKind, GeneratedLibrary, ModelKind, Operation, Workload};
 
@@ -124,7 +124,7 @@ fn repeated_debloat_hits_the_plan_cache() {
 fn parallel_fan_out_is_byte_identical_to_serial() {
     let workload = pytorch(Operation::Train);
     let parallel = Debloater::new(GpuModel::T4);
-    let serial = Debloater::new(GpuModel::T4).with_parallelism(false);
+    let serial = Debloater::new(GpuModel::T4).with_pool(WorkerPool::new(1));
 
     // Drive the phases through the session API so both locate and
     // compact are exercised on each path from one shared detection.
@@ -160,27 +160,6 @@ fn apply_rejects_a_plan_for_another_gpu() {
     // must be refused rather than producing a faulting bundle.
     let err = h100.apply(&plan).unwrap_err();
     assert!(matches!(err, NegativaError::InvalidWorkloadSet { .. }), "got {err}");
-}
-
-#[test]
-fn detection_composes_with_caller_rank_subscribers() {
-    use simcuda::cupti::{CuptiSubscriber, NsysTracer};
-    use std::sync::Arc;
-
-    // A caller-installed per-rank profiler must keep seeing events even
-    // while the debloater adds its own per-rank detectors.
-    let tracer = Arc::new(NsysTracer::new());
-    let mut config = simml::RunConfig::default();
-    let handout = tracer.clone();
-    config.rank_subscribers.push(simml::RankSubscriberSpec::new("caller-nsys", move |_rank| {
-        handout.clone() as Arc<dyn CuptiSubscriber>
-    }));
-
-    let mut workload = pytorch(Operation::Inference);
-    workload.inference_steps = 11; // own plan-cache key: detection must actually run
-    let report = Debloater::with_config(GpuModel::T4, config).debloat_many(&[workload]).unwrap();
-    assert!(!report.plan_cache_hit);
-    assert!(tracer.event_count() > 0, "caller's rank subscriber was dropped");
 }
 
 #[test]

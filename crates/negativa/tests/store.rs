@@ -4,12 +4,14 @@
 //! of single-byte corruption and torn writes anywhere in the artifact.
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use negativa_ml::codec::content_hash;
 use negativa_ml::manifest::{RegistryRecord, REGISTRY_FILE};
-use negativa_ml::store::StoreError;
+use negativa_ml::plan::config_fingerprint;
+use negativa_ml::store::{ObjectSource, StoreError, StoredArtifact};
 use negativa_ml::{DebloatArtifact, Debloater, NegativaError, PlanCache, Registry};
 use simcuda::GpuModel;
 use simml::{FrameworkKind, ModelKind, Operation, RunConfig, Workload};
@@ -271,18 +273,40 @@ fn torn_publishes_are_detected_not_loaded() {
     fs::remove_dir_all(&root).ok();
 }
 
+/// Serves a registry root's files, as a local open does.
+#[derive(Debug)]
+struct RootSource(PathBuf);
+
+impl ObjectSource for RootSource {
+    fn describe(&self, relative: &str) -> String {
+        self.0.join(relative).display().to_string()
+    }
+
+    fn fetch(&self, relative: &str) -> io::Result<Option<Vec<u8>>> {
+        match fs::read(self.0.join(relative)) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 #[test]
 fn verification_under_a_different_run_config_is_refused() {
     let (root, registry, record) = published("config-mismatch");
 
+    // A manifest recorded under another configuration: its baselines
+    // are incomparable with the default runs verify replays.
     let mut config = RunConfig::default();
-    config.sample_steps += 1; // different fingerprint → incomparable baselines
-    let opened = registry.open(&record.artifact_id).unwrap();
-    let err = store_error(opened.verify_with_config(&config).unwrap_err());
+    config.sample_steps += 1;
+    let mut manifest = registry.open(&record.artifact_id).unwrap().manifest().clone();
+    manifest.key.config = config_fingerprint(&config);
+    let opened = StoredArtifact::new(Arc::new(RootSource(root.clone())), manifest);
+    let err = store_error(opened.verify().unwrap_err());
     match err {
         StoreError::ConfigMismatch { stored, provided } => {
-            assert_eq!(stored, artifact().key.config);
-            assert_ne!(provided, stored);
+            assert_eq!(stored, config_fingerprint(&config));
+            assert_eq!(provided, artifact().key.config, "verify replays the default config");
         }
         other => panic!("expected ConfigMismatch, got {other}"),
     }

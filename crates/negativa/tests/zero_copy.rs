@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use negativa_ml::plan::{self, BundlePlan};
-use negativa_ml::{
-    DebloatService, Debloater, NegativaError, Parallelism, PlanCache, Registry, WorkerPool,
-};
+use negativa_ml::{DebloatService, Debloater, NegativaError, PlanCache, Registry, WorkerPool};
 use simcuda::GpuModel;
 use simml::{FrameworkBundle, FrameworkKind, ModelKind, Operation, Workload};
 
@@ -166,7 +164,7 @@ fn roster_drift_replans_incrementally_and_equals_full() {
     let new_detection = session.detect(&[mobilenet(), transformer()]).expect("grown detection");
     let libraries = session.bundle().libraries();
     let arch = negativa_ml::FleetSpec::single(GpuModel::T4.arch());
-    let serial = Parallelism::Serial;
+    let serial = WorkerPool::new(1);
 
     // The prior plan knows one library fewer than the bundle now holds
     // — as if the roster grew since it was computed.
@@ -215,7 +213,7 @@ fn pooled_verification_is_byte_identical_to_serial() {
     // Duplicates on purpose: indexes 0/2 and 1/3 share fingerprints.
     let workloads = vec![mobilenet(), transformer(), mobilenet(), transformer(), mobilenet()];
     let serial_session = Debloater::new(GpuModel::T4)
-        .with_parallelism(false)
+        .with_pool(WorkerPool::new(1))
         .with_plan_cache(Arc::new(PlanCache::new(4)))
         .session(FrameworkKind::PyTorch);
     let pool = WorkerPool::new(4);
@@ -307,7 +305,7 @@ fn verification_memo_spans_passes_and_stays_byte_identical() {
     corrupted.baselines[0].checksum ^= 1;
     let memo_err = session.verify_all(&normalized, &corrupted, &debloated).unwrap_err();
     let cold_session = Debloater::new(GpuModel::T4)
-        .with_parallelism(false)
+        .with_pool(WorkerPool::new(1))
         .with_plan_cache(Arc::new(PlanCache::new(4)))
         .session(FrameworkKind::PyTorch);
     let cold_err = cold_session.verify_all(&normalized, &corrupted, &debloated).unwrap_err();
@@ -375,7 +373,7 @@ fn pooled_bundle_generation_is_byte_identical_to_serial() {
 #[test]
 fn pooled_and_serial_debloats_report_identically() {
     let serial = Debloater::new(GpuModel::T4)
-        .with_parallelism(false)
+        .with_pool(WorkerPool::new(1))
         .with_plan_cache(Arc::new(PlanCache::new(4)))
         .debloat_many(&[mobilenet()])
         .expect("serial debloat verifies");
