@@ -20,13 +20,13 @@
 //! - numbers outside the JSON grammar (`01`, `-01`, `1.`, `1.e5`, `+1`,
 //!   `.5`) and numbers that overflow to infinity (`1e400`), which could
 //!   not round-trip;
-//! - containers nested deeper than [`MAX_PARSE_DEPTH`];
+//! - containers nested deeper than 64 levels;
 //! - trailing garbage after the document.
 //!
 //! 64-bit identity values (content hashes, checksums, fingerprints,
 //! nanosecond counters) do **not** fit a JSON `f64` losslessly, so they
-//! are carried as fixed-width hex strings via [`JsonValue::u64`] /
-//! [`JsonValue::as_u64`].
+//! are carried as fixed-width hex strings via [`JsonValue::u64`] and
+//! decoded back inside the crate.
 
 use std::fmt::Write as _;
 
@@ -59,13 +59,13 @@ impl JsonValue {
     }
 
     /// Shorthand for an exact small integer (counts, indices).
-    pub fn int(value: u64) -> JsonValue {
+    pub(crate) fn int(value: u64) -> JsonValue {
         JsonValue::Number(value as f64)
     }
 
     /// Decode a value written by [`JsonValue::u64`] — or a plain
     /// non-negative integral number — back to a `u64`.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Text(s) => {
                 let hex = s.strip_prefix("0x")?;
@@ -79,7 +79,7 @@ impl JsonValue {
     }
 
     /// The number, if this is a [`JsonValue::Number`].
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(n) => Some(*n),
             _ => None,
@@ -171,7 +171,7 @@ impl JsonValue {
     /// Rejects duplicate object keys (at every nesting level),
     /// unsupported escapes, raw control bytes in strings, numbers
     /// outside the JSON grammar or beyond a finite `f64`, trailing
-    /// garbage, and containers nested deeper than [`MAX_PARSE_DEPTH`]
+    /// garbage, and containers nested deeper than 64 levels
     /// (the recursive-descent parser uses the call stack, so unbounded
     /// nesting in a hostile document would otherwise overflow it).
     ///
@@ -217,7 +217,7 @@ fn render_string(out: &mut String, s: &str) {
 /// single digits; the bound exists so a hostile or corrupt document
 /// fails with a typed error instead of exhausting the parser's call
 /// stack.
-pub const MAX_PARSE_DEPTH: usize = 64;
+pub(crate) const MAX_PARSE_DEPTH: usize = 64;
 
 struct Cursor<'a> {
     text: &'a str,

@@ -42,7 +42,7 @@ pub enum NegativaError {
         reason: String,
     },
     /// A [`crate::service::DebloatService`] could not serve the request:
-    /// the admission queue shed it under load, or the service shut down
+    /// the bounded queue shed it under load, or the service shut down
     /// before answering. See [`crate::service::ServiceError`].
     Service(crate::service::ServiceError),
     /// The on-disk artifact registry refused or failed an operation:

@@ -55,17 +55,17 @@
 //!
 //! ## The service layer
 //!
-//! On top of the sessions sits [`service::DebloatService`], a staged
-//! **admission → batch → execute** pipeline: a *bounded* admission
-//! queue with blocking [`service::ServiceHandle::submit`] and
-//! non-blocking [`service::ServiceHandle::try_submit`] (a full queue
-//! sheds with the typed [`service::ServiceError::Overloaded`]); a
-//! batcher that groups admitted requests sharing a plan identity
-//! ([`PlanKey`]) into one union debloat while the executors are busy;
-//! and executor workers that run each batch once — through the
-//! single-flight [`PlanCache`] and the bounded shared
-//! [`WorkerPool`] — then fan the verified [`MultiDebloatReport`] plus
-//! the compacted libraries out to every grouped requester. A burst of N
+//! On top of the sessions sits [`service::DebloatService`]: one locked,
+//! *bounded* queue of batches between client handles and executor
+//! threads. [`service::ServiceHandle::submit`] (blocking at the bound)
+//! and [`service::ServiceHandle::try_submit`] (shedding with the typed
+//! [`service::ServiceError::Overloaded`]) key each request by plan
+//! identity ([`PlanKey`]) on the caller's thread and fold it into the
+//! queued batch of that identity, which keeps absorbing requests until
+//! an executor takes it. Each executor runs a batch once — through the
+//! single-flight [`PlanCache`] and the bounded shared [`WorkerPool`] —
+//! then fans the verified [`MultiDebloatReport`] plus the compacted
+//! libraries out to every grouped requester. A burst of N
 //! same-bundle requests costs one detection and one compaction, not N,
 //! and every response is byte-identical to the unbatched path. This is
 //! the ROADMAP's serve-at-scale direction: debloating as a resident
@@ -165,8 +165,7 @@ pub use registry::{
 };
 pub use report::{LibraryReport, MultiDebloatReport, Totals, WorkloadVerification};
 pub use service::{
-    DebloatRequest, DebloatResponse, DebloatService, ServiceError, ServiceHandle, ServiceStats,
-    Ticket,
+    DebloatResponse, DebloatService, ServiceError, ServiceHandle, ServiceStats, Ticket,
 };
 pub use store::{StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
 pub use verify::verify_indexed;
@@ -613,7 +612,7 @@ impl DebloatSession {
 
     /// The plan identity of an already-normalized workload set on this
     /// session: framework, fleet and workloads. The single home of the
-    /// keying logic, shared with the service's batcher so the two can
+    /// keying logic, shared with the service's queue so the two can
     /// never drift.
     pub(crate) fn plan_key(&self, normalized: &[Workload]) -> PlanKey {
         PlanKey::for_fleet(self.framework, self.fleet, normalized)

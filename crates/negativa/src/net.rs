@@ -946,8 +946,9 @@ impl NetClient {
         thread::sleep(Duration::from_millis(capped + jitter));
     }
 
-    /// Record a failed attempt: count it, classify timeouts, drop the
-    /// connection so the next attempt re-dials.
+    /// Record a failed attempt: count it as a retry and classify
+    /// timeouts. (A transport failure has already dropped the
+    /// connection in [`NetClient::attempt`], so the next one re-dials.)
     fn note_failure(&self, e: &NetError) {
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
         if matches!(e, NetError::Timeout { .. }) {
@@ -1044,8 +1045,20 @@ impl NetClient {
         let mut buf: Vec<u8> = Vec::with_capacity(usize::try_from(total_len).unwrap_or(0));
         let mut failures: u32 = 0;
         // One closure for the shared bookkeeping of every retryable
-        // failure inside the transfer loop: count it, bound it, back
-        // off, and note whether partial progress survives (a resume).
+        // failure inside the transfer loop: count it, bound it, note it
+        // and whether partial progress survives (a resume), back off.
+        let mut retry = |e: NetError, resumes: bool| {
+            failures += 1;
+            if failures >= self.policy.attempts {
+                return Err(self.exhausted(&e));
+            }
+            self.note_failure(&e);
+            if resumes {
+                self.counters.range_resumes.fetch_add(1, Ordering::Relaxed);
+            }
+            self.backoff(failures);
+            Ok(())
+        };
         loop {
             while (buf.len() as u64) < total_len {
                 let len =
@@ -1055,20 +1068,13 @@ impl NetClient {
                 match self.attempt(&req) {
                     Ok(Response::Chunk { total_len: reported, bytes }) => {
                         if reported != total_len || bytes.is_empty() || bytes.len() > len as usize {
-                            let e = NetError::Malformed {
-                                detail: format!(
-                                    "chunk of {entry} reports total {reported}, carries {} bytes \
-                                     against a {len}-byte range at offset {} of {total_len}",
-                                    bytes.len(),
-                                    buf.len(),
-                                ),
-                            };
-                            failures += 1;
-                            if failures >= self.policy.attempts {
-                                return Err(self.exhausted(&e));
-                            }
-                            self.note_failure(&e);
-                            self.backoff(failures);
+                            let detail = format!(
+                                "chunk of {entry} reports total {reported}, carries {} bytes \
+                                 against a {len}-byte range at offset {} of {total_len}",
+                                bytes.len(),
+                                buf.len(),
+                            );
+                            retry(NetError::Malformed { detail }, false)?;
                             continue;
                         }
                         buf.extend_from_slice(&bytes);
@@ -1077,28 +1083,10 @@ impl NetClient {
                     Ok(Response::Error { code, text, num }) => {
                         return Err(remote_net_error(code, &text, num))
                     }
-                    Ok(other) => {
-                        let e = unexpected(&other);
-                        failures += 1;
-                        if failures >= self.policy.attempts {
-                            return Err(self.exhausted(&e));
-                        }
-                        self.note_failure(&e);
-                        self.backoff(failures);
-                    }
-                    Err(e) if e.is_retryable() => {
-                        failures += 1;
-                        if failures >= self.policy.attempts {
-                            return Err(self.exhausted(&e));
-                        }
-                        self.note_failure(&e);
-                        if !buf.is_empty() {
-                            // The next range read continues from
-                            // buf.len() instead of offset zero.
-                            self.counters.range_resumes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.backoff(failures);
-                    }
+                    Ok(other) => retry(unexpected(&other), false)?,
+                    // A resume: the next range read continues from
+                    // buf.len() instead of offset zero.
+                    Err(e) if e.is_retryable() => retry(e, !buf.is_empty())?,
                     Err(e) => return Err(e),
                 }
             }
@@ -1109,14 +1097,8 @@ impl NetClient {
             // A flipped byte survived framing: throw everything away
             // and re-fetch from offset zero — corruption never leaves
             // this function.
-            let e = NetError::Corrupt { entry: entry.to_owned(), expected: hash, actual };
-            failures += 1;
-            if failures >= self.policy.attempts {
-                return Err(self.exhausted(&e));
-            }
-            self.note_failure(&e);
+            retry(NetError::Corrupt { entry: entry.to_owned(), expected: hash, actual }, false)?;
             buf.clear();
-            self.backoff(failures);
         }
     }
 

@@ -68,7 +68,7 @@ impl PlanKey {
             framework,
             fleet,
             workloads: stable_hash(&refs),
-            config: config_fingerprint(&RunConfig::default()),
+            config: default_config_fingerprint(),
         }
     }
 
@@ -105,6 +105,13 @@ pub fn config_fingerprint(config: &RunConfig) -> u64 {
         &subscribers.join(","),
         &rank_subscribers.join(","),
     ])
+}
+
+/// [`config_fingerprint`] of the default [`RunConfig`], the one every
+/// run uses: computed once per process.
+pub(crate) fn default_config_fingerprint() -> u64 {
+    static FINGERPRINT: OnceLock<u64> = OnceLock::new();
+    *FINGERPRINT.get_or_init(|| config_fingerprint(&RunConfig::default()))
 }
 
 /// A stable fingerprint of everything about a [`Workload`] that can

@@ -273,7 +273,7 @@ pub struct MultiDebloatReport {
     /// True if the union retain plan came from the plan cache.
     pub plan_cache_hit: bool,
     /// True if this per-request report was sliced from a batched union
-    /// debloat — the service's batcher grouped this request with others
+    /// debloat — the service's queue grouped this request with others
     /// sharing its plan identity, and one detection/plan/compact served
     /// the whole group. False for unbatched entry points
     /// ([`crate::Debloater::debloat_many`]) and for batches of one.

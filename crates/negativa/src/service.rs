@@ -1,46 +1,42 @@
 //! The long-lived debloat service — the ROADMAP's serve-at-scale
-//! layer, structured as a **staged admission pipeline**.
+//! layer: one locked queue of batches between client handles and
+//! executors.
 //!
 //! The paper's deployment story is one framework installation serving
 //! many jobs; operationally that makes debloating a *resident service*,
 //! and its economics are amortization: one detect → plan → compact pass
 //! should serve every concurrent consumer of the same bundle, not run
-//! once per request. [`DebloatService`] realizes that with three
-//! stages:
+//! once per request. [`DebloatService`] realizes that with two stages
+//! around one queue:
 //!
-//! 1. **Admission.** Clients submit [`DebloatRequest`]s over a
-//!    *bounded* queue via cheap cloneable [`ServiceHandle`]s.
-//!    [`ServiceHandle::submit`] blocks while the queue is full
-//!    (backpressure); [`ServiceHandle::try_submit`] never blocks — a
-//!    full queue sheds the request with a typed
-//!    [`ServiceError::Overloaded`] so callers can retry or fail fast
-//!    instead of piling up unbounded work.
-//! 2. **Batching.** A batcher thread drains admitted requests and
-//!    groups those sharing a *plan identity* — framework, target GPU
-//!    fleet, and the workload fingerprint of [`crate::PlanKey`] — into
-//!    one batch. Batching is adaptive: while
-//!    every executor is busy, arriving requests accumulate into the
-//!    pending batch of their identity (up to
-//!    [`DebloatService::DEFAULT_MAX_BATCH`] requests), so a
-//!    burst of N same-bundle requests leaves the batcher as **one**
-//!    union debloat. Grouping by full plan identity (never by framework
-//!    alone) keeps batching invisible in the output: every requester
-//!    receives libraries byte-identical to an unbatched run.
-//! 3. **Execution.** Executor workers rendezvous with the batcher (a
-//!    batch is handed over only when an executor is actually free), run
-//!    the batch's single detection/plan/compaction through the shared
-//!    single-flight [`PlanCache`] and bounded [`WorkerPool`], verify,
-//!    and fan the response out to every requester in the batch — each
-//!    reply carrying a [`MultiDebloatReport`] stamped with its batch
-//!    provenance ([`MultiDebloatReport::batched`] /
+//! 1. **Admission into a batch queue.** Clients submit workload sets
+//!    through cheap cloneable [`ServiceHandle`]s. The submitting thread
+//!    validates and keys its set by *plan identity* — framework, target
+//!    GPU fleet, and the workload fingerprint of [`crate::PlanKey`] —
+//!    and folds it into the queued batch of that identity (up to
+//!    [`DebloatService::DEFAULT_MAX_BATCH`] requests) or appends a new
+//!    batch. A batch keeps absorbing same-identity requests until an
+//!    executor takes it, so a burst of N same-bundle requests arriving
+//!    while every executor is busy runs as **one** union debloat.
+//!    Grouping by full plan identity (never by framework alone) keeps
+//!    batching invisible in the output: every requester receives
+//!    libraries byte-identical to an unbatched run. The queue is
+//!    bounded in requests: at the bound [`ServiceHandle::submit`] blocks
+//!    (backpressure) and [`ServiceHandle::try_submit`] sheds the request
+//!    with a typed [`ServiceError::Overloaded`].
+//! 2. **Execution.** A free executor takes the oldest batch, runs its
+//!    single detection/plan/compaction through the shared single-flight
+//!    [`PlanCache`] and bounded [`WorkerPool`], verifies, and fans the
+//!    response out to every requester in the batch — each reply carrying
+//!    a [`MultiDebloatReport`] stamped with its batch provenance
+//!    ([`MultiDebloatReport::batched`] /
 //!    [`MultiDebloatReport::batch_size`]) plus the compacted libraries.
 //!
-//! Shutdown is staged too: [`DebloatService::shutdown`] stops
-//! admission, lets the batcher drain and dispatch everything already
-//! queued, then stops each executor after its last batch. A request
-//! that raced shutdown and could not be served resolves to
-//! [`ServiceError::Shutdown`] on [`Ticket::wait`] — never a bare
-//! channel error.
+//! [`DebloatService::shutdown`] refuses new submissions, lets the
+//! executors drain every queued batch, and joins them. Should the last
+//! executor die instead, every queued request is answered with
+//! [`ServiceError::Shutdown`] and later submissions are refused the
+//! same way; [`Ticket::wait`] never surfaces a bare channel error.
 //!
 //! ```
 //! use negativa_ml::service::{DebloatService, ServiceError};
@@ -71,43 +67,35 @@
 //! # }
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use simcuda::GpuModel;
-use simml::{FrameworkKind, GeneratedLibrary, Workload};
+use simml::{GeneratedLibrary, Workload};
 
 use crate::plan::{PlanCache, PlanKey};
 use crate::pool::WorkerPool;
 use crate::report::MultiDebloatReport;
 use crate::{shared_framework, DebloatSession, Debloater, NegativaError, Result};
 
-/// How often the batcher re-attempts dispatch while batches are waiting
-/// for a free executor. This is the only polling in the pipeline, it
-/// only happens under load (pending batches + saturated executors), and
-/// it is what lets batches keep *growing* while they wait.
-const DISPATCH_POLL: Duration = Duration::from_millis(1);
-
 /// Why a [`DebloatService`] could not serve a request. Carried inside
 /// [`NegativaError::Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServiceError {
-    /// The bounded admission queue was full and the request was shed
+    /// The bounded queue was full and the request was shed
     /// ([`ServiceHandle::try_submit`] only — [`ServiceHandle::submit`]
     /// blocks instead). Retry later or scale the service.
     Overloaded {
-        /// The admission queue bound that was hit
+        /// The queue bound that was hit
         /// ([`DebloatServiceBuilder::queue_capacity`]).
         capacity: usize,
     },
-    /// The service shut down (or an executor died) before this request
-    /// completed: submission was refused, or the response channel closed
-    /// without an answer.
+    /// The service shut down (or its last executor died) before this
+    /// request completed: submission was refused, or the request was
+    /// answered without a result.
     Shutdown,
 }
 
@@ -127,22 +115,6 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-/// One unit of work on the admission queue: a workload set to debloat
-/// (all one framework, sharing one bundle) and the channel the answer
-/// goes back on.
-#[derive(Debug)]
-pub struct DebloatRequest {
-    /// Workloads whose union usage the debloat targets. Must be
-    /// non-empty and single-framework; the batcher reports violations
-    /// back on the reply channel
-    /// ([`NegativaError::InvalidWorkloadSet`]) instead of dying.
-    pub workloads: Vec<Workload>,
-    /// Per-request response channel. The service sends exactly one
-    /// message per request; a dropped receiver is tolerated (the result
-    /// is discarded).
-    pub reply: mpsc::Sender<Result<DebloatResponse>>,
-}
 
 /// What the service streams back for a successful request: the verified
 /// report (with batch provenance) and the compacted library images
@@ -165,23 +137,24 @@ pub struct DebloatResponse {
 /// [`DebloatService::stats`].
 ///
 /// Every field except `queue_depth` and `executing` (point-in-time
-/// gauges that move with the pipeline) is a lifetime counter that only
+/// gauges that move with the queue) is a lifetime counter that only
 /// grows.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Requests taken off the admission queue by the batcher.
+    /// Requests submitted and not shed: queued ones plus invalid sets
+    /// refused at submission (which also count as `failed`).
     pub accepted: u64,
     /// Requests answered with a verified report.
     pub completed: u64,
-    /// Requests answered with an error (invalid sets at admission,
-    /// pipeline failures at execution).
+    /// Requests answered with an error: invalid sets at submission,
+    /// pipeline failures at execution, and queued requests the last
+    /// executor left behind.
     pub failed: u64,
     /// Requests shed by [`ServiceHandle::try_submit`] because the
-    /// bounded admission queue was full ([`ServiceError::Overloaded`]).
+    /// bounded queue was full ([`ServiceError::Overloaded`]).
     pub shed: u64,
-    /// Live gauge: requests admitted (queued or pending in the batcher)
-    /// but not yet handed to an executor. Meaningful while the service
-    /// runs; a request lost to a shutdown race can leave a residual.
+    /// Live gauge: requests queued but not yet taken by an executor;
+    /// never more than [`DebloatServiceBuilder::queue_capacity`].
     pub queue_depth: u64,
     /// Live gauge: batches currently executing.
     pub executing: u64,
@@ -190,7 +163,7 @@ pub struct ServiceStats {
     /// Total requests served across those batches; divided by
     /// [`ServiceStats::batches`] this is the mean batch size
     /// ([`ServiceStats::mean_batch_size`]) — the amortization factor
-    /// the batcher achieved.
+    /// batching achieved.
     pub batched_requests: u64,
     /// Library bytes deep-copied by executed batches' compactions
     /// (copy-on-write: at most one whole-file copy per library per
@@ -223,6 +196,31 @@ impl ServiceStats {
             self.batched_requests as f64 / self.batches as f64
         }
     }
+
+    /// Account one executed batch of `size` requests.
+    fn record(&mut self, size: usize, result: &Result<DebloatResponse>) {
+        let size = size as u64;
+        self.batches += 1;
+        self.batched_requests += size;
+        let Ok(response) = result else {
+            self.failed += size;
+            return;
+        };
+        self.completed += size;
+        // Zero-copy accounting: the batch's single compaction copied
+        // what it copied (O(1) in the batch size), while every
+        // requester's response shares the compacted images behind one
+        // Arc — each fanned-out reference counts its library bytes as
+        // shared, which is exactly the copying a pre-copy-on-write
+        // fan-out would have done.
+        let report = &response.report;
+        let fanned_out: u64 = response.libraries.iter().map(|lib| lib.image.len()).sum();
+        let totals = report.totals();
+        self.bytes_copied += report.bytes_copied;
+        self.bytes_shared += report.bytes_shared + size * fanned_out;
+        self.bytes_sliced_arch += totals.bytes_sliced_arch;
+        self.compressed_rewritten += totals.compressed_rewritten;
+    }
 }
 
 /// Configuration of a [`DebloatService`]; built with
@@ -240,18 +238,16 @@ impl DebloatServiceBuilder {
     /// Number of executor threads running batches (default 2, clamped
     /// to at least 1). This is the number of *union debloats* in
     /// flight; per-library work inside each is bounded separately by
-    /// the worker pool, and batches are only handed to executors that
-    /// are actually free.
+    /// the worker pool.
     pub fn service_workers(mut self, workers: usize) -> Self {
         self.service_workers = workers.max(1);
         self
     }
 
-    /// Bound of the admission queue (default
+    /// Bound on queued requests, counted across all queued batches and
+    /// not yet taken by an executor (default
     /// [`DebloatService::DEFAULT_QUEUE_CAPACITY`], clamped to at least
-    /// 1). The batcher buffers at most this many additional admitted
-    /// requests, so the total undispatched backlog is bounded by twice
-    /// this value; beyond it, [`ServiceHandle::submit`] blocks and
+    /// 1). At the bound, [`ServiceHandle::submit`] blocks and
     /// [`ServiceHandle::try_submit`] sheds with
     /// [`ServiceError::Overloaded`].
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
@@ -275,82 +271,34 @@ impl DebloatServiceBuilder {
         self
     }
 
-    /// Start the service: spawn the batcher and the executors and
-    /// return the running front end.
+    /// Start the service: spawn the executors and return the running
+    /// front end.
     pub fn build(self) -> DebloatService {
-        let pool = self.pool.unwrap_or_else(WorkerPool::shared);
-        let cache = Arc::new(PlanCache::new(self.cache_capacity));
-        let debloater =
-            Debloater::new(self.gpu).with_pool(pool.clone()).with_plan_cache(cache.clone());
-        let shared = Arc::new(ServiceShared {
-            debloater,
-            pool,
-            cache,
-            queue_capacity: self.queue_capacity,
-            sessions: Mutex::new(HashMap::new()),
-            stopping: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            executing: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            bytes_copied: AtomicU64::new(0),
-            bytes_shared: AtomicU64::new(0),
-            bytes_sliced_arch: AtomicU64::new(0),
-            compressed_rewritten: AtomicU64::new(0),
-        });
-        let (admission_tx, admission_rx) = mpsc::sync_channel::<QueueItem>(self.queue_capacity);
-        // One rendezvous channel per executor: a batch leaves the
-        // batcher only when some executor is actually parked in recv,
-        // which is what lets batches keep growing while all are busy.
-        let mut exec_txs = Vec::with_capacity(self.service_workers);
+        let shared = Arc::new(Shared::new(
+            self.gpu,
+            self.pool.unwrap_or_else(WorkerPool::shared),
+            self.cache_capacity,
+            self.queue_capacity,
+        ));
         let executors = (0..self.service_workers)
             .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<ExecItem>(0);
-                exec_txs.push(tx);
-                let shared = shared.clone();
+                let registration = Shared::register(&shared);
                 std::thread::Builder::new()
                     .name(format!("debloat-exec-{i}"))
-                    .spawn(move || executor_loop(&shared, &rx))
+                    .spawn(move || registration.serve())
                     .expect("spawning a service executor failed")
             })
             .collect();
-        let batcher = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("debloat-batcher".into())
-                .spawn(move || batcher_loop(&shared, &admission_rx, &exec_txs))
-                .expect("spawning the service batcher failed")
-        };
-        DebloatService { shared, tx: Some(admission_tx), batcher: Some(batcher), executors }
+        DebloatService { shared, executors }
     }
 }
 
-/// What travels on the admission queue: a client request, or the
-/// shutdown sentinel ([`DebloatService::shutdown`] enqueues exactly one
-/// so the batcher can stop even while client handles are alive).
-#[derive(Debug)]
-enum QueueItem {
-    Request(DebloatRequest),
-    Shutdown,
-}
-
-/// What the batcher hands an executor: one batch (one union debloat
-/// fanned out to every grouped requester), or the stop sentinel.
-#[derive(Debug)]
-enum ExecItem {
-    Batch(Batch),
-    Shutdown,
-}
-
-/// One group of admitted requests sharing a plan identity, executed as
-/// a single union debloat.
+/// Queued requests sharing a plan identity, executed as a single union
+/// debloat.
 #[derive(Debug)]
 struct Batch {
-    framework: FrameworkKind,
+    key: PlanKey,
+    session: DebloatSession,
     /// The canonical (normalized) workload set — taken from the first
     /// grouped request; equal plan identity means an equal set.
     workloads: Vec<Workload>,
@@ -358,276 +306,197 @@ struct Batch {
     replies: Vec<mpsc::Sender<Result<DebloatResponse>>>,
 }
 
-/// A batch still sitting in the batcher, waiting for an executor.
-#[derive(Debug)]
-struct PendingBatch {
-    key: PlanKey,
-    /// Sealed batches reached [`DebloatService::DEFAULT_MAX_BATCH`] and
-    /// accept no further requests.
-    sealed: bool,
-    batch: Batch,
+/// Everything the handles and the executors share, behind one lock.
+#[derive(Debug, Default)]
+struct Queue {
+    /// Batches waiting for an executor, oldest first.
+    batches: VecDeque<Batch>,
+    /// Set by shutdown, or when the last executor exits: no more
+    /// submissions are taken.
+    stopping: bool,
+    /// Executors still registered ([`Registration`]).
+    executors: usize,
+    stats: ServiceStats,
 }
 
-/// State shared between the service front end, the batcher, and the
+/// State shared between the service front end, its handles and its
 /// executors.
 #[derive(Debug)]
-struct ServiceShared {
+struct Shared {
     debloater: Debloater,
     pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
     queue_capacity: usize,
-    /// One pinned session per framework, created on first request.
-    sessions: Mutex<HashMap<FrameworkKind, DebloatSession>>,
-    /// Set by shutdown so handles reject new submissions immediately.
-    stopping: AtomicBool,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    queue_depth: AtomicU64,
-    executing: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    bytes_copied: AtomicU64,
-    bytes_shared: AtomicU64,
-    bytes_sliced_arch: AtomicU64,
-    compressed_rewritten: AtomicU64,
+    queue: Mutex<Queue>,
+    /// Signalled when a batch is queued, and at shutdown.
+    work: Condvar,
+    /// Signalled when queued requests leave the queue, and at shutdown.
+    room: Condvar,
 }
 
-impl ServiceShared {
-    /// The session pinned for `framework`, creating it on first use.
-    fn session(&self, framework: FrameworkKind) -> DebloatSession {
-        let mut sessions = self.sessions.lock().expect("service session map poisoned");
-        sessions.entry(framework).or_insert_with(|| self.debloater.session(framework)).clone()
+impl Shared {
+    fn new(
+        gpu: GpuModel,
+        pool: Arc<WorkerPool>,
+        cache_capacity: usize,
+        queue_capacity: usize,
+    ) -> Shared {
+        let cache = Arc::new(PlanCache::new(cache_capacity));
+        Shared {
+            debloater: Debloater::new(gpu).with_pool(pool.clone()).with_plan_cache(cache.clone()),
+            pool,
+            cache,
+            queue_capacity,
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
+            room: Condvar::new(),
+        }
     }
-}
 
-/// The batching stage: drain admitted requests, group them by plan
-/// identity, dispatch each group to a free executor as one batch.
-fn batcher_loop(
-    shared: &ServiceShared,
-    rx: &mpsc::Receiver<QueueItem>,
-    exec_txs: &[mpsc::SyncSender<ExecItem>],
-) {
-    let mut pending: VecDeque<PendingBatch> = VecDeque::new();
-    let mut pending_total = 0usize;
-    let mut stopping = false;
-    loop {
-        // Drain whatever is already admitted, up to the pending bound —
-        // past it the admission queue itself fills and backpressure
-        // reaches the handles. A draining shutdown ignores the bound so
-        // the queue always empties.
-        while stopping || pending_total < shared.queue_capacity {
-            match rx.try_recv() {
-                Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request);
-                }
-                Ok(QueueItem::Shutdown) => stopping = true,
-                Err(_) => break,
-            }
-        }
-        // Dispatch in arrival order onto whichever executors are free.
-        while let Some(item) = pending.pop_front() {
-            let size = item.batch.replies.len();
-            match try_dispatch(exec_txs, item.batch) {
-                Dispatch::Done => {
-                    pending_total -= size;
-                    shared.queue_depth.fetch_sub(size as u64, Ordering::Relaxed);
-                }
-                Dispatch::Busy(batch) => {
-                    // No executor free; put the batch back (it may keep
-                    // growing) and stop trying this round.
-                    pending.push_front(PendingBatch { batch, ..item });
-                    break;
-                }
-                Dispatch::Dead(batch) => {
-                    // Every executor died (panicked): the batch can
-                    // never run. Fail its requesters with the typed
-                    // Shutdown error instead of spinning forever.
-                    pending_total -= size;
-                    shared.queue_depth.fetch_sub(size as u64, Ordering::Relaxed);
-                    shared.failed.fetch_add(size as u64, Ordering::Relaxed);
-                    for reply in &batch.replies {
-                        let _ = reply.send(Err(ServiceError::Shutdown.into()));
-                    }
-                }
-            }
-        }
-        if stopping {
-            if pending.is_empty() {
-                // Everything visible was drained and dispatched; one
-                // last look for requests that raced the sentinel, then
-                // stop the executors.
-                match rx.try_recv() {
-                    Ok(QueueItem::Request(request)) => {
-                        pending_total += admit(shared, &mut pending, request);
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            // Batches are waiting on busy executors; let them finish.
-            std::thread::sleep(DISPATCH_POLL);
-            continue;
-        }
-        // Wait for work: block when fully idle, poll briefly while
-        // batches are parked so they dispatch the moment an executor
-        // frees (and keep absorbing new same-identity requests). At the
-        // pending bound, only sleep — receiving more would quietly
-        // bypass the backpressure budget.
-        if pending.is_empty() {
-            match rx.recv() {
-                Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request);
-                }
-                Ok(QueueItem::Shutdown) => stopping = true,
-                Err(_) => break, // service and every handle dropped
-            }
-        } else if pending_total < shared.queue_capacity {
-            match rx.recv_timeout(DISPATCH_POLL) {
-                Ok(QueueItem::Request(request)) => {
-                    pending_total += admit(shared, &mut pending, request);
-                }
-                Ok(QueueItem::Shutdown) => stopping = true,
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            std::thread::sleep(DISPATCH_POLL);
-        }
+    /// The queue. Every critical section leaves it consistent and none
+    /// can panic midway, so a poisoned lock still guards a sound queue.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    // One sentinel per executor; each consumes exactly one and exits
-    // after finishing its current batch.
-    for tx in exec_txs {
-        let _ = tx.send(ExecItem::Shutdown);
-    }
-}
 
-/// Validate one admitted request and fold it into the pending batches.
-/// Returns how many requests joined the pending set (0 when the request
-/// was answered immediately with a validation error).
-fn admit(
-    shared: &ServiceShared,
-    pending: &mut VecDeque<PendingBatch>,
-    request: DebloatRequest,
-) -> usize {
-    shared.accepted.fetch_add(1, Ordering::Relaxed);
-    let DebloatRequest { workloads, reply } = request;
-    let prepared = (|| {
-        let framework = shared_framework(&workloads)?;
-        let session = shared.session(framework);
+    /// Count one more live executor until the returned guard drops.
+    fn register(shared: &Arc<Shared>) -> Registration {
+        shared.lock().executors += 1;
+        Registration(shared.clone())
+    }
+
+    /// Validate, normalize and key `workloads`.
+    fn prepare(&self, workloads: &[Workload]) -> Result<(PlanKey, DebloatSession, Vec<Workload>)> {
+        let session = self.debloater.session(shared_framework(workloads)?);
         let normalized: Vec<Workload> =
             workloads.iter().map(|w| session.normalize(w)).collect::<Result<_>>()?;
-        Ok((session.plan_key(&normalized), framework, normalized))
-    })();
-    match prepared {
-        Ok((key, framework, normalized)) => {
-            if let Some(open) =
-                pending.iter_mut().rev().find(|item| item.key == key && !item.sealed)
-            {
-                open.batch.replies.push(reply);
-                if open.batch.replies.len() >= DebloatService::DEFAULT_MAX_BATCH {
-                    open.sealed = true;
-                }
-            } else {
-                pending.push_back(PendingBatch {
+        Ok((session.plan_key(&normalized), session, normalized))
+    }
+
+    /// Queue `workloads`, waiting for room when `block` is set and
+    /// shedding otherwise.
+    fn submit(&self, workloads: &[Workload], block: bool) -> Result<Ticket> {
+        let prepared = self.prepare(workloads);
+        let mut queue = self.lock();
+        if queue.stopping {
+            return Err(ServiceError::Shutdown.into());
+        }
+        let (key, session, normalized) = match prepared {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                queue.stats.accepted += 1;
+                queue.stats.failed += 1;
+                return Err(e);
+            }
+        };
+        while queue.stats.queue_depth >= self.queue_capacity as u64 {
+            if !block {
+                queue.stats.shed += 1;
+                return Err(ServiceError::Overloaded { capacity: self.queue_capacity }.into());
+            }
+            queue = self.room.wait(queue).unwrap_or_else(PoisonError::into_inner);
+            if queue.stopping {
+                return Err(ServiceError::Shutdown.into());
+            }
+        }
+        queue.stats.accepted += 1;
+        queue.stats.queue_depth += 1;
+        let (reply, rx) = mpsc::channel();
+        let open = queue.batches.iter_mut().find(|batch| {
+            batch.key == key && batch.replies.len() < DebloatService::DEFAULT_MAX_BATCH
+        });
+        match open {
+            Some(batch) => batch.replies.push(reply),
+            None => {
+                queue.batches.push_back(Batch {
                     key,
-                    sealed: false,
-                    batch: Batch { framework, workloads: normalized, replies: vec![reply] },
+                    session,
+                    workloads: normalized,
+                    replies: vec![reply],
                 });
+                drop(queue);
+                self.work.notify_one();
             }
-            1
         }
-        Err(e) => {
-            // Invalid sets never reach an executor: answer right away.
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            let _ = reply.send(Err(e));
-            0
-        }
+        Ok(Ticket { rx })
     }
-}
 
-/// Outcome of one dispatch attempt.
-enum Dispatch {
-    /// An executor took the batch.
-    Done,
-    /// Every live executor is busy; the batch stays pending (and may
-    /// keep growing).
-    Busy(Batch),
-    /// Every executor's channel is disconnected — the workers died. The
-    /// batch can never execute and must be failed, not re-queued.
-    Dead(Batch),
-}
-
-/// Hand `batch` to any free executor (rendezvous try_send).
-fn try_dispatch(exec_txs: &[mpsc::SyncSender<ExecItem>], batch: Batch) -> Dispatch {
-    let mut item = ExecItem::Batch(batch);
-    let mut all_dead = true;
-    for tx in exec_txs {
-        match tx.try_send(item) {
-            Ok(()) => return Dispatch::Done,
-            Err(mpsc::TrySendError::Full(back)) => {
-                all_dead = false;
-                item = back;
+    /// Wait for the oldest batch and move its requests from the queue
+    /// into execution; `None` once stopping with nothing left to run.
+    fn next_batch(&self) -> Option<Batch> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(batch) = queue.batches.pop_front() {
+                queue.stats.queue_depth -= batch.replies.len() as u64;
+                queue.stats.executing += 1;
+                drop(queue);
+                self.room.notify_all();
+                return Some(batch);
             }
-            Err(mpsc::TrySendError::Disconnected(back)) => item = back,
+            if queue.stopping {
+                return None;
+            }
+            queue = self.work.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
     }
-    match item {
-        ExecItem::Batch(batch) if all_dead => Dispatch::Dead(batch),
-        ExecItem::Batch(batch) => Dispatch::Busy(batch),
-        ExecItem::Shutdown => unreachable!("the batcher only dispatches batches"),
+
+    /// One union debloat for the whole batch, then the response fan-out
+    /// to every grouped requester.
+    fn execute(&self, batch: Batch) {
+        let size = batch.replies.len();
+        let result = batch.session.debloat_many_artifact(&batch.workloads).map(|mut artifact| {
+            artifact.report.batch_size = size;
+            artifact.report.batched = size > 1;
+            DebloatResponse { report: artifact.report, libraries: Arc::new(artifact.libraries) }
+        });
+        {
+            let mut queue = self.lock();
+            queue.stats.executing -= 1;
+            queue.stats.record(size, &result);
+        }
+        // Requesters that dropped their tickets just discard their copy.
+        let (last, rest) = batch.replies.split_last().expect("batches are never empty");
+        for reply in rest {
+            let _ = reply.send(result.clone());
+        }
+        let _ = last.send(result);
     }
 }
 
-/// The execution stage: one union debloat per batch, response fan-out
-/// to every grouped requester.
-fn executor_loop(shared: &ServiceShared, rx: &mpsc::Receiver<ExecItem>) {
-    loop {
-        match rx.recv() {
-            Ok(ExecItem::Batch(batch)) => execute(shared, batch),
-            Ok(ExecItem::Shutdown) | Err(_) => return,
+/// One live executor. Dropping it — the executor returned or unwound —
+/// unregisters it; the last one out stops the service and answers every
+/// request still queued with [`ServiceError::Shutdown`], so no ticket
+/// waits on a batch nobody will run.
+#[derive(Debug)]
+struct Registration(Arc<Shared>);
+
+impl Registration {
+    /// The executor loop: run batches until the service stops and the
+    /// queue is empty.
+    fn serve(self) {
+        while let Some(batch) = self.0.next_batch() {
+            self.0.execute(batch);
         }
     }
 }
 
-fn execute(shared: &ServiceShared, batch: Batch) {
-    let size = batch.replies.len();
-    shared.executing.fetch_add(1, Ordering::Relaxed);
-    let session = shared.session(batch.framework);
-    // One detection / plan / compaction / verification for the whole
-    // group; each per-request report carries the batch provenance.
-    let result = session.debloat_many_artifact(&batch.workloads).map(|mut artifact| {
-        artifact.report.batch_size = size;
-        artifact.report.batched = size > 1;
-        // Zero-copy accounting: the batch's single compaction copied
-        // what it copied (O(1) in the batch size), while every
-        // requester's response shares the compacted images behind one
-        // Arc — each fanned-out reference counts its library bytes as
-        // shared, which is exactly the copying a pre-copy-on-write
-        // fan-out would have done.
-        let fanned_out: u64 = artifact.libraries.iter().map(|lib| lib.image.len()).sum();
-        shared.bytes_copied.fetch_add(artifact.report.bytes_copied, Ordering::Relaxed);
-        shared
-            .bytes_shared
-            .fetch_add(artifact.report.bytes_shared + size as u64 * fanned_out, Ordering::Relaxed);
-        let totals = artifact.report.totals();
-        shared.bytes_sliced_arch.fetch_add(totals.bytes_sliced_arch, Ordering::Relaxed);
-        shared.compressed_rewritten.fetch_add(totals.compressed_rewritten, Ordering::Relaxed);
-        DebloatResponse { report: artifact.report, libraries: Arc::new(artifact.libraries) }
-    });
-    let counter = if result.is_ok() { &shared.completed } else { &shared.failed };
-    counter.fetch_add(size as u64, Ordering::Relaxed);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    shared.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
-    // Requesters that dropped their tickets just discard their copy.
-    let (last, rest) = batch.replies.split_last().expect("batches are never empty");
-    for reply in rest {
-        let _ = reply.send(result.clone());
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut queue = self.0.lock();
+        queue.executors -= 1;
+        if queue.executors > 0 {
+            return;
+        }
+        queue.stopping = true;
+        // Dropping a queued request's reply sender answers its ticket
+        // with ServiceError::Shutdown (see Ticket::wait).
+        for batch in std::mem::take(&mut queue.batches) {
+            queue.stats.queue_depth -= batch.replies.len() as u64;
+            queue.stats.failed += batch.replies.len() as u64;
+        }
+        drop(queue);
+        self.0.room.notify_all();
     }
-    let _ = last.send(result);
-    shared.executing.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// A pending request's claim check: blocks until the service answers.
@@ -655,61 +524,34 @@ impl Ticket {
 /// [`ServiceError::Shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServiceHandle {
-    tx: mpsc::SyncSender<QueueItem>,
-    shared: Arc<ServiceShared>,
+    shared: Arc<Shared>,
 }
 
 impl ServiceHandle {
-    /// Enqueue a debloat of `workloads` (one framework, shared bundle)
+    /// Queue a debloat of `workloads` (one framework, shared bundle)
     /// and return a [`Ticket`] for the response, **blocking while the
-    /// bounded admission queue is full** — the backpressure entry
-    /// point. Use [`ServiceHandle::try_submit`] to shed instead of
-    /// waiting.
+    /// bounded queue is full** — the backpressure entry point. Use
+    /// [`ServiceHandle::try_submit`] to shed instead of waiting.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Shutdown`] if the service already shut down.
+    /// [`ServiceError::Shutdown`] if the service already shut down;
+    /// [`NegativaError::InvalidWorkloadSet`] /
+    /// [`NegativaError::EmptyDevices`] for a set no debloat accepts.
     pub fn submit(&self, workloads: Vec<Workload>) -> Result<Ticket> {
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            return Err(ServiceError::Shutdown.into());
-        }
-        let (reply, rx) = mpsc::channel();
-        self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.send(QueueItem::Request(DebloatRequest { workloads, reply })) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(_) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                Err(ServiceError::Shutdown.into())
-            }
-        }
+        self.shared.submit(&workloads, true)
     }
 
-    /// Non-blocking admission: enqueue `workloads` if the bounded queue
+    /// Non-blocking admission: queue `workloads` if the bounded queue
     /// has room, otherwise shed the request immediately.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Overloaded`] when the admission queue is full
-    /// (counted in [`ServiceStats::shed`]);
-    /// [`ServiceError::Shutdown`] if the service already shut down.
+    /// [`ServiceError::Overloaded`] when the queue is full (counted in
+    /// [`ServiceStats::shed`]); otherwise as
+    /// [`ServiceHandle::submit`].
     pub fn try_submit(&self, workloads: Vec<Workload>) -> Result<Ticket> {
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            return Err(ServiceError::Shutdown.into());
-        }
-        let (reply, rx) = mpsc::channel();
-        self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(QueueItem::Request(DebloatRequest { workloads, reply })) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(mpsc::TrySendError::Full(_)) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::Overloaded { capacity: self.shared.queue_capacity }.into())
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                Err(ServiceError::Shutdown.into())
-            }
-        }
+        self.shared.submit(&workloads, false)
     }
 
     /// Submit and wait: the blocking convenience for clients that have
@@ -727,25 +569,23 @@ impl ServiceHandle {
 ///
 /// Construct with [`DebloatService::builder`], talk to it through
 /// [`DebloatService::handle`] clones, and stop it with
-/// [`DebloatService::shutdown`] (dropping the service performs the same
-/// staged shutdown: admitted requests drain through the batcher and
-/// executors, the stages join in order, and outstanding handles get
-/// [`ServiceError::Shutdown`] on their next submit).
+/// [`DebloatService::shutdown`] (dropping the service does the same:
+/// queued requests drain through the executors, which are joined, and
+/// outstanding handles get [`ServiceError::Shutdown`] on their next
+/// submit).
 #[derive(Debug)]
 pub struct DebloatService {
-    shared: Arc<ServiceShared>,
-    tx: Option<mpsc::SyncSender<QueueItem>>,
-    batcher: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
     executors: Vec<JoinHandle<()>>,
 }
 
 impl DebloatService {
-    /// Default bound of the admission queue.
+    /// Default bound on queued requests.
     pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-    /// Cap on how many requests one batch may serve; a group that
-    /// reaches it is sealed and dispatched as-is, and later requests
-    /// with the same plan identity start the next batch.
+    /// Cap on how many requests one batch may serve; a queued batch
+    /// that reaches it takes no more, and later requests with the same
+    /// plan identity start the next batch.
     pub const DEFAULT_MAX_BATCH: usize = 32;
 
     /// Start configuring a service whose sessions target `gpu`.
@@ -759,12 +599,9 @@ impl DebloatService {
         }
     }
 
-    /// A new client of this service's admission queue.
+    /// A new client of this service's queue.
     pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle {
-            tx: self.tx.as_ref().expect("service sender lives until shutdown").clone(),
-            shared: self.shared.clone(),
-        }
+        ServiceHandle { shared: self.shared.clone() }
     }
 
     /// The service's private plan cache backing every session
@@ -780,46 +617,23 @@ impl DebloatService {
 
     /// Lifetime counters plus the live queue-depth / executing gauges.
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            queue_depth: self.shared.queue_depth.load(Ordering::Relaxed),
-            executing: self.shared.executing.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            batched_requests: self.shared.batched_requests.load(Ordering::Relaxed),
-            bytes_copied: self.shared.bytes_copied.load(Ordering::Relaxed),
-            bytes_shared: self.shared.bytes_shared.load(Ordering::Relaxed),
-            bytes_sliced_arch: self.shared.bytes_sliced_arch.load(Ordering::Relaxed),
-            compressed_rewritten: self.shared.compressed_rewritten.load(Ordering::Relaxed),
-        }
+        self.shared.lock().stats.clone()
     }
 
-    /// Stop the service in stages: reject new submissions, let the
-    /// batcher drain and dispatch every request admitted ahead of the
-    /// shutdown, stop each executor after its last batch, and join
-    /// everything. Outstanding [`ServiceHandle`]s stay valid — their
-    /// submissions simply fail with [`ServiceError::Shutdown`] — so
-    /// shutdown never blocks on clients. A submission racing the
-    /// shutdown either drains normally or resolves to
-    /// [`ServiceError::Shutdown`] on its [`Ticket::wait`]; it is never
-    /// silently lost.
+    /// Stop the service: refuse new submissions, let the executors run
+    /// every batch queued ahead of the shutdown, and join them.
+    /// Outstanding [`ServiceHandle`]s stay valid — their submissions
+    /// simply fail with [`ServiceError::Shutdown`] — so shutdown never
+    /// blocks on clients.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        let Some(tx) = self.tx.take() else { return };
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        // One sentinel for the batcher; it drains the queue first, then
-        // stops each executor with its own sentinel.
-        let _ = tx.send(QueueItem::Shutdown);
-        drop(tx);
+        self.shared.lock().stopping = true;
+        self.shared.work.notify_all();
+        self.shared.room.notify_all();
         let mut panicked = false;
-        if let Some(batcher) = self.batcher.take() {
-            panicked |= batcher.join().is_err();
-        }
         for executor in self.executors.drain(..) {
             panicked |= executor.join().is_err();
         }
@@ -841,10 +655,102 @@ impl Drop for DebloatService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simml::{ModelKind, Operation};
+    use crate::arbitrary::Gen;
+    use simml::{FrameworkKind, ModelKind, Operation};
 
     fn workload(op: Operation) -> Workload {
         Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2, op)
+    }
+
+    /// A service whose one executor is registered but not running yet,
+    /// so everything submitted stays queued until the caller starts it
+    /// (or drops the registration).
+    fn parked(queue_capacity: usize) -> (Arc<Shared>, Registration) {
+        let shared = Arc::new(Shared::new(
+            GpuModel::T4,
+            WorkerPool::new(2),
+            PlanCache::DEFAULT_CAPACITY,
+            queue_capacity,
+        ));
+        let registration = Shared::register(&shared);
+        (shared, registration)
+    }
+
+    /// The drop guard: an executor that exits without running the queue
+    /// leaves no ticket waiting and no submission accepted.
+    #[test]
+    fn the_last_executor_out_answers_every_queued_request_with_shutdown() {
+        let (shared, registration) = parked(8);
+        let handle = ServiceHandle { shared: shared.clone() };
+        let tickets: Vec<Ticket> = [Operation::Inference, Operation::Train, Operation::Inference]
+            .into_iter()
+            .map(|op| handle.submit(vec![workload(op)]).expect("the queue has room"))
+            .collect();
+        assert_eq!(shared.lock().batches.len(), 2, "the two inference requests share a batch");
+        drop(registration); // the executor died before running anything
+        for ticket in tickets {
+            let err = ticket.wait().unwrap_err();
+            assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
+        }
+        let stats = shared.lock().stats.clone();
+        assert_eq!((stats.accepted, stats.failed, stats.completed), (3, 3, 0));
+        assert_eq!((stats.queue_depth, stats.batches), (0, 0));
+        let err = handle.submit(vec![workload(Operation::Inference)]).unwrap_err();
+        assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
+        let err = handle.try_submit(vec![workload(Operation::Inference)]).unwrap_err();
+        assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
+    }
+
+    /// Batched equals unbatched over generated bursts: each round
+    /// queues a plug and the generated bursts before its one executor
+    /// starts, so every distinct set runs as one batch, and every
+    /// response equals a direct debloat of its set apart from the batch
+    /// provenance.
+    #[test]
+    fn batched_responses_equal_unbatched_over_generated_bursts() {
+        let (train, infer) = (workload(Operation::Train), workload(Operation::Inference));
+        let sets = [vec![infer.clone()], vec![train.clone()], vec![train, infer]];
+        let direct = Debloater::new(GpuModel::T4)
+            .with_plan_cache(Arc::new(PlanCache::new(8)))
+            .session(FrameworkKind::PyTorch);
+        let expected: Vec<_> =
+            sets.iter().map(|set| direct.debloat_many_artifact(set).expect("verifies")).collect();
+        let plug = vec![Workload::paper(
+            FrameworkKind::TensorFlow,
+            ModelKind::MobileNetV2,
+            Operation::Inference,
+        )];
+        let mut g = Gen(0x0b47_c4ed_05e7_b0a5);
+        for round in 0..3 {
+            let (shared, registration) = parked(DebloatService::DEFAULT_QUEUE_CAPACITY);
+            let handle = ServiceHandle { shared: shared.clone() };
+            let plug_ticket = handle.submit(plug.clone()).expect("the queue has room");
+            let mut copies = [0usize; 3];
+            let mut tickets = Vec::new();
+            for _ in 0..g.pick(&[2, 3, 4]) {
+                let (set, burst) = (g.pick(&[0, 1, 2]), g.pick(&[1, 2, 3]));
+                copies[set] += burst;
+                for _ in 0..burst {
+                    let ticket = handle.submit(sets[set].clone()).expect("the queue has room");
+                    tickets.push((set, ticket));
+                }
+            }
+            let service = DebloatService {
+                shared,
+                executors: vec![std::thread::spawn(move || registration.serve())],
+            };
+            assert!(plug_ticket.wait().expect("plug answered").report.all_verified());
+            for (set, ticket) in tickets {
+                let DebloatResponse { report, libraries } = ticket.wait().expect("answered");
+                assert_eq!((report.batch_size, report.batched), (copies[set], copies[set] > 1));
+                let unbatched = MultiDebloatReport { batched: false, batch_size: 1, ..report };
+                assert_eq!(unbatched, expected[set].report, "round {round}, set {set}");
+                assert_eq!(*libraries, expected[set].libraries, "round {round}, set {set}");
+            }
+            let distinct = copies.iter().filter(|&&n| n > 0).count() as u64;
+            assert_eq!(service.stats().batches, distinct + 1, "round {round}: {copies:?}");
+            service.shutdown();
+        }
     }
 
     #[test]

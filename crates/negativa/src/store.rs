@@ -81,7 +81,7 @@ use crate::codec::content_hash;
 use crate::manifest::{
     object_path, ManifestEntry, StoreManifest, WorkloadRecord, FORMAT_VERSION, PLAN_FILE,
 };
-use crate::plan::{config_fingerprint, BundlePlan, PlanCache, PlanKey};
+use crate::plan::{default_config_fingerprint, BundlePlan, PlanCache, PlanKey};
 use crate::verify::verify_indexed;
 use crate::{DebloatArtifact, NegativaError, Result};
 
@@ -488,7 +488,7 @@ impl StoredArtifact {
     /// stored bundle breaks.
     pub fn verify(&self) -> Result<StoreVerification> {
         let config = RunConfig::default();
-        let provided = config_fingerprint(&config);
+        let provided = default_config_fingerprint();
         if provided != self.manifest.key.config {
             return Err(
                 StoreError::ConfigMismatch { stored: self.manifest.key.config, provided }.into()

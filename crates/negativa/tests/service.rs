@@ -1,8 +1,8 @@
-//! Integration tests of the staged serve-at-scale layer: bounded
-//! admission with typed load shedding, plan-identity batching (one
-//! union debloat per group, byte-identical to the unbatched path), the
-//! per-framework LRU plan cache behind it, and the bounded `WorkerPool`
-//! shared across batches.
+//! Integration tests of the serve-at-scale layer: a bounded batch
+//! queue with typed load shedding and blocking backpressure,
+//! plan-identity batching (one union debloat per group, byte-identical
+//! to the unbatched path), the per-framework LRU plan cache behind it,
+//! and the bounded `WorkerPool` shared across batches.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +29,7 @@ fn direct(set: &[Workload]) -> (MultiDebloatReport, Vec<GeneratedLibrary>) {
 
 /// Occupy the service's single executor with `set` — a plan identity
 /// none of the requests submitted next shares — and wait until it
-/// executes, so those requests accumulate in the batcher instead of
+/// executes, so those requests accumulate in the queue instead of
 /// trickling out one at a time.
 fn plug(service: &DebloatService, set: Vec<Workload>) -> negativa_ml::service::Ticket {
     let ticket = service.handle().submit(set).unwrap();
@@ -149,7 +149,7 @@ fn same_framework_burst_shares_one_detection_and_one_compaction() {
     service.shutdown();
 }
 
-/// The batcher groups by full plan identity: queued duplicates of one
+/// The queue groups by full plan identity: queued duplicates of one
 /// set share one execution stamped with their provenance and
 /// byte-identical to a direct debloat, while distinct sets — a single
 /// workload and a union containing it alike — each run on their own.
@@ -241,9 +241,8 @@ fn a_full_bounded_queue_sheds_with_overloaded() {
     let plug_ticket =
         plug(&service, vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]);
 
-    // With capacity 1 the channel holds one request and the batcher
-    // buffers at most one more, so of 8 rapid non-blocking submissions
-    // at least 6 must shed.
+    // Capacity 1 bounds the whole queue, so of 8 rapid non-blocking
+    // submissions behind the plug exactly one is queued and 7 shed.
     let set = vec![workload(FrameworkKind::PyTorch, Operation::Inference)];
     let mut tickets = Vec::new();
     let mut overloaded = 0u64;
@@ -257,7 +256,7 @@ fn a_full_bounded_queue_sheds_with_overloaded() {
             Err(e) => panic!("unexpected submission error: {e}"),
         }
     }
-    assert!(overloaded >= 6, "only {overloaded} of 8 submissions shed on a capacity-1 queue");
+    assert_eq!(overloaded, 7, "of 8 submissions on a capacity-1 queue, all but one shed");
     assert!(!tickets.is_empty(), "the first submission always fits");
     assert_eq!(service.stats().shed, overloaded);
 
@@ -270,6 +269,48 @@ fn a_full_bounded_queue_sheds_with_overloaded() {
     let stats = service.stats();
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.completed, stats.accepted);
+    service.shutdown();
+}
+
+/// Backpressure without shedding: a blocking `submit` at the bound
+/// waits for room and resumes once the plugged executor takes the
+/// queued batch — no lost response, every accepted request completes.
+#[test]
+fn a_blocking_submit_at_the_bound_resumes_once_room_frees() {
+    let service = DebloatService::builder(GpuModel::T4)
+        .service_workers(1)
+        .queue_capacity(1)
+        .cache_capacity(4)
+        .build();
+    let handle = service.handle();
+    let plug_ticket =
+        plug(&service, vec![workload(FrameworkKind::TensorFlow, Operation::Inference)]);
+
+    let set = vec![workload(FrameworkKind::PyTorch, Operation::Inference)];
+    let queued = handle.submit(set.clone()).expect("the one slot is free");
+    let blocked = {
+        let (handle, set) = (handle.clone(), set.clone());
+        std::thread::spawn(move || handle.submit(set))
+    };
+    std::thread::sleep(Duration::from_millis(20));
+    // While the plug runs, the queued request holds the only slot, so
+    // the second submission cannot have returned yet.
+    let returned = blocked.is_finished();
+    if service.stats().batches == 0 {
+        assert!(!returned, "submit returned while the queue was full");
+    }
+
+    assert!(plug_ticket.wait().expect("plug answered").report.all_verified());
+    let resumed = blocked.join().expect("submitter ran").expect("submit resumed");
+    assert!(queued.wait().expect("queued request served").report.all_verified());
+    let response = resumed.wait().expect("resumed request served");
+    assert!(response.report.all_verified());
+    assert!(!response.report.batched, "room frees only when the queued batch leaves");
+    let stats = service.stats();
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.completed, stats.accepted);
+    assert_eq!((stats.failed, stats.shed, stats.queue_depth), (0, 0, 0));
+    assert_eq!(stats.batches, 3, "plug, queued request, resumed request");
     service.shutdown();
 }
 

@@ -40,7 +40,7 @@ fn a_grouped_burst_of_identical_sets_costs_one_image_copy() {
         .build();
     let handle = service.handle();
     // Plug the single executor with another framework's set so the
-    // burst below queues up and leaves the batcher as one group.
+    // burst below queues up and runs as one group.
     let plug = vec![Workload::paper(
         FrameworkKind::TensorFlow,
         ModelKind::MobileNetV2,

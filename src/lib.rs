@@ -20,9 +20,9 @@
 //!   **detect → plan → apply** sessions: detection produces a usage
 //!   map, planning turns it into a cacheable per-library retain plan,
 //!   application compacts and verifies ([`negativa_ml`]). On top sits
-//!   the long-lived [`negativa::service::DebloatService`] — a staged
-//!   admission → batch → execute pipeline with a bounded queue that
-//!   sheds under load, plan-identity batching (a burst of same-bundle
+//!   the long-lived [`negativa::service::DebloatService`] — one bounded,
+//!   locked batch queue that sheds under load and feeds executor
+//!   threads, plan-identity batching (a burst of same-bundle
 //!   requests costs one detection and one compaction), an LRU plan
 //!   cache with a per-framework capacity and single-flight planning,
 //!   and a bounded worker pool shared across batches.
@@ -94,13 +94,13 @@
 //!
 //! For the serve-at-scale deployment — many clients, many frameworks,
 //! one resident debloater — run a
-//! [`DebloatService`](negativa::service::DebloatService): a staged
-//! admission → batch → execute pipeline. Submissions enter a *bounded*
-//! queue (backpressure); while the executors are busy, queued requests
-//! sharing a plan identity are grouped into one union debloat whose
-//! verified result — byte-identical to the unbatched path — fans out to
-//! every requester. Use `try_submit` to shed load with a typed
-//! `Overloaded` error instead of blocking when the queue is full:
+//! [`DebloatService`](negativa::service::DebloatService). Submissions
+//! enter one *bounded* queue of batches (backpressure); while the
+//! executors are busy, a queued request joins the batch of its plan
+//! identity, which runs as one union debloat whose verified result —
+//! byte-identical to the unbatched path — fans out to every requester.
+//! Use `try_submit` to shed load with a typed `Overloaded` error
+//! instead of blocking when the queue is full:
 //!
 //! ```
 //! use negativa_repro::ml::{FrameworkKind, ModelKind, Operation, Workload};
@@ -111,7 +111,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let service = DebloatService::builder(GpuModel::T4)
 //!     .service_workers(2)
-//!     .queue_capacity(32)   // bounded admission: beyond this, shed or block
+//!     .queue_capacity(32)   // bounded queue: beyond this, shed or block
 //!     .build();
 //! let handle = service.handle();
 //! let w = Workload::paper(FrameworkKind::PyTorch, ModelKind::MobileNetV2,
