@@ -285,7 +285,7 @@ impl CudaSim {
             None => (None, 0, 0),
         };
 
-        let occupied_total = image.page_occupancy().occupied_bytes;
+        let occupied_total = image.occupied_bytes_in(FileRange::new(0, image.len()), PAGE);
 
         // Load time: read occupied pages, link symbols, walk fatbin
         // element headers for registration.
@@ -973,7 +973,10 @@ mod tests {
             .unwrap();
         let mut sim = CudaSim::new(&[GpuModel::T4]);
         let lib = sim.open_library(&image).unwrap();
-        assert_eq!(sim.library_occupied_bytes(lib), Some(image.page_occupancy().occupied_bytes));
+        assert_eq!(
+            sim.library_occupied_bytes(lib),
+            Some(image.occupied_bytes_in(FileRange::new(0, image.len()), PAGE))
+        );
         assert_eq!(sim.library_occupied_bytes(LibraryId(99)), None);
 
         // A debloated (cold-zeroed) copy reports a smaller footprint.

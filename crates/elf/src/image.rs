@@ -6,8 +6,8 @@
 //! measures:
 //!
 //! * **File size** — zeroed blocks can be hole-punched by the filesystem;
-//!   [`ElfImage::occupancy`] reports the footprint at a configurable block
-//!   size.
+//!   [`ElfImage::occupied_bytes_in`] reports the footprint at a
+//!   configurable block size.
 //! * **Memory** — the loader never touches all-zero pages, so resident
 //!   memory shrinks; `simcuda`'s loader uses the same block accounting.
 //!
@@ -32,9 +32,6 @@ use crate::error::ElfError;
 use crate::range::FileRange;
 use crate::Result;
 
-/// Default block granularity for occupancy accounting (one page).
-pub const DEFAULT_BLOCK: u64 = 4096;
-
 /// A copy-on-write ELF image that supports in-place surgical edits.
 ///
 /// Produced by [`crate::ElfBuilder::build`]; the raw bytes are always a
@@ -45,23 +42,6 @@ pub const DEFAULT_BLOCK: u64 = 4096;
 pub struct ElfImage {
     soname: String,
     bytes: Arc<Vec<u8>>,
-}
-
-/// Occupancy statistics at block granularity; see [`ElfImage::occupancy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OccupancyReport {
-    /// Block size used for the computation.
-    pub block_size: u64,
-    /// Total file length in bytes.
-    pub file_len: u64,
-    /// Number of blocks containing at least one non-zero byte.
-    pub occupied_blocks: u64,
-    /// Bytes attributed to occupied blocks (`occupied_blocks * block_size`,
-    /// clamped to the file length for the final partial block).
-    pub occupied_bytes: u64,
-    /// Exact count of non-zero bytes (finer than block accounting),
-    /// counted eight bytes per step.
-    pub nonzero_bytes: u64,
 }
 
 impl ElfImage {
@@ -186,87 +166,68 @@ impl ElfImage {
         Ok(())
     }
 
-    /// True if every byte of `range` is zero.
+    /// True if every byte of `range` is zero; false if `range` runs
+    /// past the file.
     pub fn is_zeroed(&self, range: FileRange) -> bool {
-        if range.end > self.len() {
-            return false;
-        }
-        self.bytes[range.start as usize..range.end as usize].iter().all(|&b| b == 0)
+        range.end <= self.len() && is_zero(self.clamped(range))
     }
 
-    /// Occupancy at the given block size; see [`OccupancyReport`]. The
-    /// non-zero byte count is exact and runs eight bytes per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    pub fn occupancy(&self, block_size: u64) -> OccupancyReport {
-        assert!(block_size > 0, "block_size must be positive");
-        let len = self.len();
-        let mut occupied_blocks = 0u64;
-        let mut occupied_bytes = 0u64;
-        let mut nonzero_bytes = 0u64;
-        let mut at = 0u64;
-        while at < len {
-            let end = (at + block_size).min(len);
-            let nz = count_nonzero(&self.bytes[at as usize..end as usize]);
-            nonzero_bytes += nz;
-            if nz > 0 {
-                occupied_blocks += 1;
-                occupied_bytes += end - at;
-            }
-            at = end;
-        }
-        OccupancyReport {
-            block_size,
-            file_len: len,
-            occupied_blocks,
-            occupied_bytes,
-            nonzero_bytes,
-        }
-    }
-
-    /// Occupancy at the default 4 KiB page size.
-    pub fn page_occupancy(&self) -> OccupancyReport {
-        self.occupancy(DEFAULT_BLOCK)
-    }
-
-    /// Block-granular occupied bytes within `range`: the number of bytes
-    /// belonging to `block_size`-aligned blocks (relative to the range
-    /// start) that contain at least one non-zero byte. Models the pages a
-    /// loader actually touches when reading this region.
+    /// Block-granular occupied bytes within `range` (clamped to the
+    /// file): the bytes of the `block_size`-aligned blocks (relative to
+    /// the range start) that hold at least one non-zero byte. Models the
+    /// pages a loader actually touches when reading this region; over the
+    /// whole file at a 4 KiB block it is the file's footprint after
+    /// hole punching. Each block's scan stops at its first non-zero
+    /// 64-byte stripe.
     ///
     /// # Panics
     ///
     /// Panics if `block_size` is zero.
     pub fn occupied_bytes_in(&self, range: FileRange, block_size: u64) -> u64 {
         assert!(block_size > 0, "block_size must be positive");
-        let end = range.end.min(self.len());
-        if range.start >= end {
-            return 0;
-        }
-        let mut occupied = 0u64;
-        let mut at = range.start;
-        while at < end {
-            let block_end = at.saturating_add(block_size).min(end);
-            let chunk = &self.bytes[at as usize..block_end as usize];
-            if chunk.iter().any(|&b| b != 0) {
-                occupied += block_end - at;
-            }
-            at = block_end;
-        }
-        occupied
+        let block = usize::try_from(block_size).unwrap_or(usize::MAX);
+        self.clamped(range).chunks(block).filter(|b| !is_zero(b)).map(|b| b.len() as u64).sum()
     }
 
     /// Number of non-zero bytes within `range` (clamped to the file).
     /// The count is exact and runs eight bytes per step.
     pub fn nonzero_in(&self, range: FileRange) -> u64 {
-        let end = range.end.min(self.len());
-        if range.start >= end {
-            return 0;
-        }
-        count_nonzero(&self.bytes[range.start as usize..end as usize])
+        count_nonzero(self.clamped(range))
     }
+
+    /// The bytes of `range`, clamped to the file.
+    fn clamped(&self, range: FileRange) -> &[u8] {
+        let end = range.end.min(self.len());
+        &self.bytes[range.start.min(end) as usize..end as usize]
+    }
+}
+
+/// Bytes read per step of [`is_zero`]: one cache line, eight words.
+const STRIPE: usize = 64;
+
+/// The native-endian 8-byte words of `bytes`; the trailing `len % 8`
+/// bytes form one last word, zero-padded.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let exact = bytes.chunks_exact(8);
+    let tail = exact.remainder();
+    let padded = (!tail.is_empty()).then(|| {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        u64::from_ne_bytes(word)
+    });
+    exact
+        .map(|w| u64::from_ne_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
+        .chain(padded)
+}
+
+/// True if every byte of `bytes` is zero. Each step ORs the eight words
+/// of one [`STRIPE`] and the scan stops at the first non-zero stripe, so
+/// a block that holds data costs one step and a zero block runs at
+/// memory speed.
+fn is_zero(bytes: &[u8]) -> bool {
+    let mut stripes = bytes.chunks_exact(STRIPE);
+    stripes.all(|stripe| words(stripe).fold(0, |acc, w| acc | w) == 0)
+        && words(stripes.remainder()).all(|w| w == 0)
 }
 
 /// Exact number of non-zero bytes in `bytes`, one 8-byte word per step.
@@ -275,17 +236,11 @@ impl ElfImage {
 /// low seven bits are not all zero, and `| x` adds the bytes whose high
 /// bit was already set. No byte carries into its neighbour, because
 /// `0x7f + 0x7f < 0x100`, so the masked high bits are exactly the
-/// non-zero bytes. The trailing `len % 8` bytes are counted one by one.
+/// non-zero bytes. The zero padding of the last word counts nothing.
 fn count_nonzero(bytes: &[u8]) -> u64 {
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     const HIGH: u64 = 0x8080_8080_8080_8080;
-    let mut words = bytes.chunks_exact(8);
-    let mut count = 0u64;
-    for word in &mut words {
-        let x = u64::from_ne_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
-        count += u64::from(((((x & LOW7) + LOW7) | x) & HIGH).count_ones());
-    }
-    count + words.remainder().iter().filter(|&&b| b != 0).count() as u64
+    words(bytes).map(|x| u64::from(((((x & LOW7) + LOW7) | x) & HIGH).count_ones())).sum()
 }
 
 impl AsRef<[u8]> for ElfImage {
@@ -324,20 +279,25 @@ mod tests {
         assert!(matches!(err, ElfError::RangeOutOfBounds { .. }));
     }
 
+    /// The whole file's occupied bytes at page granularity.
+    fn pages(img: &ElfImage) -> u64 {
+        img.occupied_bytes_in(FileRange::new(0, img.len()), 4096)
+    }
+
     #[test]
     fn occupancy_counts_blocks() {
+        let whole = FileRange::new(0, 10000);
         let img = ElfImage::from_bytes("t", vec![0u8; 10000]);
-        let occ = img.occupancy(4096);
-        assert_eq!(occ.occupied_blocks, 0);
-        assert_eq!(occ.nonzero_bytes, 0);
+        assert_eq!(pages(&img), 0);
+        assert_eq!(img.nonzero_in(whole), 0);
+        assert!(img.is_zeroed(whole));
 
         let mut bytes = vec![0u8; 10000];
         bytes[5000] = 1;
         let img = ElfImage::from_bytes("t", bytes);
-        let occ = img.occupancy(4096);
-        assert_eq!(occ.occupied_blocks, 1);
-        assert_eq!(occ.occupied_bytes, 4096);
-        assert_eq!(occ.nonzero_bytes, 1);
+        assert_eq!(pages(&img), 4096, "one occupied block");
+        assert_eq!(img.nonzero_in(whole), 1);
+        assert!(!img.is_zeroed(whole));
     }
 
     #[test]
@@ -345,22 +305,20 @@ mod tests {
         let mut bytes = vec![0u8; 5000];
         bytes[4999] = 1;
         let img = ElfImage::from_bytes("t", bytes);
-        let occ = img.occupancy(4096);
-        assert_eq!(occ.occupied_blocks, 1);
-        assert_eq!(occ.occupied_bytes, 5000 - 4096);
+        assert_eq!(pages(&img), 5000 - 4096);
     }
 
     #[test]
     fn zeroing_shrinks_occupancy() {
         let mut img = image();
-        let before = img.page_occupancy();
+        let whole = FileRange::new(0, img.len());
+        let (pages_before, nonzero_before) = (pages(&img), img.nonzero_in(whole));
         let ranges = crate::Elf::parse(img.bytes()).unwrap().function_ranges().unwrap();
         let (_, g_range) = ranges.iter().find(|(n, _)| n == "g").unwrap().clone();
         img.zero_range(g_range).unwrap();
-        let after = img.page_occupancy();
-        assert!(after.nonzero_bytes < before.nonzero_bytes);
-        assert!(after.occupied_blocks <= before.occupied_blocks);
-        assert_eq!(after.file_len, before.file_len, "file size never changes");
+        assert!(img.nonzero_in(whole) < nonzero_before);
+        assert!(pages(&img) <= pages_before);
+        assert_eq!(img.len(), whole.end, "file size never changes");
     }
 
     #[test]

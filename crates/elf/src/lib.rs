@@ -61,7 +61,7 @@ pub mod types;
 
 pub use builder::{ElfBuilder, FunctionDef};
 pub use error::ElfError;
-pub use image::{ElfImage, OccupancyReport};
+pub use image::ElfImage;
 pub use index::ElfIndex;
 pub use parser::{Elf, Section, SectionIter};
 pub use range::FileRange;

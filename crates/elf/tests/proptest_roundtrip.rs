@@ -8,7 +8,7 @@
 //! `proptest` configuration used.
 
 use simelf::range::{complement_within, covered_bytes, covers, normalize};
-use simelf::{Elf, ElfBuilder, ElfImage, FileRange, OccupancyReport, SymbolKind};
+use simelf::{Elf, ElfBuilder, ElfImage, FileRange, SymbolKind};
 
 /// xorshift64* — deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -195,40 +195,54 @@ fn zeroing_complement_preserves_kept_bytes() {
     }
 }
 
-/// Byte-serial reference for [`ElfImage::occupancy`].
-fn oracle_occupancy(bytes: &[u8], block_size: u64) -> OccupancyReport {
-    let mut report =
-        OccupancyReport { block_size, file_len: bytes.len() as u64, ..OccupancyReport::default() };
-    for block in bytes.chunks(block_size as usize) {
-        let nonzero = block.iter().filter(|&&b| b != 0).count() as u64;
-        report.nonzero_bytes += nonzero;
-        if nonzero > 0 {
-            report.occupied_blocks += 1;
-            report.occupied_bytes += block.len() as u64;
-        }
-    }
-    report
+/// `range` clamped to `bytes`, as the image clamps it.
+fn clamp(bytes: &[u8], range: FileRange) -> &[u8] {
+    let end = (range.end as usize).min(bytes.len());
+    let start = (range.start as usize).min(end);
+    &bytes[start..end]
+}
+
+/// Byte-serial reference for [`ElfImage::occupied_bytes_in`].
+fn oracle_occupied_bytes_in(bytes: &[u8], range: FileRange, block_size: u64) -> u64 {
+    let block = usize::try_from(block_size).unwrap_or(usize::MAX);
+    let occupied = clamp(bytes, range).chunks(block).filter(|b| b.iter().any(|&x| x != 0));
+    occupied.map(|b| b.len() as u64).sum()
 }
 
 /// Byte-serial reference for [`ElfImage::nonzero_in`].
 fn oracle_nonzero_in(bytes: &[u8], range: FileRange) -> u64 {
-    let end = (range.end as usize).min(bytes.len());
-    let start = (range.start as usize).min(end);
-    bytes[start..end].iter().filter(|&&b| b != 0).count() as u64
+    clamp(bytes, range).iter().filter(|&&b| b != 0).count() as u64
+}
+
+/// Byte-serial reference for [`ElfImage::is_zeroed`].
+fn oracle_is_zeroed(bytes: &[u8], range: FileRange) -> bool {
+    range.end <= bytes.len() as u64 && clamp(bytes, range).iter().all(|&b| b == 0)
 }
 
 const PAGE: u64 = 4096;
 const BLOCK_SIZES: [u64; 7] = [1, 3, 7, 8, 9, 4096, 4097];
 
-/// `occupancy` at every block size, and `nonzero_in` over the whole
-/// image, every unaligned window around `focus`, and windows that run
-/// past the end, all equal the byte-serial oracle.
-fn assert_matches_oracle(bytes: &[u8], focus: u64, what: &str) {
+/// `occupied_bytes_in` at every block size, `nonzero_in` and `is_zeroed`
+/// over each of `ranges`, all equal the byte-serial oracles.
+fn assert_ranges_match_oracle(bytes: &[u8], ranges: &[FileRange], what: &str) {
     let img = ElfImage::from_bytes("libocc.so", bytes.to_vec());
-    let len = img.len();
-    for bs in BLOCK_SIZES {
-        assert_eq!(img.occupancy(bs), oracle_occupancy(bytes, bs), "{what}: block size {bs}");
+    for &r in ranges {
+        for bs in BLOCK_SIZES {
+            assert_eq!(
+                img.occupied_bytes_in(r, bs),
+                oracle_occupied_bytes_in(bytes, r, bs),
+                "{what}: occupied_bytes_in {r} at block size {bs}"
+            );
+        }
+        assert_eq!(img.nonzero_in(r), oracle_nonzero_in(bytes, r), "{what}: nonzero_in {r}");
+        assert_eq!(img.is_zeroed(r), oracle_is_zeroed(bytes, r), "{what}: is_zeroed {r}");
     }
+}
+
+/// The whole image, a window past its end, and every unaligned window
+/// around `focus`, against the oracles.
+fn assert_matches_oracle(bytes: &[u8], focus: u64, what: &str) {
+    let len = bytes.len() as u64;
     let mut ranges = vec![FileRange::new(0, len), FileRange::new(len, len + 8)];
     for lead in 0..9 {
         for tail in [0, 1, 8, 9, 17] {
@@ -236,9 +250,7 @@ fn assert_matches_oracle(bytes: &[u8], focus: u64, what: &str) {
             ranges.push(FileRange::new(start, (focus + tail).min(len + 3)));
         }
     }
-    for r in ranges {
-        assert_eq!(img.nonzero_in(r), oracle_nonzero_in(bytes, r), "{what}: nonzero_in {r}");
-    }
+    assert_ranges_match_oracle(bytes, &ranges, what);
 }
 
 #[test]
@@ -283,6 +295,34 @@ fn a_lone_edge_byte_is_counted_at_every_offset() {
             let mut bytes = vec![0u8; len as usize];
             bytes[offset as usize] = value;
             assert_matches_oracle(&bytes, offset, &format!("{value:#04x} at {offset} of {len}"));
+        }
+    }
+}
+
+/// An early exit that stops one word short, or skips the `len % 8`
+/// tail, misses exactly one lone byte there. So put a lone byte at each
+/// offset of a block's last word and of its tail, for every block size,
+/// with the range starting on and off word alignment, and compare every
+/// range that starts at the range start against the oracles.
+#[test]
+fn a_lone_byte_in_a_blocks_last_word_or_tail_is_seen() {
+    for bs in BLOCK_SIZES {
+        let tail_start = bs - bs % 8;
+        for start in [0u64, 3] {
+            let len = start + 2 * bs + 5;
+            for offset in tail_start.saturating_sub(8)..bs {
+                let mut bytes = vec![0u8; len as usize];
+                bytes[(start + offset) as usize] = 0x80;
+                let ends = [start + offset, start + offset + 1, start + bs, start + bs + 1, len];
+                let ranges: Vec<FileRange> =
+                    ends.into_iter().map(|end| FileRange::new(start, end)).collect();
+                let what = format!("block size {bs}, range start {start}, byte at +{offset}");
+                assert_ranges_match_oracle(&bytes, &ranges, &what);
+                let img = ElfImage::from_bytes("libocc.so", bytes);
+                let block = FileRange::new(start, start + bs);
+                assert_eq!(img.occupied_bytes_in(block, bs), bs, "{what}");
+                assert!(!img.is_zeroed(block), "{what}");
+            }
         }
     }
 }

@@ -172,7 +172,7 @@ impl Element {
     /// True if the payload has been zeroed by compaction (a removed
     /// element whose header was kept walkable).
     pub fn is_cleared(&self) -> bool {
-        self.payload.iter().all(|&b| b == 0)
+        is_zero(&self.payload)
     }
 
     /// Decompress (if needed) and return the raw payload bytes.
@@ -286,6 +286,21 @@ pub struct SlicedPayload {
     pub stream: Vec<u8>,
     /// Previously non-zero code bytes zeroed in the decompressed form.
     pub code_bytes_sliced: u64,
+}
+
+/// True if every byte of `bytes` is zero: the same scan `simelf` runs
+/// for page occupancy. Each step ORs the eight words of one 64-byte
+/// stripe and the scan stops at the first non-zero stripe; the trailing
+/// `len % 64` bytes are read as words, the last one zero-padded.
+fn is_zero(bytes: &[u8]) -> bool {
+    let word = |w: &[u8]| {
+        let mut x = [0u8; 8];
+        x[..w.len()].copy_from_slice(w);
+        u64::from_ne_bytes(x)
+    };
+    let mut stripes = bytes.chunks_exact(64);
+    stripes.all(|stripe| stripe.chunks_exact(8).fold(0, |acc, w| acc | word(w)) == 0)
+        && stripes.remainder().chunks(8).all(|w| word(w) == 0)
 }
 
 /// Kernel-slice a **compressed** cubin payload for an in-place rewrite:

@@ -224,3 +224,34 @@ fn zeroing_any_payload_keeps_container_parseable() {
         assert_eq!(cleared_count, 1, "seed {seed}");
     }
 }
+
+/// `Element::is_cleared` equals a byte-serial "every payload byte is
+/// zero" over payload lengths that cover every residue mod 64, with a
+/// lone non-zero byte at the payload's first byte and at each offset of
+/// its last word and its `len % 8` tail, where an early exit that stops
+/// short would miss it.
+#[test]
+fn is_cleared_matches_a_byte_serial_oracle() {
+    for code_len in 1..=130 {
+        let cubin = Cubin::new(vec![KernelDef::entry("k", vec![1; code_len])]).expect("valid");
+        let fb = Fatbin::new(vec![Region::new(vec![
+            Element::cubin(SmArch::PAPER_SET[0], &cubin).expect("valid")
+        ])]);
+        let payload = fb.element_layout()[0].payload_range;
+        let (start, len) = (payload.start as usize, payload.len() as usize);
+        let last_word = (len - len % 8).saturating_sub(8);
+        let lone = std::iter::once(0).chain(last_word..len).map(Some);
+        for at in std::iter::once(None).chain(lone) {
+            let mut bytes = fb.to_bytes();
+            bytes[start..start + len].fill(0);
+            if let Some(at) = at {
+                bytes[start + at] = 0x80;
+            }
+            let parsed = Fatbin::parse(&bytes).expect("a zeroed payload still parses");
+            let (_, element) = parsed.elements().next().expect("one element");
+            let oracle = element.payload().iter().all(|&b| b == 0);
+            assert_eq!(element.is_cleared(), oracle, "payload len {len}, byte at {at:?}");
+            assert_eq!(oracle, at.is_none(), "payload len {len}, byte at {at:?}");
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! by CUPTI, and only then known to the debloater.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use simelf::ElfImage;
 
@@ -216,12 +216,47 @@ impl FrameworkBundle {
 /// lifetime so every stage sees the identical library bytes.
 pub type BundleHandle = Arc<FrameworkBundle>;
 
-/// The one process-wide bundle cache, shared by [`cached_bundle`] and
-/// [`cached_bundle_with`] so whichever fills a framework first wins and
-/// every later caller gets the same handle.
-fn bundle_cache() -> &'static Mutex<HashMap<FrameworkKind, Arc<FrameworkBundle>>> {
-    static CACHE: OnceLock<Mutex<HashMap<FrameworkKind, Arc<FrameworkBundle>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One lazily filled value per framework. The map lock is held only to
+/// find a framework's slot, and a fill runs under that slot's own lock:
+/// a cold fill for one framework never holds up another framework, and
+/// concurrent first callers for one framework fill it once.
+struct PerFramework<T> {
+    slots: Mutex<HashMap<FrameworkKind, Arc<Mutex<Option<T>>>>>,
+}
+
+impl<T: Clone> PerFramework<T> {
+    fn new() -> Self {
+        PerFramework { slots: Mutex::new(HashMap::new()) }
+    }
+
+    /// The value for `framework`, filled by `fill` on first use. A failed
+    /// or panicking fill stores nothing, so the next caller fills again;
+    /// that is also why a poisoned lock still guards a sound slot.
+    fn get_or_fill<E>(
+        &self,
+        framework: FrameworkKind,
+        fill: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let slot = self
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(framework)
+            .or_default()
+            .clone();
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = value.as_ref() {
+            return Ok(value.clone());
+        }
+        Ok(value.insert(fill()?).clone())
+    }
+}
+
+/// The one process-wide bundle cache, behind both [`cached_bundle`] and
+/// [`cached_bundle_with`].
+fn bundle_cache() -> &'static PerFramework<BundleHandle> {
+    static CACHE: OnceLock<PerFramework<BundleHandle>> = OnceLock::new();
+    CACHE.get_or_init(PerFramework::new)
 }
 
 /// Process-wide bundle cache: generating a bundle is pure, so every
@@ -236,11 +271,14 @@ pub fn cached_bundle(framework: FrameworkKind) -> BundleHandle {
 /// produces the bundle (e.g. fanned out per library through a caller's
 /// worker pool via [`generate_library`] +
 /// [`FrameworkBundle::from_libraries`]); on a hit, `init` never runs and
-/// the cached handle comes back. Because generation is pure, *which*
-/// caller fills the cache is unobservable — the bytes are identical.
+/// the cached handle comes back. Both share one cache, so whichever
+/// fills a framework first wins and every later caller gets the same
+/// handle. Because generation is pure, *which* caller fills the cache
+/// is unobservable — the bytes are identical.
 ///
-/// `init` runs under the cache lock (same as [`cached_bundle`]'s
-/// generation), so a stampede of first requests generates once.
+/// `init` runs under its framework's own lock, never a process-wide
+/// one: a stampede of first requests for one framework generates once,
+/// and callers for other frameworks go on meanwhile.
 ///
 /// # Errors
 ///
@@ -251,24 +289,20 @@ pub fn cached_bundle_with<E: From<SimmlError>>(
     framework: FrameworkKind,
     init: impl FnOnce() -> std::result::Result<FrameworkBundle, E>,
 ) -> std::result::Result<BundleHandle, E> {
-    let mut map = bundle_cache().lock().expect("bundle cache poisoned");
-    if let Some(handle) = map.get(&framework) {
-        return Ok(handle.clone());
-    }
-    let bundle = init()?;
-    if bundle.framework() != framework {
-        return Err(SimmlError::BundleMismatch {
-            reason: format!(
-                "cache fill for {} produced a {} bundle",
-                framework.name(),
-                bundle.framework().name()
-            ),
+    bundle_cache().get_or_fill(framework, || {
+        let bundle = init()?;
+        if bundle.framework() != framework {
+            return Err(SimmlError::BundleMismatch {
+                reason: format!(
+                    "cache fill for {} produced a {} bundle",
+                    framework.name(),
+                    bundle.framework().name()
+                ),
+            }
+            .into());
         }
-        .into());
-    }
-    let handle = Arc::new(bundle);
-    map.insert(framework, handle.clone());
-    Ok(handle)
+        Ok(Arc::new(bundle))
+    })
 }
 
 /// Process-wide cache of parse-once [`simelf::ElfIndex`] views for a
@@ -277,27 +311,19 @@ pub fn cached_bundle_with<E: From<SimmlError>>(
 /// detection, verification) and the location stage never re-parse a
 /// symbol table per open. The indexes remain valid for *compacted*
 /// copies of the bundle, too — compaction zeroes bytes in place and
-/// never moves offsets.
+/// never moves offsets. Like the bundle cache, a cold build holds up
+/// only its own framework.
 pub fn cached_indexes(framework: FrameworkKind) -> Arc<Vec<simelf::ElfIndex>> {
-    static CACHE: OnceLock<Mutex<HashMap<FrameworkKind, Arc<Vec<simelf::ElfIndex>>>>> =
-        OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("index cache poisoned");
-    map.entry(framework)
-        .or_insert_with(|| {
+    static CACHE: OnceLock<PerFramework<Arc<Vec<simelf::ElfIndex>>>> = OnceLock::new();
+    CACHE
+        .get_or_init(PerFramework::new)
+        .get_or_fill(framework, || {
             let bundle = cached_bundle(framework);
-            Arc::new(
-                bundle
-                    .libraries()
-                    .iter()
-                    .map(|lib| {
-                        simelf::ElfIndex::build(&lib.image)
-                            .expect("generated libraries always parse")
-                    })
-                    .collect(),
-            )
+            let indexes: simelf::Result<Vec<_>> =
+                bundle.libraries().iter().map(|lib| simelf::ElfIndex::build(&lib.image)).collect();
+            indexes.map(Arc::new)
         })
-        .clone()
+        .expect("generated libraries always parse")
 }
 
 #[cfg(test)]
@@ -411,6 +437,60 @@ mod tests {
         })
         .unwrap();
         assert!(Arc::ptr_eq(&untouched, &via_init));
+    }
+
+    /// A fill blocked on a channel for one framework holds up neither a
+    /// hit nor a fill for another.
+    #[test]
+    fn a_cold_fill_for_one_framework_does_not_block_another() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(PerFramework::<u32>::new());
+        assert_eq!(cache.get_or_fill(FrameworkKind::TensorFlow, || Ok::<_, SimmlError>(7)), Ok(7));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let filler = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                cache.get_or_fill(FrameworkKind::PyTorch, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok::<_, SimmlError>(1)
+                })
+            })
+        };
+        started_rx.recv().unwrap(); // the PyTorch fill now holds its slot
+        let (done_tx, done_rx) = mpsc::channel();
+        let other = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let hit = cache.get_or_fill(FrameworkKind::TensorFlow, || -> Result<u32> {
+                    panic!("a hit must not fill")
+                });
+                let fill = cache.get_or_fill(FrameworkKind::Vllm, || Ok::<_, SimmlError>(3));
+                done_tx.send((hit, fill)).unwrap();
+            })
+        };
+        // A bounded wait, so a regression fails here instead of hanging.
+        let done = done_rx.recv_timeout(Duration::from_secs(60));
+        release_tx.send(()).unwrap();
+        assert_eq!(done.expect("the other frameworks waited on the PyTorch fill"), (Ok(7), Ok(3)));
+        other.join().unwrap();
+        assert_eq!(filler.join().unwrap(), Ok(1));
+        // The fill landed once: a later caller hits it.
+        let hit = cache.get_or_fill(FrameworkKind::PyTorch, || -> Result<u32> { panic!("hit") });
+        assert_eq!(hit, Ok(1));
+    }
+
+    #[test]
+    fn a_failed_fill_stores_nothing() {
+        let cache = PerFramework::<u32>::new();
+        let failed = cache.get_or_fill(FrameworkKind::Vllm, || {
+            Err(SimmlError::BundleMismatch { reason: "injected".into() })
+        });
+        assert!(failed.is_err());
+        assert_eq!(cache.get_or_fill(FrameworkKind::Vllm, || Ok::<_, SimmlError>(3)), Ok(3));
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub struct CompactionOutcome {
 /// corrupt payload stream.
 pub fn compact(image: &ElfImage, plan: &RetainPlan) -> Result<(ElfImage, CompactionOutcome)> {
     let mut outcome = CompactionOutcome {
-        file_before: image.page_occupancy().occupied_bytes,
+        file_before: image.occupied_bytes_in(FileRange::new(0, image.len()), PAGE),
         ..Default::default()
     };
     if let Some(text) = plan.text_range {
@@ -170,7 +170,7 @@ pub fn compact(image: &ElfImage, plan: &RetainPlan) -> Result<(ElfImage, Compact
         outcome.bytes_copied = image.len();
     }
 
-    outcome.file_after = compacted.page_occupancy().occupied_bytes;
+    outcome.file_after = compacted.occupied_bytes_in(FileRange::new(0, compacted.len()), PAGE);
     if let Some(text) = plan.text_range {
         outcome.host_after = compacted.occupied_bytes_in(text, PAGE);
     }

@@ -197,12 +197,13 @@ impl ServiceStats {
         }
     }
 
-    /// Account one executed batch of `size` requests.
-    fn record(&mut self, size: usize, result: &Result<DebloatResponse>) {
+    /// Account one executed batch of `size` requests; `None` is a
+    /// debloat that unwound.
+    fn record(&mut self, size: usize, result: Option<&Result<DebloatResponse>>) {
         let size = size as u64;
         self.batches += 1;
         self.batched_requests += size;
-        let Ok(response) = result else {
+        let Some(Ok(response)) = result else {
             self.failed += size;
             return;
         };
@@ -332,6 +333,9 @@ struct Shared {
     work: Condvar,
     /// Signalled when queued requests leave the queue, and at shutdown.
     room: Condvar,
+    /// Makes the next executed batch panic, to test the unwind path.
+    #[cfg(test)]
+    panic_next_batch: std::sync::atomic::AtomicBool,
 }
 
 impl Shared {
@@ -350,6 +354,8 @@ impl Shared {
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             room: Condvar::new(),
+            #[cfg(test)]
+            panic_next_batch: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -444,22 +450,41 @@ impl Shared {
     /// to every grouped requester.
     fn execute(&self, batch: Batch) {
         let size = batch.replies.len();
+        let mut executing = Executing { shared: self, size, result: None };
+        #[cfg(test)]
+        if self.panic_next_batch.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("injected executor panic");
+        }
         let result = batch.session.debloat_many_artifact(&batch.workloads).map(|mut artifact| {
             artifact.report.batch_size = size;
             artifact.report.batched = size > 1;
             DebloatResponse { report: artifact.report, libraries: Arc::new(artifact.libraries) }
         });
-        {
-            let mut queue = self.lock();
-            queue.stats.executing -= 1;
-            queue.stats.record(size, &result);
-        }
+        executing.result = Some(&result);
+        drop(executing);
         // Requesters that dropped their tickets just discard their copy.
         let (last, rest) = batch.replies.split_last().expect("batches are never empty");
         for reply in rest {
             let _ = reply.send(result.clone());
         }
         let _ = last.send(result);
+    }
+}
+
+/// One batch in execution. Dropping it counts the batch out of
+/// `executing` and into the lifetime stats; a debloat that unwinds
+/// drops it with no result, so the batch's requests count as failed.
+struct Executing<'a> {
+    shared: &'a Shared,
+    size: usize,
+    result: Option<&'a Result<DebloatResponse>>,
+}
+
+impl Drop for Executing<'_> {
+    fn drop(&mut self) {
+        let mut queue = self.shared.lock();
+        queue.stats.executing -= 1;
+        queue.stats.record(self.size, self.result);
     }
 }
 
@@ -699,6 +724,39 @@ mod tests {
         assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
         let err = handle.try_submit(vec![workload(Operation::Inference)]).unwrap_err();
         assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
+    }
+
+    /// An executor whose debloat unwinds still counts its batch out of
+    /// `executing` and as failed, and the other executor goes on serving.
+    #[test]
+    fn an_executor_that_unwinds_is_still_counted() {
+        let (shared, doomed) = parked(8);
+        let survivor = Shared::register(&shared);
+        let handle = ServiceHandle { shared: shared.clone() };
+        shared.panic_next_batch.store(true, std::sync::atomic::Ordering::SeqCst);
+        let tickets: Vec<Ticket> = (0..2)
+            .map(|_| handle.submit(vec![workload(Operation::Inference)]).expect("room"))
+            .collect();
+        assert_eq!(shared.lock().batches.len(), 1, "one batch of two requests");
+        let doomed = std::thread::spawn(move || doomed.serve());
+        assert!(doomed.join().is_err(), "the injected panic unwinds the executor");
+        for ticket in tickets {
+            let err = ticket.wait().unwrap_err();
+            assert!(matches!(err, NegativaError::Service(ServiceError::Shutdown)), "got {err}");
+        }
+        let stats = shared.lock().stats.clone();
+        assert_eq!((stats.executing, stats.queue_depth), (0, 0));
+        assert_eq!((stats.accepted, stats.failed, stats.completed), (2, 2, 0));
+        assert_eq!((stats.batches, stats.batched_requests), (1, 2));
+
+        let survivor = std::thread::spawn(move || survivor.serve());
+        let response = handle.request(vec![workload(Operation::Inference)]).expect("served");
+        assert_eq!(response.report.batch_size, 1);
+        shared.lock().stopping = true;
+        shared.work.notify_all();
+        survivor.join().expect("the survivor exits cleanly");
+        let stats = shared.lock().stats.clone();
+        assert_eq!((stats.executing, stats.failed, stats.completed), (0, 2, 1));
     }
 
     /// Batched equals unbatched over generated bursts: each round
