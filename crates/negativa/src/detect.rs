@@ -88,15 +88,7 @@ impl UsageMap {
     /// provenance identity (the plan *cache* is keyed by workload set
     /// and config instead, since usage is only known after detection).
     pub fn fingerprint(&self) -> u64 {
-        fn fold(hash: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *hash ^= b as u64;
-                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            *hash ^= 0x1f;
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut hash = FNV_OFFSET;
         for (side, map) in [("kernel", &self.kernels), ("hostfn", &self.host_fns)] {
             for (soname, symbols) in map {
                 fold(&mut hash, side.as_bytes());
@@ -108,65 +100,37 @@ impl UsageMap {
         }
         hash
     }
-}
 
-/// What changed between two [`UsageMap`]s, per library — the input of
-/// incremental re-planning ([`crate::plan::locate_all_incremental`]).
-///
-/// A library is *touched* if its kernel set or its host-function set
-/// differs between the two maps (including appearing in only one of
-/// them). Untouched libraries are exactly those whose cached
-/// [`crate::RetainPlan`] is still valid: location is a pure function of
-/// (image, that library's usage entries, arch), so an unchanged symbol
-/// set re-locates to an identical plan — which is what lets the
-/// incremental path skip it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UsageDiff {
-    /// Sonames whose usage changed in any way, in deterministic order.
-    pub touched: BTreeSet<String>,
-    /// Distinct (library, kernel) pairs present only in the new map.
-    pub added_kernels: usize,
-    /// Distinct (library, kernel) pairs present only in the old map.
-    pub removed_kernels: usize,
-    /// Distinct (library, host fn) pairs present only in the new map.
-    pub added_host_fns: usize,
-    /// Distinct (library, host fn) pairs present only in the old map.
-    pub removed_host_fns: usize,
-}
-
-impl UsageDiff {
-    /// True if the two maps record identical usage.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-}
-
-impl UsageMap {
-    /// Diff this (old) usage against `new`: which libraries' symbol sets
-    /// were touched, and how many symbols moved. Drives
-    /// [`crate::plan::locate_all_incremental`], which re-locates only
-    /// the touched libraries against the cached plan.
-    pub fn diff(&self, new: &UsageMap) -> UsageDiff {
-        let mut diff = UsageDiff::default();
-        for (old_side, new_side, added, removed) in [
-            (&self.kernels, &new.kernels, &mut diff.added_kernels, &mut diff.removed_kernels),
-            (&self.host_fns, &new.host_fns, &mut diff.added_host_fns, &mut diff.removed_host_fns),
-        ] {
-            let sonames: BTreeSet<&String> = old_side.keys().chain(new_side.keys()).collect();
-            for soname in sonames {
-                static EMPTY: BTreeSet<String> = BTreeSet::new();
-                let old_set = old_side.get(soname).unwrap_or(&EMPTY);
-                let new_set = new_side.get(soname).unwrap_or(&EMPTY);
-                if old_set == new_set {
-                    continue;
-                }
-                diff.touched.insert(soname.clone());
-                *added += new_set.difference(old_set).count();
-                *removed += old_set.difference(new_set).count();
+    /// A stable fingerprint of exactly what [`crate::locate()`] reads
+    /// for one library: its kernel set and its host-function set, each
+    /// prefixed by its size. Maps that agree on `soname`'s two sets
+    /// fingerprint equal for it, whatever they record elsewhere — the
+    /// per-library location memo is keyed by this.
+    pub(crate) fn library_fingerprint(&self, soname: &str) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for map in [&self.kernels, &self.host_fns] {
+            let symbols = map.get(soname);
+            fold(&mut hash, &symbols.map_or(0, BTreeSet::len).to_le_bytes());
+            for symbol in symbols.into_iter().flatten() {
+                fold(&mut hash, symbol.as_bytes());
             }
         }
-        diff
+        hash
     }
+}
+
+/// FNV-1a offset basis, the seed of every usage fingerprint.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, then a separator so adjacent items never run
+/// together.
+fn fold(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    *hash ^= 0x1f;
+    *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
 }
 
 /// The paper's lightweight usage detector.
@@ -287,57 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_is_empty_for_identical_usage() {
-        let mut a = UsageMap::new();
-        a.record_kernel("lib.so", "k1");
-        a.record_host_fn("lib.so", "f1");
-        let diff = a.diff(&a.clone());
-        assert!(diff.is_empty());
-        assert_eq!(diff, UsageDiff::default(), "no library touched, no symbol moved");
-    }
-
-    #[test]
-    fn diff_reports_touched_libraries_and_symbol_flow() {
-        let mut old = UsageMap::new();
-        old.record_kernel("liba.so", "k1");
-        old.record_kernel("liba.so", "k2");
-        old.record_kernel("libstable.so", "s1");
-        old.record_host_fn("libstable.so", "f1");
-        old.record_host_fn("libgone.so", "g1");
-
-        let mut new = UsageMap::new();
-        new.record_kernel("liba.so", "k1");
-        new.record_kernel("liba.so", "k3"); // k2 -> k3
-        new.record_kernel("libstable.so", "s1");
-        new.record_host_fn("libstable.so", "f1");
-        new.record_kernel("libnew.so", "n1");
-
-        let diff = old.diff(&new);
-        assert!(!diff.is_empty());
-        assert_eq!(
-            diff.touched.iter().map(String::as_str).collect::<Vec<_>>(),
-            vec!["liba.so", "libgone.so", "libnew.so"],
-            "untouched libstable.so stays out of the diff"
-        );
-        assert_eq!(diff.added_kernels, 2, "k3 and n1");
-        assert_eq!(diff.removed_kernels, 1, "k2");
-        assert_eq!(diff.added_host_fns, 0);
-        assert_eq!(diff.removed_host_fns, 1, "g1");
-    }
-
-    #[test]
-    fn diff_distinguishes_kernel_and_host_sides() {
-        let mut old = UsageMap::new();
-        old.record_kernel("lib.so", "x");
-        let mut new = UsageMap::new();
-        new.record_host_fn("lib.so", "x");
-        let diff = old.diff(&new);
-        assert_eq!(diff.touched.len(), 1);
-        assert_eq!(diff.removed_kernels, 1);
-        assert_eq!(diff.added_host_fns, 1);
-    }
-
-    #[test]
     fn fingerprint_depends_on_contents_not_insertion_order() {
         let mut a = UsageMap::new();
         a.record_kernel("lib.so", "k1");
@@ -360,5 +273,25 @@ mod tests {
         let mut h = UsageMap::new();
         h.record_host_fn("lib.so", "x");
         assert_ne!(k.fingerprint(), h.fingerprint());
+    }
+
+    #[test]
+    fn library_fingerprint_sees_only_that_librarys_two_sets() {
+        let mut a = UsageMap::new();
+        a.record_kernel("lib.so", "k1");
+        a.record_host_fn("lib.so", "f1");
+        let mut b = a.clone();
+        b.record_kernel("other.so", "k2");
+        assert_eq!(a.library_fingerprint("lib.so"), b.library_fingerprint("lib.so"));
+        assert_ne!(a.library_fingerprint("other.so"), b.library_fingerprint("other.so"));
+        b.record_host_fn("lib.so", "f2");
+        assert_ne!(a.library_fingerprint("lib.so"), b.library_fingerprint("lib.so"));
+        // The side a symbol sits on is part of the identity.
+        let mut k = UsageMap::new();
+        k.record_kernel("lib.so", "x");
+        let mut h = UsageMap::new();
+        h.record_host_fn("lib.so", "x");
+        assert_ne!(k.library_fingerprint("lib.so"), h.library_fingerprint("lib.so"));
+        assert_ne!(k.library_fingerprint("lib.so"), UsageMap::new().library_fingerprint("lib.so"));
     }
 }

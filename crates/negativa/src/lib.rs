@@ -30,9 +30,19 @@
 //!    and a usage fingerprint, alongside each workload's baseline
 //!    checksum and metrics. Plans live in a [`PlanCache`] — an LRU with
 //!    a per-framework capacity and **single-flight** miss handling
-//!    (concurrent requests for one key run one detection between them)
-//!    — so a repeated debloat of the same (framework, model, operation,
-//!    GPU) skips detection entirely.
+//!    (concurrent requests for one key run one computation between
+//!    them) — so a repeated debloat of the same (framework, model,
+//!    operation, GPU) skips detection entirely.
+//!
+//!    A plan miss has one path. It takes each workload's detection from
+//!    the debloater's detection memo and each library's [`RetainPlan`]
+//!    from its location memo — keyed by framework, soname, the
+//!    fingerprint of that library's used kernels and host functions,
+//!    and the fleet: exactly what [`locate()`] reads — and measures or
+//!    locates only what the memos lack. Growing or changing a workload
+//!    set therefore re-detects only the new workloads and re-locates
+//!    only the libraries whose usage changed, and every plan equals one
+//!    computed from scratch by construction.
 //! 3. **Apply** ([`DebloatSession::apply`] + [`DebloatSession::verify_all`],
 //!    modules [`mod@compact`] / [`mod@verify`]) — zero the planned ranges in
 //!    place (offsets never move; the debloated library is a drop-in
@@ -125,7 +135,7 @@ use std::sync::{Arc, Mutex};
 
 use simcuda::cupti::CuptiSubscriber;
 use simcuda::GpuModel;
-use simelf::ElfIndex;
+use simelf::{ElfImage, ElfIndex};
 use simml::{
     cached_bundle_with, cached_indexes, generate_library, BundleHandle, FrameworkBundle,
     FrameworkKind, GeneratedLibrary, RunConfig, RunOutcome, Workload,
@@ -169,8 +179,6 @@ pub use service::{
 };
 pub use store::{StoreError, StoreVerification, StoredArtifact, VerifiedWorkload};
 pub use verify::verify_indexed;
-
-use plan::PlanSource;
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, NegativaError>;
@@ -219,9 +227,9 @@ impl<K, V> Default for Memo<K, V> {
     }
 }
 
-impl<K: Copy + Eq + std::hash::Hash, V: Clone> Memo<K, V> {
-    fn get(&self, key: K) -> Option<V> {
-        self.entries.lock().expect("memo poisoned").get(&key).cloned()
+impl<K: Eq + std::hash::Hash, V: Clone> Memo<K, V> {
+    fn get(&self, key: &K) -> Option<V> {
+        self.entries.lock().expect("memo poisoned").get(key).cloned()
     }
 
     fn insert(&self, key: K, value: V) {
@@ -236,10 +244,9 @@ impl<K: Copy + Eq + std::hash::Hash, V: Clone> Memo<K, V> {
 /// Per-workload detection memo, keyed by the workload fingerprint
 /// ([`plan::workload_fingerprint`]) — it covers the normalized device
 /// list, so one GPU's measurements never serve another's, and every run
-/// uses the default [`RunConfig`]. This is what powers incremental
-/// re-planning: when one workload in a set changes, the unchanged
-/// workloads' usage and baselines come from here instead of re-running
-/// detection.
+/// uses the default [`RunConfig`]. Every detection goes through it, so
+/// a workload is measured again only after the memo resets, however
+/// many workload sets, plan misses or evictions it appears in.
 type DetectionCache = Memo<u64, DetectionMemo>;
 
 /// One memoized detection: the usage a workload exercised plus the
@@ -257,10 +264,12 @@ type DetectionMemo = Arc<(UsageMap, WorkloadBaseline)>;
 /// deduplicated **across** verify passes, not just within one.
 type VerifyCache = Memo<(u64, u64), RunOutcome>;
 
-/// The diff base for incremental re-planning: the last planned identity
-/// and its normalized workload set, per framework, shared by a
-/// [`Debloater`] and all its sessions.
-type PriorPlans = Arc<Mutex<HashMap<FrameworkKind, (PlanKey, Vec<Workload>)>>>;
+/// Per-library location memo: one [`RetainPlan`] per (framework,
+/// soname, [`UsageMap::library_fingerprint`], fleet) — everything
+/// [`locate()`] reads, since a framework's bundle is pinned per
+/// process. A plan whose union usage leaves a library's kernel and
+/// host-function sets unchanged reuses that library's location.
+type LocationCache = Memo<(FrameworkKind, String, u64, FleetSpec), RetainPlan>;
 
 /// One verification the memo could not serve: the unique slot it
 /// fills, its `(workload fp, bundle fp)` memo key, and the workload
@@ -275,15 +284,16 @@ pub struct Debloater {
     pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
     /// Per-workload detection memo, shared across this debloater's
-    /// sessions (and their clones) to feed incremental re-planning.
+    /// sessions (and their clones).
     detections: Arc<DetectionCache>,
+    /// Per-library location memo, shared the same way; its key holds
+    /// the fleet, so clones re-targeted by [`Debloater::with_fleet`]
+    /// share it safely.
+    locations: Arc<LocationCache>,
     /// Cross-pair verification memo, shared the same way: identical
     /// (workload, bundle content) verifications run once per
     /// debloater, across passes.
     verifications: Arc<VerifyCache>,
-    /// Last planned identity per framework: the diff base for
-    /// incremental re-planning when the workload set changes.
-    prior: PriorPlans,
 }
 
 impl Debloater {
@@ -297,9 +307,9 @@ impl Debloater {
             fleet: FleetSpec::single(gpu.arch()),
             pool: WorkerPool::shared(),
             cache: plan::process_cache(),
-            detections: Arc::new(DetectionCache::default()),
-            verifications: Arc::new(VerifyCache::default()),
-            prior: Arc::new(Mutex::new(HashMap::new())),
+            detections: Arc::default(),
+            locations: Arc::default(),
+            verifications: Arc::default(),
         }
     }
 
@@ -360,8 +370,8 @@ impl Debloater {
             pool: self.pool.clone(),
             cache: self.cache.clone(),
             detections: self.detections.clone(),
+            locations: self.locations.clone(),
             verifications: self.verifications.clone(),
-            prior: self.prior.clone(),
             framework,
             bundle: self.bundle_for(framework),
             indexes: cached_indexes(framework),
@@ -453,8 +463,8 @@ pub struct DebloatSession {
     pool: Arc<WorkerPool>,
     cache: Arc<PlanCache>,
     detections: Arc<DetectionCache>,
+    locations: Arc<LocationCache>,
     verifications: Arc<VerifyCache>,
-    prior: PriorPlans,
     framework: FrameworkKind,
     bundle: BundleHandle,
     indexes: Arc<Vec<ElfIndex>>,
@@ -507,6 +517,8 @@ impl DebloatSession {
     /// Phase 1 — run every workload twice on the original bundle:
     /// baseline (no profiler) and detection (one [`KernelDetector`] per
     /// rank, rank-specific usage unioned via [`UsageMap::merge`]).
+    /// Detection is a pure measurement, so a workload this session's
+    /// debloater has measured before is served from its memo instead.
     ///
     /// # Errors
     ///
@@ -531,11 +543,7 @@ impl DebloatSession {
         let mut usage = UsageMap::new();
         let mut baselines = Vec::with_capacity(workloads.len());
         for workload in workloads {
-            // Always measure (full detection is the ground truth), but
-            // write through to the memo so a later *incremental*
-            // re-plan can reuse the unchanged workloads' measurements.
-            let memo = Arc::new(self.detect_one(workload)?);
-            self.detections.insert(plan::workload_fingerprint(workload), memo.clone());
+            let memo = self.detect_one_memoized(workload)?;
             usage.merge(&memo.0);
             baselines.push(memo.1.clone());
         }
@@ -579,7 +587,7 @@ impl DebloatSession {
     /// measures and writes through.
     fn detect_one_memoized(&self, workload: &Workload) -> Result<DetectionMemo> {
         let key = plan::workload_fingerprint(workload);
-        if let Some(memo) = self.detections.get(key) {
+        if let Some(memo) = self.detections.get(&key) {
             return Ok(memo);
         }
         let memo = Arc::new(self.detect_one(workload)?);
@@ -588,25 +596,44 @@ impl DebloatSession {
     }
 
     /// Phase 2 — turn a detection result into a cacheable
-    /// [`BundlePlan`]: locate every library under the union usage,
-    /// fanned out per library through the session's bounded
-    /// [`WorkerPool`] (the pool's size never changes a plan).
+    /// [`BundlePlan`]: locate every library under the union usage.
+    /// A library whose kernel and host-function sets this debloater
+    /// has located before for the same fleet takes its [`RetainPlan`]
+    /// from the location memo; the rest fan out through the session's
+    /// bounded [`WorkerPool`] (the pool's size never changes a plan).
     ///
     /// # Errors
     ///
     /// [`NegativaError::Elf`] / [`NegativaError::Fatbin`] for images
     /// that fail to parse during location.
     pub fn plan(&self, detection: &Detection) -> Result<BundlePlan> {
-        let retain =
-            plan::locate_all(self.bundle.libraries(), &detection.usage, self.fleet, &self.pool)?;
+        let usage = &detection.usage;
+        let libraries = self.bundle.libraries();
+        let keys: Vec<_> = libraries
+            .iter()
+            .map(|lib| {
+                let soname = lib.image.soname();
+                (self.framework, soname.to_owned(), usage.library_fingerprint(soname), self.fleet)
+            })
+            .collect();
+        let mut retain: Vec<Option<RetainPlan>> =
+            keys.iter().map(|key| self.locations.get(key)).collect();
+        let missing: Vec<usize> = (0..retain.len()).filter(|&i| retain[i].is_none()).collect();
+        let images: Vec<&ElfImage> = missing.iter().map(|&i| &libraries[i].image).collect();
+        let located = plan::locate_all(&images, usage, self.fleet, &self.pool)?;
+        for (i, located) in missing.into_iter().zip(located) {
+            self.locations.insert(keys[i].clone(), located.clone());
+            retain[i] = Some(located);
+        }
+        let retain = retain.into_iter().map(|r| r.expect("every library was located")).collect();
         Ok(BundlePlan {
             framework: self.framework,
             gpu: self.gpu,
-            usage_fingerprint: detection.usage.fingerprint(),
+            usage_fingerprint: usage.fingerprint(),
             retain,
             baselines: detection.baselines.clone(),
-            used_kernels: detection.usage.kernel_count(),
-            used_host_fns: detection.usage.host_fn_count(),
+            used_kernels: usage.kernel_count(),
+            used_host_fns: usage.host_fn_count(),
         })
     }
 
@@ -618,115 +645,11 @@ impl DebloatSession {
         PlanKey::for_fleet(self.framework, self.fleet, normalized)
     }
 
-    /// Resolve the plan of an already-normalized workload set through
-    /// the session's single-flight cache.
-    ///
-    /// When a *different* key was planned before on this debloater, the
-    /// miss path first attempts an **incremental re-plan** against that
-    /// prior plan ([`PlanCache::refresh_incremental`]): re-detect only
-    /// workloads without a memoized measurement, diff the union usage,
-    /// re-locate only the touched libraries, and reuse every other
-    /// library's cached [`RetainPlan`]. Any divergence — missing memos,
-    /// fingerprint drift, roster mismatch — falls back to a full
-    /// detect + plan. Both paths produce equal plans (location is
-    /// per-library and detection is a pure measurement), so the choice
-    /// is invisible in the output and recorded only in the returned
-    /// `PlanSource` and the cache stats.
-    fn plan_cached_normalized(
-        &self,
-        normalized: &[Workload],
-    ) -> Result<(PlanKey, Arc<BundlePlan>, PlanSource)> {
-        let key = self.plan_key(normalized);
-        let prior =
-            self.prior.lock().expect("prior-plan map poisoned").get(&self.framework).cloned();
-        let (plan, source) = match prior {
-            Some((prior_key, prior_workloads)) => self.cache.refresh_incremental(
-                key,
-                &prior_key,
-                |prior_plan| self.plan_incremental(prior_plan, &prior_workloads, normalized),
-                || self.plan_full(normalized),
-            )?,
-            None => {
-                let (plan, cached) =
-                    self.cache.get_or_compute(key, || self.plan_full(normalized))?;
-                (plan, if cached { PlanSource::Cached } else { PlanSource::Full })
-            }
-        };
-        self.prior
-            .lock()
-            .expect("prior-plan map poisoned")
-            .insert(self.framework, (key, normalized.to_vec()));
-        Ok((key, plan, source))
-    }
-
-    /// The from-scratch miss path: full detection of every workload,
-    /// then a full per-library location pass.
-    fn plan_full(&self, normalized: &[Workload]) -> Result<BundlePlan> {
-        let detection = self.detect_normalized(normalized)?;
-        self.plan(&detection)
-    }
-
-    /// Attempt an incremental re-plan of `normalized` against
-    /// `prior_plan` (whose contributing set was `prior_workloads`).
-    /// Returns `Ok(None)` on any divergence that would make the diff
-    /// unsound — the caller then runs [`DebloatSession::plan_full`].
-    fn plan_incremental(
-        &self,
-        prior_plan: &BundlePlan,
-        prior_workloads: &[Workload],
-        normalized: &[Workload],
-    ) -> Result<Option<BundlePlan>> {
-        if normalized.is_empty() {
-            return Ok(None);
-        }
-        // Reconstruct the prior union usage from the per-workload
-        // memos; a missing or drifted memo means we cannot prove what
-        // changed, so the diff is off the table.
-        let mut old_usage = UsageMap::new();
-        for workload in prior_workloads {
-            match self.detections.get(plan::workload_fingerprint(workload)) {
-                Some(memo) => old_usage.merge(&memo.0),
-                None => return Ok(None),
-            }
-        }
-        if old_usage.fingerprint() != prior_plan.usage_fingerprint {
-            return Ok(None);
-        }
-        // Measure only what the memo does not already hold — for a
-        // one-workload change this is one detection, not |set|.
-        let mut new_usage = UsageMap::new();
-        let mut baselines = Vec::with_capacity(normalized.len());
-        for workload in normalized {
-            let memo = self.detect_one_memoized(workload)?;
-            new_usage.merge(&memo.0);
-            baselines.push(memo.1.clone());
-        }
-        // Roster drift is handled inside the incremental locator —
-        // added libraries locate from scratch, removed ones drop out —
-        // so provenance (checked above) is the only fallback trigger.
-        let retain = plan::locate_all_incremental(
-            self.bundle.libraries(),
-            prior_plan,
-            &old_usage,
-            &new_usage,
-            self.fleet,
-            &self.pool,
-        )?;
-        Ok(Some(BundlePlan {
-            framework: self.framework,
-            gpu: self.gpu,
-            usage_fingerprint: new_usage.fingerprint(),
-            retain,
-            baselines,
-            used_kernels: new_usage.kernel_count(),
-            used_host_fns: new_usage.host_fn_count(),
-        }))
-    }
-
     /// Debloat this session's bundle against the union usage of
     /// `workloads` — the core of [`Debloater::debloat_many`], shared
     /// with the service's executors. Plans through the session's cache
-    /// (single-flight), compacts once through the bounded pool, verifies
+    /// (single-flight; a miss detects and locates through the
+    /// debloater's memos), compacts once through the bounded pool, verifies
     /// every workload's baseline checksum, and returns everything a
     /// registry publish persists: the plan identity, the normalized
     /// workloads, and the (shared) plan next to the report and the
@@ -738,7 +661,9 @@ impl DebloatSession {
     pub fn debloat_many_artifact(&self, workloads: &[Workload]) -> Result<DebloatArtifact> {
         let normalized: Vec<Workload> =
             workloads.iter().map(|w| self.normalize(w)).collect::<Result<_>>()?;
-        let (key, plan, source) = self.plan_cached_normalized(&normalized)?;
+        let key = self.plan_key(&normalized);
+        let (plan, plan_cache_hit) =
+            self.cache.get_or_compute(key, || self.plan(&self.detect_normalized(&normalized)?))?;
         let (libraries, debloated) = self.apply(&plan)?;
         let outcomes = self.verify_all(&normalized, &plan, &debloated)?;
         let per_workload = plan
@@ -759,7 +684,7 @@ impl DebloatSession {
             workloads: per_workload,
             used_kernels: plan.used_kernels,
             used_host_fns: plan.used_host_fns,
-            plan_cache_hit: source.cache_hit(),
+            plan_cache_hit,
             batched: false,
             batch_size: 1,
             bytes_copied: libraries.iter().map(|l| l.bytes_copied).sum(),
@@ -894,7 +819,7 @@ impl DebloatSession {
         let mut to_run: Vec<PendingVerify> = Vec::new();
         for (i, &(workload_fp, workload, checksum)) in unique.iter().enumerate() {
             let key = (workload_fp, bundle_fp);
-            match self.verifications.get(key) {
+            match self.verifications.get(&key) {
                 Some(outcome) if outcome.checksum == checksum => outcomes.push(Some(outcome)),
                 _ => {
                     to_run.push((i, key, workload, checksum));
@@ -938,16 +863,23 @@ mod tests {
     use crate::arbitrary::{Arbitrary, Gen};
     use simcuda::LoadMode;
     use simml::{ModelKind, Operation};
+    use std::collections::HashSet;
 
-    /// An incremental plan equals a full plan: one debloater walks
-    /// generated workload sets, each step re-planned against the step
-    /// before it from the detection memo, and every step's plan and
-    /// compacted bytes equal what a fresh debloater computes from
-    /// scratch.
+    fn inference(model: ModelKind) -> Workload {
+        Workload::paper(FrameworkKind::PyTorch, model, Operation::Inference)
+    }
+
+    fn memo_len<K, V>(memo: &Memo<K, V>) -> usize {
+        memo.entries.lock().expect("memo poisoned").len()
+    }
+
+    /// A re-planned set equals a from-scratch plan: one debloater walks
+    /// generated workload sets, each step planned through the memos the
+    /// steps before it filled, and every step's plan and compacted
+    /// bytes equal what a fresh debloater computes from scratch. The
+    /// walk measures each distinct workload exactly once.
     #[test]
     fn incremental_plans_equal_full_plans_over_generated_walks() {
-        let inference =
-            |model| Workload::paper(FrameworkKind::PyTorch, model, Operation::Inference);
         let mut lazy = inference(ModelKind::MobileNetV2);
         lazy.load_mode = LoadMode::Lazy;
         let mut wide = inference(ModelKind::MobileNetV2);
@@ -957,15 +889,18 @@ mod tests {
         let cache = Arc::new(PlanCache::new(4));
         let walker = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
         let mut g = Gen(0x001c_4e5e_ed0f_da7a);
+        let mut walked_workloads = HashSet::new();
         let mut steps = 0;
         while steps < 8 {
-            let mut set: Vec<Workload> =
-                pool.iter().filter(|_| bool::arbitrary(&mut g)).cloned().collect();
-            set.truncate(3);
-            if set.is_empty() {
+            let mut picked: Vec<usize> =
+                (0..pool.len()).filter(|_| bool::arbitrary(&mut g)).collect();
+            picked.truncate(3);
+            if picked.is_empty() {
                 continue;
             }
             steps += 1;
+            walked_workloads.extend(picked.iter().copied());
+            let set: Vec<Workload> = picked.iter().map(|&i| pool[i].clone()).collect();
             let walked =
                 walker.session(FrameworkKind::PyTorch).debloat_many_artifact(&set).unwrap();
             let fresh = Debloater::new(GpuModel::T4).session(FrameworkKind::PyTorch);
@@ -974,6 +909,89 @@ mod tests {
             let (_, compacted) = fresh.apply(&full).unwrap();
             assert_eq!(walked.libraries, compacted, "step {steps}: compacted bytes differ");
         }
-        assert!(cache.stats().incremental > 0, "the walk never re-planned incrementally");
+        assert!(cache.stats().misses > 1, "the walk never re-planned");
+        assert_eq!(
+            memo_len(&walker.detections),
+            walked_workloads.len(),
+            "the detection memo holds exactly the distinct workloads walked"
+        );
+    }
+
+    /// With room for one plan, S → T → S evicts S's plan, and the
+    /// second S is a miss. It is assembled entirely from the memos: no
+    /// workload is measured and no library located again, and the plan
+    /// equals the first.
+    #[test]
+    fn an_evicted_plan_replans_without_measuring() {
+        let cache = Arc::new(PlanCache::new(1));
+        let debloater = Debloater::new(GpuModel::T4).with_plan_cache(cache.clone());
+        let session = debloater.session(FrameworkKind::PyTorch);
+        let s = [inference(ModelKind::MobileNetV2)];
+        let t = [inference(ModelKind::Transformer)];
+        let first = session.debloat_many_artifact(&s).unwrap();
+        session.debloat_many_artifact(&t).unwrap();
+        let detections = memo_len(&debloater.detections);
+        let locations = memo_len(&debloater.locations);
+        let again = session.debloat_many_artifact(&s).unwrap();
+        assert!(!again.report.plan_cache_hit, "S's plan was evicted");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.evictions), (3, 2));
+        assert_eq!(memo_len(&debloater.detections), detections, "no workload was measured");
+        assert_eq!(memo_len(&debloater.locations), locations, "no library was located");
+        assert_eq!(again.plan, first.plan);
+        assert_eq!(again.libraries, first.libraries);
+    }
+
+    /// A fleet of one to three paper architectures plus sm_90, so it is
+    /// never the T4 session's own single-member fleet (that GPU's
+    /// sm_75 joins every fleet in [`Debloater::with_fleet`]).
+    fn fleet(g: &mut Gen) -> FleetSpec {
+        let members: Vec<SmArch> = (0..=usize::arbitrary(g) % 3)
+            .map(|_| g.pick(&SmArch::PAPER_SET))
+            .chain([SmArch::SM90])
+            .collect();
+        FleetSpec::new(&members).expect("one to four architectures form a fleet")
+    }
+
+    /// Generated fleets plan through shared memos exactly as fresh
+    /// debloaters do. Clones re-targeted with `with_fleet` share one
+    /// debloater's memos and plan, in turn, a multi-member fleet, the
+    /// single-member fleet of the session's own architecture, and
+    /// another multi-member fleet; each plan and compaction equals a
+    /// fresh debloater's for that fleet. The single-member fleet's
+    /// output is byte-identical to the default debloater's.
+    #[test]
+    fn generated_fleets_plan_alike_through_shared_memos() {
+        let set = [inference(ModelKind::MobileNetV2)];
+        let mut g = Gen(0x00f1_ee75_9e4e_0001);
+        let shared = Debloater::new(GpuModel::T4).with_plan_cache(Arc::new(PlanCache::new(4)));
+        let own = FleetSpec::single(GpuModel::T4.arch());
+        let default = Debloater::new(GpuModel::T4)
+            .with_plan_cache(Arc::new(PlanCache::new(4)))
+            .session(FrameworkKind::PyTorch)
+            .debloat_many_artifact(&set)
+            .unwrap();
+        for fleet in [fleet(&mut g), own, fleet(&mut g)] {
+            let walked = shared
+                .clone()
+                .with_fleet(fleet)
+                .session(FrameworkKind::PyTorch)
+                .debloat_many_artifact(&set)
+                .unwrap();
+            let fresh = Debloater::new(GpuModel::T4)
+                .with_plan_cache(Arc::new(PlanCache::new(4)))
+                .with_fleet(fleet)
+                .session(FrameworkKind::PyTorch)
+                .debloat_many_artifact(&set)
+                .unwrap();
+            assert_eq!(walked.plan, fresh.plan, "{fleet:?}: plans differ");
+            assert_eq!(walked.libraries, fresh.libraries, "{fleet:?}: compacted bytes differ");
+            if fleet == own {
+                assert_eq!(walked.plan, default.plan);
+                assert_eq!(walked.libraries, default.libraries);
+                assert_eq!(walked.report, default.report);
+            }
+        }
+        assert_eq!(memo_len(&shared.detections), 1, "fleets share one detection");
     }
 }

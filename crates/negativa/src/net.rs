@@ -246,10 +246,12 @@ impl std::error::Error for NetError {}
 /// [`RemoteRegistry::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Operations re-attempted after a retryable transport fault (or a
-    /// failed whole-object hash check).
+    /// Failed attempts that another attempt followed: a retryable
+    /// transport fault or a failed whole-object hash check with budget
+    /// left. The attempt that exhausts the budget is not a retry.
     pub retries: u64,
-    /// Attempts that failed specifically on the per-request timeout.
+    /// Attempts that failed on the per-request timeout, the last one
+    /// included.
     pub timeouts: u64,
     /// Connections dialed after the first one was lost.
     pub reconnects: u64,
@@ -946,14 +948,22 @@ impl NetClient {
         thread::sleep(Duration::from_millis(capped + jitter));
     }
 
-    /// Record a failed attempt: count it as a retry and classify
-    /// timeouts. (A transport failure has already dropped the
-    /// connection in [`NetClient::attempt`], so the next one re-dials.)
-    fn note_failure(&self, e: &NetError) {
-        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+    /// Count one failed attempt against the retry budget: a timeout
+    /// always counts in `timeouts`, and the attempt counts as a retry
+    /// only if the budget allows another one — otherwise this returns
+    /// the exhaustion error. (A transport failure has already dropped
+    /// the connection in [`NetClient::attempt`], so the next one
+    /// re-dials.)
+    fn note_failure(&self, failures: &mut u32, e: &NetError) -> std::result::Result<(), NetError> {
+        *failures += 1;
         if matches!(e, NetError::Timeout { .. }) {
             self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
         }
+        if *failures >= self.policy.attempts {
+            return Err(self.exhausted(e));
+        }
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// One request/response exchange on the cached connection (dialing
@@ -993,24 +1003,20 @@ impl NetClient {
     /// with backoff, typed remote errors and decoded responses return
     /// immediately.
     fn rpc(&self, req: &Request) -> std::result::Result<Response, NetError> {
-        let mut last: Option<NetError> = None;
+        let mut failures = 0;
         for attempt in 0..self.policy.attempts {
             if attempt > 0 {
                 self.backoff(attempt);
             }
             match self.attempt(req) {
                 Ok(resp) => return Ok(resp),
-                Err(e) if e.is_retryable() => {
-                    self.note_failure(&e);
-                    last = Some(e);
-                }
+                Err(e) if e.is_retryable() => self.note_failure(&mut failures, &e)?,
                 Err(e) => return Err(e),
             }
         }
-        Err(NetError::RetriesExhausted {
-            attempts: self.policy.attempts,
-            last: last.map(|e| e.to_string()).unwrap_or_else(|| "no attempt ran".into()),
-        })
+        // Only a zero-attempt budget gets here: the last failure of any
+        // other one has already returned the exhaustion error.
+        Err(NetError::RetriesExhausted { attempts: 0, last: "no attempt ran".into() })
     }
 
     /// Liveness probe.
@@ -1048,11 +1054,7 @@ impl NetClient {
         // failure inside the transfer loop: count it, bound it, note it
         // and whether partial progress survives (a resume), back off.
         let mut retry = |e: NetError, resumes: bool| {
-            failures += 1;
-            if failures >= self.policy.attempts {
-                return Err(self.exhausted(&e));
-            }
-            self.note_failure(&e);
+            self.note_failure(&mut failures, &e)?;
             if resumes {
                 self.counters.range_resumes.fetch_add(1, Ordering::Relaxed);
             }
@@ -1268,11 +1270,7 @@ impl RemoteRegistry {
             }
             let e =
                 NetError::Corrupt { entry: entry.clone(), expected: record.manifest_hash, actual };
-            failures += 1;
-            if failures >= self.client.policy.attempts {
-                return Err(self.client.exhausted(&e).into());
-            }
-            self.client.note_failure(&e);
+            self.client.note_failure(&mut failures, &e)?;
         }
     }
 

@@ -9,9 +9,13 @@
 //!
 //! Plans live in a [`PlanCache`]: an instantiable LRU cache with a
 //! **per-framework capacity** behind one lock, and **single-flight**
-//! miss handling — concurrent requests for one key run one detection
-//! between them. Keys carry what the ROADMAP's serve-at-scale direction
-//! needs: framework, GPU fleet, and a fingerprint of the workload set.
+//! miss handling — concurrent requests for one key run one computation
+//! between them. A miss has one path, whatever was planned before: the
+//! session assembles the plan from its debloater's memos — each
+//! workload's detection and each library's [`RetainPlan`] — and
+//! measures or locates only what those lack. Keys carry what the
+//! ROADMAP's serve-at-scale direction needs: framework, GPU fleet, and
+//! a fingerprint of the workload set.
 //! Every run uses the default [`RunConfig`], whose fingerprint each key
 //! records for the manifest and the artifact id. A plan is a
 //! pure function of its key and the process-pinned bundle, so a cached
@@ -21,10 +25,10 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
 
 use fatbin::FleetSpec;
 use simcuda::GpuModel;
+use simelf::ElfImage;
 use simml::namegen::stable_hash;
 use simml::{FrameworkKind, GeneratedLibrary, RunConfig, Workload, WorkloadMetrics};
 
@@ -185,67 +189,22 @@ pub struct BundlePlan {
     pub used_host_fns: usize,
 }
 
-/// Compute the retain plan of every library in `libraries` under the
-/// union `usage`, targeting `fleet`. Libraries fan out through `pool`;
-/// results are collected in bundle order, so the output — and
-/// therefore every compacted byte downstream — does not depend on the
-/// pool's size.
+/// Compute the retain plan of every image in `images` under the union
+/// `usage`, targeting `fleet`. Images fan out through `pool`; results
+/// are collected in input order, so the output — and therefore every
+/// compacted byte downstream — does not depend on the pool's size.
 ///
 /// # Errors
 ///
 /// The first [`crate::NegativaError::Elf`] / `Fatbin` parse failure (in
-/// bundle order).
+/// input order).
 pub fn locate_all(
-    libraries: &[GeneratedLibrary],
+    images: &[&ElfImage],
     usage: &UsageMap,
     fleet: FleetSpec,
     pool: &WorkerPool,
 ) -> Result<Vec<RetainPlan>> {
-    pool.run(libraries, |_, lib| locate(&lib.image, usage, fleet))
-}
-
-/// Incrementally re-locate `libraries` after a usage change: libraries
-/// untouched by `old_usage.diff(new_usage)` reuse their cached
-/// [`RetainPlan`] from `prior` verbatim, only touched ones re-run
-/// [`crate::locate()`]. Location is a pure per-library function of
-/// (image, that library's usage entries, arch), so the result is
-/// *provably identical* to a full [`locate_all`] under `new_usage` —
-/// pinned by test.
-///
-/// The prior plan's library roster may differ from `libraries`: prior
-/// retains are matched **by soname**, so a library added to the bundle
-/// since `prior` was computed simply locates from scratch, and one
-/// removed from it drops out of the result (which always follows
-/// `libraries`, in bundle order). Roster drift is therefore never a
-/// reason to fall back to full planning — only usage-provenance
-/// divergence (missing memos, fingerprint drift), which the session
-/// layer detects before calling here.
-///
-/// # Errors
-///
-/// As [`locate_all`], for the relocated libraries.
-pub fn locate_all_incremental(
-    libraries: &[GeneratedLibrary],
-    prior: &BundlePlan,
-    old_usage: &UsageMap,
-    new_usage: &UsageMap,
-    fleet: FleetSpec,
-    pool: &WorkerPool,
-) -> Result<Vec<RetainPlan>> {
-    let diff = old_usage.diff(new_usage);
-    let prior_by_soname: HashMap<&str, &RetainPlan> =
-        prior.retain.iter().map(|retain| (retain.soname.as_str(), retain)).collect();
-    pool.run(libraries, |_, lib| {
-        match prior_by_soname.get(lib.image.soname()) {
-            // In the prior roster and untouched by the usage diff: the
-            // cached plan is still exact.
-            Some(prior_retain) if !diff.touched.contains(lib.image.soname()) => {
-                Ok((*prior_retain).clone())
-            }
-            // Touched, or new to the roster: locate from scratch.
-            _ => locate(&lib.image, new_usage, fleet),
-        }
-    })
+    pool.run(images, |_, image| locate(image, usage, fleet))
 }
 
 /// Plan-cache counters; see [`PlanCache::stats`].
@@ -259,43 +218,23 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Plans evicted to keep a framework within the cache's capacity.
     pub evictions: u64,
-    /// Detection + planning computations actually started. With
-    /// single-flight coalescing this stays at one per unique key no
-    /// matter how many concurrent requests miss on it.
+    /// Plan computations actually started; always equal to `misses`.
+    /// With single-flight coalescing this stays at one per unique key
+    /// no matter how many concurrent requests miss on it. A computation
+    /// measures only the workloads its debloater's detection memo
+    /// lacks, so it may run no detection at all.
     pub detections: u64,
     /// Calls that blocked on another thread's in-flight computation of
     /// the same key instead of starting their own.
     pub coalesced: u64,
-    /// Plans produced by incremental re-planning: a usage diff against
-    /// a prior key's cached plan, re-locating only touched libraries.
+    /// Always 0: a miss has one path, so there is no incremental
+    /// re-plan to count. Kept because the benchmark reports it.
     pub incremental: u64,
-    /// Incremental re-plans that fell back to full planning — no usable
-    /// prior plan, or the diff diverged.
+    /// Always 0, as [`PlanCacheStats::incremental`].
     pub incremental_fallbacks: u64,
-    /// Cumulative nanoseconds spent inside successful incremental
-    /// re-planning closures (perfbench reports it per re-plan as
-    /// `plan.diff_ms`).
+    /// Always 0, as [`PlanCacheStats::incremental`] (the benchmark
+    /// reports it as `plan.diff_ms`).
     pub plan_diff_ns: u64,
-}
-
-/// How a [`PlanCache::refresh_incremental`] call obtained its plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PlanSource {
-    /// The plan was already cached (or this call coalesced into another
-    /// thread's in-flight computation).
-    Cached,
-    /// The incremental closure diffed the prior key's plan and
-    /// re-located only touched libraries.
-    Incremental,
-    /// Full planning ran — no usable prior plan, or the diff diverged.
-    Full,
-}
-
-impl PlanSource {
-    /// True if the plan was served from cache (no computation ran).
-    pub(crate) fn cache_hit(&self) -> bool {
-        matches!(self, PlanSource::Cached)
-    }
 }
 
 /// One cache slot: a finished plan, or a marker that some thread is
@@ -512,67 +451,6 @@ impl PlanCache {
         result
     }
 
-    /// Serve `key` like [`PlanCache::get_or_compute`], but on a miss try
-    /// *incremental re-planning* against the cached plan of `prior` — a
-    /// sibling key whose workload fingerprint differs — before paying
-    /// for full planning.
-    ///
-    /// The `incremental` closure receives the prior plan and returns
-    /// `Ok(Some(plan))` on success or `Ok(None)` on any divergence it
-    /// detects (roster mismatch, unreconstructable prior usage), in
-    /// which case — or when `prior` has no cached plan at all — `full`
-    /// runs instead ([`PlanCacheStats::incremental_fallbacks`]).
-    /// Successful diffs are timed into [`PlanCacheStats::plan_diff_ns`].
-    /// Single-flight and LRU semantics are exactly those of
-    /// [`PlanCache::get_or_compute`]; the incremental path only changes
-    /// *how* the missing plan is computed, never what is cached.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the closure that ran returns; the key stays uncached
-    /// and retryable.
-    pub(crate) fn refresh_incremental<I, F>(
-        &self,
-        key: PlanKey,
-        prior: &PlanKey,
-        incremental: I,
-        full: F,
-    ) -> Result<(Arc<BundlePlan>, PlanSource)>
-    where
-        I: FnOnce(&BundlePlan) -> Result<Option<BundlePlan>>,
-        F: FnOnce() -> Result<BundlePlan>,
-    {
-        let prior_plan = if key == *prior { None } else { self.peek(prior) };
-        let source = std::cell::Cell::new(PlanSource::Full);
-        let (plan, cached) = self.get_or_compute(key, || {
-            if let Some(prior_plan) = prior_plan {
-                let started = Instant::now();
-                if let Some(plan) = incremental(&prior_plan)? {
-                    let diff_ns = started.elapsed().as_nanos() as u64;
-                    let mut state = self.lock();
-                    state.stats.incremental += 1;
-                    state.stats.plan_diff_ns += diff_ns;
-                    source.set(PlanSource::Incremental);
-                    return Ok(plan);
-                }
-            }
-            self.lock().stats.incremental_fallbacks += 1;
-            full()
-        })?;
-        Ok((plan, if cached { PlanSource::Cached } else { source.get() }))
-    }
-
-    /// The finished plan for `key`, without touching recency or the
-    /// hit/miss counters — the prior-plan probe of
-    /// [`PlanCache::refresh_incremental`], which must not skew the
-    /// cache's observable behavior.
-    fn peek(&self, key: &PlanKey) -> Option<Arc<BundlePlan>> {
-        match self.lock().entries.get(key) {
-            Some(Slot::Ready { plan, .. }) => Some(plan.clone()),
-            _ => None,
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
         self.state.lock().expect("plan cache poisoned")
     }
@@ -713,8 +591,9 @@ mod tests {
             }
         }
         let fleet = FleetSpec::single(SmArch::SM75);
-        let serial = locate_all(bundle.libraries(), &usage, fleet, &WorkerPool::new(1)).unwrap();
-        let pooled = locate_all(bundle.libraries(), &usage, fleet, &WorkerPool::shared()).unwrap();
+        let images: Vec<&ElfImage> = bundle.libraries().iter().map(|lib| &lib.image).collect();
+        let serial = locate_all(&images, &usage, fleet, &WorkerPool::new(1)).unwrap();
+        let pooled = locate_all(&images, &usage, fleet, &WorkerPool::shared()).unwrap();
         assert_eq!(serial, pooled, "fan-out must not change any plan byte");
     }
 
@@ -723,7 +602,7 @@ mod tests {
         let k = key(0xdead_beef_0001);
         let cache = process_cache();
         let before = cache.stats();
-        assert!(cache.peek(&k).is_none());
+        assert!(!cached(&cache, k));
         let p = plan(1);
         cache.insert(k, p.clone());
         let (found, cached) =
@@ -731,6 +610,12 @@ mod tests {
         assert!(cached);
         assert!(Arc::ptr_eq(&found, &p));
         assert!(cache.stats().hits > before.hits);
+    }
+
+    /// True if a finished plan for `k` is cached; unlike a lookup, it
+    /// touches neither recency nor the counters.
+    fn cached(cache: &PlanCache, k: PlanKey) -> bool {
+        matches!(cache.lock().entries.get(&k), Some(Slot::Ready { .. }))
     }
 
     /// Touch `k` through the counting, recency-stamping path; the key
@@ -752,9 +637,9 @@ mod tests {
         hit(&cache, key(2));
         cache.insert(key(4), plan(4));
         assert_eq!(cache.len(), 3, "capacity bound holds");
-        assert!(cache.peek(&key(3)).is_none(), "the LRU entry was evicted");
+        assert!(!cached(&cache, key(3)), "the LRU entry was evicted");
         for tag in [1, 2, 4] {
-            assert!(cache.peek(&key(tag)).is_some(), "entry {tag} must survive");
+            assert!(cached(&cache, key(tag)), "entry {tag} must survive");
         }
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -820,112 +705,9 @@ mod tests {
         // Churn within one framework still evicts within it only.
         cache.insert(key_for(FrameworkKind::PyTorch, 3), plan(3));
         assert_eq!(cache.framework_len(FrameworkKind::PyTorch), 1);
-        assert!(cache.peek(&key_for(FrameworkKind::PyTorch, 3)).is_some(), "newest plan stays");
-        assert!(cache.peek(&key_for(FrameworkKind::TensorFlow, 2)).is_some());
+        assert!(cached(&cache, key_for(FrameworkKind::PyTorch, 3)), "newest plan stays");
+        assert!(cached(&cache, key_for(FrameworkKind::TensorFlow, 2)));
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn refresh_incremental_diffs_against_the_prior_plan() {
-        let cache = PlanCache::new(4);
-        let prior_key = key(1);
-        cache.insert(prior_key, plan(1));
-
-        // Miss with a usable prior: the incremental closure runs and its
-        // product is cached under the new key.
-        let (p, source) = cache
-            .refresh_incremental(
-                key(2),
-                &prior_key,
-                |prior| {
-                    assert_eq!(prior.usage_fingerprint, 1, "the cached prior plan is handed in");
-                    Ok(Some(plan(2).as_ref().clone()))
-                },
-                || panic!("incremental success must not fall back"),
-            )
-            .unwrap();
-        assert_eq!(p.usage_fingerprint, 2);
-        assert_eq!(source, PlanSource::Incremental);
-        let stats = cache.stats();
-        assert_eq!(stats.incremental, 1);
-        assert_eq!(stats.incremental_fallbacks, 0);
-        assert!(stats.plan_diff_ns > 0, "successful diffs are timed");
-
-        // Second request for the same key is a plain hit.
-        let (again, source) = cache
-            .refresh_incremental(
-                key(2),
-                &prior_key,
-                |_| panic!("hit must not diff"),
-                || panic!("hit must not plan"),
-            )
-            .unwrap();
-        assert!(Arc::ptr_eq(&p, &again));
-        assert_eq!(source, PlanSource::Cached);
-    }
-
-    #[test]
-    fn refresh_incremental_falls_back_on_divergence_or_missing_prior() {
-        let cache = PlanCache::new(4);
-        // No prior cached at all -> full planning.
-        let (p, source) = cache
-            .refresh_incremental(
-                key(10),
-                &key(9),
-                |_| panic!("no prior plan exists to diff against"),
-                || Ok(plan(10).as_ref().clone()),
-            )
-            .unwrap();
-        assert_eq!(p.usage_fingerprint, 10);
-        assert_eq!(source, PlanSource::Full);
-
-        // Prior cached but the closure reports divergence -> full.
-        let (p, source) = cache
-            .refresh_incremental(key(11), &key(10), |_| Ok(None), || Ok(plan(11).as_ref().clone()))
-            .unwrap();
-        assert_eq!(p.usage_fingerprint, 11);
-        assert_eq!(source, PlanSource::Full);
-
-        // prior == key degenerates to plain get_or_compute.
-        let (_, source) = cache
-            .refresh_incremental(
-                key(12),
-                &key(12),
-                |_| panic!("a key is never its own prior"),
-                || Ok(plan(12).as_ref().clone()),
-            )
-            .unwrap();
-        assert_eq!(source, PlanSource::Full);
-
-        let stats = cache.stats();
-        assert_eq!(stats.incremental, 0);
-        assert_eq!(stats.incremental_fallbacks, 3);
-        assert_eq!(stats.plan_diff_ns, 0, "fallbacks are not timed as diffs");
-    }
-
-    #[test]
-    fn refresh_incremental_errors_leave_the_key_retryable() {
-        let cache = PlanCache::new(4);
-        cache.insert(key(1), plan(1));
-        let err = cache
-            .refresh_incremental(
-                key(2),
-                &key(1),
-                |_| Err(crate::NegativaError::EmptyDevices { workload: "w".into() }),
-                || panic!("an incremental error propagates, not falls back"),
-            )
-            .unwrap_err();
-        assert!(matches!(err, crate::NegativaError::EmptyDevices { .. }));
-        assert!(cache.peek(&key(2)).is_none(), "nothing cached on error");
-        let (_, source) = cache
-            .refresh_incremental(
-                key(2),
-                &key(1),
-                |_| Ok(Some(plan(2).as_ref().clone())),
-                || panic!("retry diffs again"),
-            )
-            .unwrap();
-        assert_eq!(source, PlanSource::Incremental);
     }
 
     #[test]

@@ -445,6 +445,9 @@ fn transport_failures_exhaust_into_a_typed_error() {
         NegativaError::Net(NetError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 2),
         other => panic!("expected RetriesExhausted, got {other}"),
     }
+    // Two failed attempts, one retry between them: the attempt that
+    // exhausts the budget is not a retry.
+    assert_eq!(remote.stats().retries, 1, "{:?}", remote.stats());
 
     // Malformed URLs fail before any dialing.
     match RemoteRegistry::connect("http://127.0.0.1:80").unwrap_err() {
