@@ -72,7 +72,6 @@ pub mod cupti;
 mod device;
 mod error;
 pub mod memory;
-pub mod multi;
 mod sim;
 
 pub use clock::VirtualClock;

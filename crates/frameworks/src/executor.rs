@@ -16,9 +16,16 @@
 //! measured step is enough), keeping million-step workloads cheap while
 //! preserving the paper's relative time comparisons.
 //!
-//! Multi-GPU workloads run one worker (thread + private [`CudaSim`]) per
-//! device via [`simcuda::multi::run_workers`], merging rank metrics and
-//! asserting rank-identical checksums.
+//! Multi-GPU workloads keep the paper's Table 10 topology in their
+//! accounting: one rank per device, with `world` (the rank count)
+//! setting each rank's weight and KV-cache share and adding the
+//! per-step collective. Simulated ranks on the same device model are
+//! replicas — nothing a rank does depends on its index — so the
+//! executor simulates each *distinct* device once, serially, and merges
+//! that outcome once for every rank it stands for. Ranks on different
+//! devices must still agree on the checksum ([`SimmlError::RankDivergence`]).
+//! If the simulator ever models rank-specific work, per-rank execution
+//! comes back with it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,54 +46,14 @@ const MIB: u64 = 1 << 20;
 /// Model bytes staged host→device per sample in a batch transfer.
 const BYTES_PER_SAMPLE: u64 = 256 * 1024;
 
-/// Factory handing out one CUPTI subscriber per rank of a distributed
-/// run; see [`RunConfig::rank_subscribers`].
-pub type RankSubscriberFactory = dyn Fn(usize) -> Arc<dyn CuptiSubscriber> + Send + Sync;
-
-/// A named per-rank subscriber factory. The name identifies the
-/// profiler mix (e.g. for cache keying) *without* invoking the factory,
-/// which is called exactly once per rank, during the run.
-#[derive(Clone)]
-pub struct RankSubscriberSpec {
-    /// Identifies what the factory attaches (like
-    /// [`CuptiSubscriber::name`] for shared subscribers).
-    pub name: String,
-    /// Called once per rank with the rank index.
-    pub factory: Arc<RankSubscriberFactory>,
-}
-
-impl RankSubscriberSpec {
-    /// A named factory.
-    pub fn new(
-        name: impl Into<String>,
-        factory: impl Fn(usize) -> Arc<dyn CuptiSubscriber> + Send + Sync + 'static,
-    ) -> RankSubscriberSpec {
-        RankSubscriberSpec { name: name.into(), factory: Arc::new(factory) }
-    }
-}
-
-impl std::fmt::Debug for RankSubscriberSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankSubscriberSpec").field("name", &self.name).finish()
-    }
-}
-
 /// Knobs for one execution.
 #[derive(Clone)]
 pub struct RunConfig {
     /// CUPTI subscribers to attach before the run (profiling tools; the
-    /// debloater's kernel detector rides here). Every rank of a
-    /// distributed run shares these same subscriber instances.
+    /// debloater's kernel detector rides here). A distributed run
+    /// simulates one rank per distinct device, so a subscriber sees
+    /// each distinct device's rank once, not every replica of it.
     pub subscribers: Vec<Arc<dyn CuptiSubscriber>>,
-    /// Per-rank subscriber factories: each spec's factory is called once
-    /// per rank with the rank index, and the returned subscriber is
-    /// attached to *that rank's* simulator only. This is how the
-    /// debloater collects rank-specific usage maps from a distributed
-    /// workload (single-GPU runs count as rank 0) instead of funneling
-    /// every rank through one merged detector. Multiple specs compose:
-    /// the debloater pushes its detector factory alongside any the
-    /// caller already installed.
-    pub rank_subscribers: Vec<RankSubscriberSpec>,
     /// Steps executed in full before fast-forwarding the remainder.
     pub sample_steps: u64,
     /// Model-byte scale factor (see [`simcuda::CudaSim::with_config`]).
@@ -99,7 +66,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             subscribers: Vec::new(),
-            rank_subscribers: Vec::new(),
             sample_steps: 2,
             byte_scale: scale::BYTE_SCALE,
             cost: CostModel::default(),
@@ -111,7 +77,6 @@ impl std::fmt::Debug for RunConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunConfig")
             .field("subscribers", &self.subscribers.len())
-            .field("rank_subscribers", &self.rank_subscribers.len())
             .field("sample_steps", &self.sample_steps)
             .field("byte_scale", &self.byte_scale)
             .finish()
@@ -180,51 +145,50 @@ pub fn run_workload_indexed(
     config: &RunConfig,
 ) -> Result<RunOutcome> {
     let world = workload.devices.len();
-    let Some(&first_device) = workload.devices.first() else {
+    if world == 0 {
         return Err(SimmlError::InvalidWorkload {
             reason: format!("workload {} names no devices", workload.label()),
         });
-    };
-    if world == 1 {
-        return run_rank(workload, libraries, indexes, config, first_device, 0, 1);
     }
-    let results = simcuda::multi::run_workers(world, |rank| {
-        run_rank(workload, libraries, indexes, config, workload.devices[rank], rank, world)
-    });
-    let mut outcomes = Vec::with_capacity(world);
-    for r in results {
-        outcomes.push(r?);
+    // One simulation per distinct device, in first-rank order; `replica`
+    // maps each rank to the simulation that stands for it.
+    let mut distinct: Vec<(GpuModel, RunOutcome)> = Vec::new();
+    let mut replica = Vec::with_capacity(world);
+    for &device in &workload.devices {
+        let index = match distinct.iter().position(|(d, _)| *d == device) {
+            Some(index) => index,
+            None => {
+                let outcome = run_rank(workload, libraries, indexes, config, device, world)?;
+                distinct.push((device, outcome));
+                distinct.len() - 1
+            }
+        };
+        replica.push(index);
     }
-    let checksum = outcomes[0].checksum;
-    if let Some((rank, outcome)) = outcomes.iter().enumerate().find(|(_, o)| o.checksum != checksum)
-    {
+    let checksum = distinct[0].1.checksum;
+    if let Some(rank) = replica.iter().position(|&i| distinct[i].1.checksum != checksum) {
         return Err(SimmlError::RankDivergence {
             rank,
             expected: checksum,
-            actual: outcome.checksum,
+            actual: distinct[replica[rank]].1.checksum,
         });
     }
-    let metrics = WorkloadMetrics::merge_ranks(
-        &outcomes.iter().map(|o| o.metrics.clone()).collect::<Vec<_>>(),
-    );
+    let metrics = WorkloadMetrics::merge_ranks(replica.iter().map(|&i| &distinct[i].1.metrics));
     Ok(RunOutcome { checksum, metrics })
 }
 
+/// Simulate one rank of a `world`-rank run of `workload` on `device`.
 fn run_rank(
     workload: &Workload,
     libraries: &[GeneratedLibrary],
     indexes: Option<&[simelf::ElfIndex]>,
     config: &RunConfig,
     device: GpuModel,
-    rank: usize,
     world: usize,
 ) -> Result<RunOutcome> {
     let mut sim = CudaSim::with_config(&[device], config.cost, config.byte_scale);
     for sub in &config.subscribers {
         sim.subscribe(sub.clone());
-    }
-    for spec in &config.rank_subscribers {
-        sim.subscribe((spec.factory)(rank));
     }
     let mut checksum = stable_hash(&[&workload.label()]);
 
@@ -502,31 +466,87 @@ mod tests {
         assert_eq!(load + steady, outcome.metrics.elapsed_ns);
     }
 
-    #[test]
-    fn rank_subscribers_attach_one_per_rank() {
-        let bundle = cached_bundle(FrameworkKind::Vllm);
+    fn vllm_a100(world: usize) -> Workload {
         let model = ModelKind::leaderboard_top9().remove(1); // 7.7 B — cheapest
-        let w = Workload::distributed_a100(FrameworkKind::Vllm, model);
-        let tracers: Vec<Arc<NsysTracer>> =
-            (0..w.devices.len()).map(|_| Arc::new(NsysTracer::new())).collect();
-        let spec = {
-            let tracers = tracers.clone();
-            RankSubscriberSpec::new("per-rank-nsys", move |rank| {
-                tracers[rank].clone() as Arc<dyn CuptiSubscriber>
-            })
-        };
-        let config = RunConfig { rank_subscribers: vec![spec], ..RunConfig::default() };
-        run_workload(&w, bundle.libraries(), &config).unwrap();
-        for (rank, tracer) in tracers.iter().enumerate() {
-            assert!(tracer.event_count() > 0, "rank {rank} subscriber saw no events");
+        let mut w = Workload::distributed_a100(FrameworkKind::Vllm, model);
+        w.devices.truncate(world);
+        w
+    }
+
+    #[test]
+    fn replica_ranks_merge_one_simulated_rank_per_rank() {
+        let bundle = cached_bundle(FrameworkKind::Vllm);
+        let config = RunConfig::default();
+        for world in [2, 3, 8] {
+            let w = vllm_a100(world);
+            assert_eq!(w.devices.len(), world);
+            let one =
+                run_rank(&w, bundle.libraries(), None, &config, GpuModel::A100, world).unwrap();
+            let merged = run_workload(&w, bundle.libraries(), &config).unwrap();
+            let expected = RunOutcome {
+                checksum: one.checksum,
+                metrics: WorkloadMetrics::merge_ranks(vec![&one.metrics; world]),
+            };
+            assert_eq!(merged, expected, "world {world}");
+            let n = world as u64;
+            assert_eq!(merged.metrics.elapsed_ns, one.metrics.elapsed_ns);
+            assert_eq!(merged.metrics.load_ns, one.metrics.load_ns);
+            assert_eq!(merged.metrics.peak_host_bytes, n * one.metrics.peak_host_bytes);
+            assert_eq!(
+                merged.metrics.peak_device_bytes,
+                vec![one.metrics.peak_device_bytes[0]; world]
+            );
+            assert_eq!(merged.metrics.launches, n * one.metrics.launches);
+            assert_eq!(merged.metrics.host_calls, n * one.metrics.host_calls);
+            assert_eq!(merged.metrics.get_function_calls, n * one.metrics.get_function_calls);
+            assert_eq!(merged.metrics.gpu_code_bytes, n * one.metrics.gpu_code_bytes);
         }
+    }
+
+    #[test]
+    fn mixed_devices_simulate_each_distinct_device_once() {
+        let bundle = cached_bundle(FrameworkKind::Vllm);
+        let mut w = vllm_a100(3);
+        w.devices = vec![GpuModel::A100, GpuModel::T4, GpuModel::A100];
+        let rank_on = |device| {
+            let tracer = Arc::new(NsysTracer::new());
+            let config = RunConfig { subscribers: vec![tracer.clone()], ..RunConfig::default() };
+            let outcome = run_rank(&w, bundle.libraries(), None, &config, device, 3).unwrap();
+            (outcome, tracer.event_count())
+        };
+        let (a100, a100_events) = rank_on(GpuModel::A100);
+        let (t4, t4_events) = rank_on(GpuModel::T4);
+        assert_eq!(a100.checksum, t4.checksum, "output does not depend on the GPU");
+
+        let tracer = Arc::new(NsysTracer::new());
+        let config = RunConfig { subscribers: vec![tracer.clone()], ..RunConfig::default() };
+        let merged = run_workload(&w, bundle.libraries(), &config).unwrap();
+        let expected = WorkloadMetrics::merge_ranks([&a100.metrics, &t4.metrics, &a100.metrics]);
+        assert_eq!(merged, RunOutcome { checksum: a100.checksum, metrics: expected });
+        assert_eq!(tracer.event_count(), a100_events + t4_events, "two distinct devices, two runs");
+    }
+
+    #[test]
+    fn a_shared_subscriber_sees_one_rank_of_a_replicated_run() {
+        let bundle = cached_bundle(FrameworkKind::Vllm);
+        let w = vllm_a100(8);
+        let tracer = Arc::new(NsysTracer::new());
+        let config = RunConfig { subscribers: vec![tracer.clone()], ..RunConfig::default() };
+        let traced = run_workload(&w, bundle.libraries(), &config).unwrap();
+        assert!(tracer.event_count() > 0, "the shared subscriber saw no events");
+        let recorded = tracer.take_events().len();
+
+        run_rank(&w, bundle.libraries(), None, &config, GpuModel::A100, 8).unwrap();
+        assert_eq!(recorded, tracer.event_count(), "one simulated rank stands for all eight");
+        let plain = run_workload(&w, bundle.libraries(), &RunConfig::default()).unwrap();
+        assert_eq!(plain.checksum, traced.checksum);
+        assert!(traced.metrics.elapsed_ns > plain.metrics.elapsed_ns);
     }
 
     #[test]
     fn distributed_ranks_agree_and_report_eight_devices() {
         let bundle = cached_bundle(FrameworkKind::Vllm);
-        let model = ModelKind::leaderboard_top9().remove(1); // 7.7 B — cheapest
-        let w = Workload::distributed_a100(FrameworkKind::Vllm, model);
+        let w = vllm_a100(8);
         let outcome = run_workload(&w, bundle.libraries(), &RunConfig::default()).unwrap();
         assert_eq!(outcome.metrics.peak_device_bytes.len(), 8);
         assert!(outcome.metrics.launches > 0);

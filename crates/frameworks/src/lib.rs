@@ -58,10 +58,7 @@ pub use bundle::{
 };
 pub use dataset::Dataset;
 pub use error::SimmlError;
-pub use executor::{
-    run_workload, run_workload_indexed, RankSubscriberFactory, RankSubscriberSpec, RunConfig,
-    RunOutcome,
-};
+pub use executor::{run_workload, run_workload_indexed, RunConfig, RunOutcome};
 pub use metrics::WorkloadMetrics;
 pub use model::ModelKind;
 pub use ops::OpFamily;

@@ -50,12 +50,16 @@ impl WorkloadMetrics {
         }
     }
 
-    /// Merge per-rank metrics of a distributed run: time is the slowest
-    /// rank — and the load/steady split comes from *that* rank, so the
-    /// two phases always describe one real execution — host memory sums
-    /// across worker processes, device peaks concatenate in rank order,
+    /// Merge per-rank metrics of a distributed run, one entry per rank
+    /// in rank order (the executor passes a replica's outcome once for
+    /// every rank it stands for): time is the slowest rank — and the
+    /// load/steady split comes from *that* rank, so the two phases
+    /// always describe one real execution — host memory sums across
+    /// worker processes, device peaks concatenate in rank order,
     /// counters sum.
-    pub fn merge_ranks(ranks: &[WorkloadMetrics]) -> WorkloadMetrics {
+    pub fn merge_ranks<'a>(
+        ranks: impl IntoIterator<Item = &'a WorkloadMetrics>,
+    ) -> WorkloadMetrics {
         let mut out = WorkloadMetrics::default();
         for r in ranks {
             if r.elapsed_ns > out.elapsed_ns {

@@ -68,9 +68,8 @@ impl UsageMap {
         self.kernels.is_empty() && self.host_fns.is_empty()
     }
 
-    /// Union another usage map into this one (per-rank sets of a
-    /// distributed workload and per-workload sets of a shared bundle
-    /// both merge this way).
+    /// Union another usage map into this one (the per-workload sets of
+    /// a shared bundle merge this way).
     pub fn merge(&mut self, other: &UsageMap) {
         for (soname, kernels) in &other.kernels {
             self.kernels.entry(soname.clone()).or_default().extend(kernels.iter().cloned());
@@ -138,23 +137,22 @@ fn fold(hash: &mut u64, bytes: &[u8]) {
 /// Subscribes to exactly two callback sites: `cuModuleGetFunction`
 /// (kernel usage) and host-call probes (CPU function usage). Carries a
 /// small dispatch tax and per-callback cost so runs with the detector
-/// attached exhibit the paper's modest profiling overhead.
+/// attached exhibit the paper's modest profiling overhead. The costs
+/// are fixed, so every detector charges a run the same clock time.
 #[derive(Debug, Default)]
 pub struct KernelDetector {
     usage: Mutex<UsageMap>,
-    dispatch_tax_ns: u64,
-    callback_cost_ns: u64,
 }
 
 impl KernelDetector {
-    /// A detector with the default calibrated costs.
-    pub fn new() -> KernelDetector {
-        KernelDetector::with_costs(250, 900)
-    }
+    /// Simulated nanoseconds every driver call pays while attached.
+    const DISPATCH_TAX_NS: u64 = 250;
+    /// Simulated nanoseconds each recorded callback costs.
+    const CALLBACK_COST_NS: u64 = 900;
 
-    /// A detector with explicit dispatch tax and per-callback cost.
-    pub fn with_costs(dispatch_tax_ns: u64, callback_cost_ns: u64) -> KernelDetector {
-        KernelDetector { usage: Mutex::new(UsageMap::new()), dispatch_tax_ns, callback_cost_ns }
+    /// A detector with nothing recorded.
+    pub fn new() -> KernelDetector {
+        KernelDetector::default()
     }
 
     /// Copy of everything recorded so far.
@@ -183,11 +181,11 @@ impl CuptiSubscriber for KernelDetector {
     }
 
     fn dispatch_tax_ns(&self) -> u64 {
-        self.dispatch_tax_ns
+        KernelDetector::DISPATCH_TAX_NS
     }
 
     fn callback_cost_ns(&self, _site: CallbackSite) -> u64 {
-        self.callback_cost_ns
+        KernelDetector::CALLBACK_COST_NS
     }
 }
 

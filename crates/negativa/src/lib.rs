@@ -17,9 +17,10 @@
 //! 1. **Detect** ([`DebloatSession::detect`], module [`detect`]) — run
 //!    each workload once with a CUPTI `cuModuleGetFunction` hook (plus
 //!    host-call probes) attached and record every kernel and CPU
-//!    function actually used, as a [`UsageMap`]. Distributed workloads
-//!    attach one detector *per rank* and union the rank-specific maps;
-//!    multiple workloads sharing the bundle union the same way.
+//!    function actually used, as a [`UsageMap`]. A distributed
+//!    workload's ranks are replicas of one simulated rank per distinct
+//!    device, so one detector per workload sees all of its usage;
+//!    multiple workloads sharing the bundle union their maps.
 //! 2. **Plan** ([`DebloatSession::plan`], module [`plan`]) — map the
 //!    union usage to byte ranges ([`locate()`]) per library, fanned out
 //!    through a bounded [`WorkerPool`] shared across every in-flight
@@ -133,7 +134,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use simcuda::cupti::CuptiSubscriber;
 use simcuda::GpuModel;
 use simelf::{ElfImage, ElfIndex};
 use simml::{
@@ -397,11 +397,12 @@ impl Debloater {
 
     /// Debloat one shared bundle against the **union** usage of one or
     /// more workloads — the paper's multi-workload deployment scenario.
-    /// Usage is detected per workload (and per rank for distributed
-    /// ones), unioned via [`UsageMap::merge`], compacted once, and the
-    /// result is verified against *every* workload's own baseline
-    /// checksum. [`DebloatSession::debloat_many_artifact`] returns the
-    /// compacted libraries and plan as well.
+    /// Usage is detected per workload (a distributed one's replica
+    /// ranks share one detector), unioned via [`UsageMap::merge`],
+    /// compacted once, and the result is verified against *every*
+    /// workload's own baseline checksum.
+    /// [`DebloatSession::debloat_many_artifact`] returns the compacted
+    /// libraries and plan as well.
     ///
     /// # Errors
     ///
@@ -516,7 +517,7 @@ impl DebloatSession {
 
     /// Phase 1 — run every workload twice on the original bundle:
     /// baseline (no profiler) and detection (one [`KernelDetector`] per
-    /// rank, rank-specific usage unioned via [`UsageMap::merge`]).
+    /// workload), unioning the workloads' usage via [`UsageMap::merge`].
     /// Detection is a pure measurement, so a workload this session's
     /// debloater has measured before is served from its memo instead.
     ///
@@ -550,29 +551,23 @@ impl DebloatSession {
         Ok(Detection { usage, baselines })
     }
 
-    /// Run one workload twice — baseline, then detection with one
-    /// [`KernelDetector`] per rank — and return its usage union and
-    /// baseline record. Pure measurement of a deterministic run: the
-    /// result depends only on (workload, bundle).
+    /// Run one workload twice — baseline, then detection with one fresh
+    /// [`KernelDetector`] — and return its usage and baseline record.
+    /// The detector sees one simulated rank per distinct device; ranks
+    /// on one device are replicas, so their usage sets are identical and
+    /// their union is that one set. The detector's costs are stateless,
+    /// so the detection clock is the same as with one detector per rank.
+    /// Pure measurement of a deterministic run: the result depends only
+    /// on (workload, bundle).
     fn detect_one(&self, workload: &Workload) -> Result<(UsageMap, WorkloadBaseline)> {
         let libraries = self.bundle.libraries();
         let baseline = self.run(workload, libraries, &RunConfig::default())?;
 
-        let detectors: Vec<Arc<KernelDetector>> =
-            (0..workload.devices.len()).map(|_| Arc::new(KernelDetector::new())).collect();
-        let handout = detectors.clone();
-        let detect_config = RunConfig {
-            rank_subscribers: vec![simml::RankSubscriberSpec::new(
-                "negativa-rank-detectors",
-                move |rank| handout[rank].clone() as Arc<dyn CuptiSubscriber>,
-            )],
-            ..RunConfig::default()
-        };
+        let detector = Arc::new(KernelDetector::new());
+        let detect_config =
+            RunConfig { subscribers: vec![detector.clone()], ..RunConfig::default() };
         let detection = self.run(workload, libraries, &detect_config)?;
-        let mut usage = UsageMap::new();
-        for detector in &detectors {
-            usage.merge(&detector.snapshot());
-        }
+        let usage = detector.snapshot();
         let baseline = WorkloadBaseline {
             label: workload.label(),
             checksum: baseline.checksum,

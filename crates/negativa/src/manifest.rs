@@ -68,7 +68,7 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// Name of the serialized [`BundlePlan`] entry: its document name, and
 /// the entry typed errors name when the plan object fails its checks.
-pub const PLAN_FILE: &str = "plan.json";
+pub(crate) const PLAN_FILE: &str = "plan.json";
 
 /// Directory holding the content-addressed pool objects.
 pub const OBJECTS_DIR: &str = "objects";

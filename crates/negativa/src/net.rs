@@ -88,7 +88,7 @@ const HEADER_LEN: usize = 12;
 pub const MAX_FRAME_PAYLOAD: u32 = 4 * 1024 * 1024;
 
 /// Default object-transfer chunk length (range-read granularity).
-pub const DEFAULT_CHUNK_LEN: u32 = 256 * 1024;
+pub(crate) const DEFAULT_CHUNK_LEN: u32 = 256 * 1024;
 
 // Remote error codes (the `code` field of an error response).
 const ERR_NOT_FOUND_ARTIFACT: u8 = 1;

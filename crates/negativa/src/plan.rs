@@ -94,20 +94,21 @@ impl PlanKey {
 
 /// A stable fingerprint of everything about a [`RunConfig`] that can
 /// change what a run measures or records: sampling, byte scale, the
-/// cost model, and the attached subscribers — shared and per-rank alike
-/// — by name (a different profiler mix yields different timing
-/// baselines). Per-rank specs carry their name explicitly, so no
-/// factory is ever invoked outside a run.
+/// cost model, and the attached subscribers by name (a different
+/// profiler mix yields different timing baselines).
+///
+/// The last hash input is an empty string: the slot once held the
+/// names of per-rank subscriber factories, which no longer exist.
+/// Keeping it keeps every recorded fingerprint — `PlanKey::config`,
+/// artifact ids, manifest hashes — what it was.
 pub fn config_fingerprint(config: &RunConfig) -> u64 {
     let subscribers: Vec<&str> = config.subscribers.iter().map(|s| s.name()).collect();
-    let rank_subscribers: Vec<&str> =
-        config.rank_subscribers.iter().map(|spec| spec.name.as_str()).collect();
     stable_hash(&[
         &config.sample_steps.to_string(),
         &config.byte_scale.to_string(),
         &format!("{:?}", config.cost),
         &subscribers.join(","),
-        &rank_subscribers.join(","),
+        "",
     ])
 }
 
@@ -198,7 +199,7 @@ pub struct BundlePlan {
 ///
 /// The first [`crate::NegativaError::Elf`] / `Fatbin` parse failure (in
 /// input order).
-pub fn locate_all(
+pub(crate) fn locate_all(
     images: &[&ElfImage],
     usage: &UsageMap,
     fleet: FleetSpec,

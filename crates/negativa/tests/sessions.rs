@@ -1,6 +1,7 @@
 //! Integration tests of the session/plan architecture: shared-bundle
-//! union debloat (`debloat_many`), the process-wide plan cache,
-//! per-rank usage union on 8×A100, the H100 eager-vs-lazy comparison
+//! union debloat (`debloat_many`), the process-wide plan cache, the
+//! 8×A100 debloat (one detector over replica ranks, pinned to the
+//! usage per-rank detectors recorded), the H100 eager-vs-lazy comparison
 //! (§4.5), parallel-vs-serial equivalence, and the explicit
 //! empty-device-list error.
 
@@ -195,7 +196,10 @@ fn distributed_a100_debloat_unions_per_rank_usage() {
     let report =
         Debloater::new(GpuModel::A100).debloat_many(&[workload]).expect("distributed verifies");
     assert_eq!(report.workloads[0].debloated.peak_device_bytes.len(), 8, "one entry per rank");
-    assert!(report.used_kernels > 0, "per-rank detectors observed usage");
+    // Equal to the union of eight per-rank detectors' usage; a lost or
+    // partial union reads lower.
+    assert_eq!(report.used_kernels, 34);
+    assert_eq!(report.used_host_fns, 663);
     assert!(report.totals().device_reduction_pct() > 0.0);
     assert!(report.totals().host_reduction_pct() > 0.0);
 }
