@@ -1,10 +1,15 @@
 //! Deterministic virtual time.
 //!
 //! All simulated durations (I/O, kernel execution, callback overhead)
-//! accumulate on a [`VirtualClock`] counted in nanoseconds. Using virtual
+//! accumulate on [`VirtualClock`]s counted in nanoseconds. Using virtual
 //! instead of wall time makes every experiment bit-reproducible and
 //! decouples the modelled system's speed from the host machine running
 //! the simulation.
+//!
+//! One run keeps two clocks: the workload's own time, and the overhead
+//! attached profilers add on top of it (see [`crate::cupti`]). Their sum
+//! is the profiled run's time; the first alone is the same run without
+//! the profilers, so one run measures both.
 
 /// A monotonically advancing nanosecond counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -23,19 +28,9 @@ impl VirtualClock {
         self.ns
     }
 
-    /// Current simulated time in (fractional) seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.ns as f64 / 1e9
-    }
-
     /// Advance the clock by `ns` nanoseconds (saturating).
     pub fn advance(&mut self, ns: u64) {
         self.ns = self.ns.saturating_add(ns);
-    }
-
-    /// Nanoseconds elapsed since `earlier` (saturating at zero).
-    pub fn since(&self, earlier: VirtualClock) -> u64 {
-        self.ns.saturating_sub(earlier.ns)
     }
 }
 
@@ -49,16 +44,6 @@ mod tests {
         assert_eq!(c.now_ns(), 0);
         c.advance(1_500_000_000);
         assert_eq!(c.now_ns(), 1_500_000_000);
-        assert!((c.now_secs() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let mut a = VirtualClock::new();
-        a.advance(100);
-        let b = VirtualClock::new();
-        assert_eq!(a.since(b), 100);
-        assert_eq!(b.since(a), 0);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   times it launches) and executed via [`CudaSim::launch`].
 //! * **CUPTI callbacks** — [`cupti::CuptiSubscriber`]s receive events at
 //!   selected [`cupti::CallbackSite`]s and charge a modelled overhead to
-//!   the virtual clock, reproducing the paper's §4.6 comparison between
+//!   a virtual clock of its own (one run, two clocks: with and without
+//!   the profiler), reproducing the paper's §4.6 comparison between
 //!   the lightweight kernel detector (41 % overhead) and an
 //!   NSys-style full tracer (126 %, [`cupti::NsysTracer`]).
 //! * **Memory accounting** — page-granular host residency (zeroed pages

@@ -101,8 +101,12 @@ struct KernelSlot {
 /// Aggregate runtime statistics; see [`CudaSim::stats`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RuntimeStats {
-    /// Simulated nanoseconds elapsed.
+    /// Simulated nanoseconds elapsed, the attached subscribers' overhead
+    /// included.
     pub elapsed_ns: u64,
+    /// Simulated nanoseconds elapsed without the subscribers' overhead:
+    /// what the same run takes with nothing attached.
+    pub unprofiled_ns: u64,
     /// Peak host memory in model bytes.
     pub peak_host_bytes: u64,
     /// Current host memory in model bytes.
@@ -128,7 +132,10 @@ pub struct CudaSim {
     devices: Vec<Device>,
     cost: CostModel,
     byte_scale: u64,
+    /// The run's own time.
     clock: VirtualClock,
+    /// What the attached subscribers add on top of `clock`.
+    overhead: VirtualClock,
     cupti: CuptiRegistry,
     host_mem: MemTracker,
     dev_mem: Vec<MemTracker>,
@@ -162,6 +169,7 @@ impl CudaSim {
             cost,
             byte_scale: byte_scale.max(1),
             clock: VirtualClock::new(),
+            overhead: VirtualClock::new(),
             cupti: CuptiRegistry::new(),
             host_mem: MemTracker::unbounded(),
             dev_mem: models.iter().map(|m| MemTracker::with_capacity(m.memory_bytes())).collect(),
@@ -189,14 +197,11 @@ impl CudaSim {
         &self.cost
     }
 
-    /// Attach a CUPTI subscriber (profiling tool).
+    /// Attach a CUPTI subscriber (profiling tool). Its overhead goes on
+    /// a clock of its own: [`CudaSim::elapsed_ns`] includes it,
+    /// [`RuntimeStats::unprofiled_ns`] does not.
     pub fn subscribe(&mut self, sub: Arc<dyn CuptiSubscriber>) {
         self.cupti.subscribe(sub);
-    }
-
-    /// Detach a subscriber by name; returns true if one was removed.
-    pub fn unsubscribe(&mut self, name: &str) -> bool {
-        self.cupti.unsubscribe(name)
     }
 
     /// Soname of an opened library.
@@ -664,21 +669,39 @@ impl CudaSim {
         Ok(())
     }
 
-    /// Advance the virtual clock directly — used by executors to
-    /// fast-forward over steady-state iterations after measuring one.
-    pub fn advance_clock(&mut self, ns: u64) {
-        self.clock.advance(ns);
+    /// Fast-forward both clocks over `remaining` steady-state steps,
+    /// each as long as the mean of the `sampled` steps run since the
+    /// snapshot `since` was taken — used by executors to skip
+    /// iterations identical to the ones measured.
+    ///
+    /// Each clock skips `measured * remaining / sampled` of its own,
+    /// rounded down once, so a clock on which every step costs the same
+    /// equals a fully executed one exactly: advancing by a truncated
+    /// per-step mean would fall up to `sampled - 1` ns behind per
+    /// remaining step. The overhead clock takes the difference of the
+    /// two skips, because the floor of a sum is not the sum of the
+    /// floors.
+    pub fn fast_forward(&mut self, since: &RuntimeStats, sampled: u64, remaining: u64) {
+        let skip = |measured: u64| {
+            (u128::from(measured) * u128::from(remaining) / u128::from(sampled.max(1))) as u64
+        };
+        let unprofiled = skip(self.clock.now_ns().saturating_sub(since.unprofiled_ns));
+        let elapsed = skip(self.elapsed_ns().saturating_sub(since.elapsed_ns));
+        self.clock.advance(unprofiled);
+        self.overhead.advance(elapsed.saturating_sub(unprofiled));
     }
 
-    /// Simulated nanoseconds elapsed since construction.
+    /// Simulated nanoseconds elapsed since construction, the attached
+    /// subscribers' overhead included.
     pub fn elapsed_ns(&self) -> u64 {
-        self.clock.now_ns()
+        self.clock.now_ns().saturating_add(self.overhead.now_ns())
     }
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
-            elapsed_ns: self.clock.now_ns(),
+            elapsed_ns: self.elapsed_ns(),
+            unprofiled_ns: self.clock.now_ns(),
             peak_host_bytes: self.host_mem.peak(),
             current_host_bytes: self.host_mem.current(),
             device_peak_bytes: self.dev_mem.iter().map(MemTracker::peak).collect(),
@@ -692,7 +715,7 @@ impl CudaSim {
 
     fn emit(&mut self, event: CuptiEvent) {
         let overhead = self.cupti.dispatch(&event);
-        self.clock.advance(overhead);
+        self.overhead.advance(overhead);
     }
 }
 
@@ -748,6 +771,47 @@ mod tests {
         assert_eq!(stats.get_function_calls, 1);
         assert!(stats.elapsed_ns > 0);
         assert!(stats.device_peak_bytes[0] > 0);
+    }
+
+    /// A subscriber's overhead runs on its own clock: the unprofiled
+    /// clock equals a plain run's, and a fast-forward skips each clock
+    /// by its own rounded-down share. The first sampled step resolves
+    /// the kernel, a lazy element load on the run's own clock and a
+    /// callback on the overhead clock, so neither clock's sampled time
+    /// divides evenly.
+    #[test]
+    fn subscriber_overhead_keeps_its_own_clock() {
+        let run = |tracer: Option<Arc<crate::cupti::NsysTracer>>| {
+            let mut sim = CudaSim::new(&[GpuModel::T4]);
+            if let Some(tracer) = tracer {
+                sim.subscribe(tracer);
+            }
+            let lib = sim.open_library(&lib_with_archs(&SmArch::PAPER_SET)).unwrap();
+            let module = sim.load_module(lib, 0, LoadMode::Lazy).unwrap();
+            let since = sim.stats();
+            let f = sim.get_function(module, "gemm").unwrap();
+            for _ in 0..3 {
+                sim.launch(&f, 1001).unwrap();
+                sim.synchronize();
+            }
+            let sampled = sim.stats();
+            sim.fast_forward(&since, 3, 7);
+            (sim.stats(), since, sampled)
+        };
+        let (plain, ..) = run(None);
+        let tracer = Arc::new(crate::cupti::NsysTracer::with_costs(1, 1));
+        let (traced, since, sampled) = run(Some(tracer));
+        assert_eq!(plain.elapsed_ns, plain.unprofiled_ns, "nothing attached, one clock");
+        assert_eq!(traced.unprofiled_ns, plain.elapsed_ns);
+
+        let own = sampled.unprofiled_ns - since.unprofiled_ns;
+        let total = sampled.elapsed_ns - since.elapsed_ns;
+        let overhead = total - own;
+        assert!(overhead > 0);
+        let skip = |measured: u64| measured * 7 / 3;
+        assert_ne!(skip(own) + skip(overhead), skip(total), "the floors must not add up here");
+        assert_eq!(traced.unprofiled_ns, sampled.unprofiled_ns + skip(own));
+        assert_eq!(traced.elapsed_ns, sampled.elapsed_ns + skip(total));
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn bundle_cache() -> &'static PerFramework<BundleHandle> {
 }
 
 /// Process-wide bundle cache: generating a bundle is pure, so every
-/// caller (baseline run, detection run, debloater, tests) shares one
+/// caller (detection run, verification run, debloater, tests) shares one
 /// immutable copy per framework.
 pub fn cached_bundle(framework: FrameworkKind) -> BundleHandle {
     cached_bundle_with(framework, || FrameworkBundle::generate(framework))

@@ -12,9 +12,17 @@
 //! debloater's verification phase detects semantic breakage.
 //!
 //! Steady-state iterations beyond [`RunConfig::sample_steps`] are
-//! fast-forwarded on the virtual clock (every step is identical, so one
+//! fast-forwarded on the virtual clocks (every step is identical, so one
 //! measured step is enough), keeping million-step workloads cheap while
 //! preserving the paper's relative time comparisons.
+//!
+//! One run, two clocks. Attached subscribers only observe, so they
+//! change nothing a run does but its time, and the simulator keeps
+//! their overhead on a clock of its own. A run therefore measures
+//! itself twice at once: [`RunOutcome::metrics`] on the clock the
+//! subscribers slowed, and [`RunOutcome::unprofiled`] on the clock
+//! without them — what a second run with nothing attached would report.
+//! The load phase and the fast-forward are taken once per clock.
 //!
 //! Multi-GPU workloads keep the paper's Table 10 topology in their
 //! accounting: one rank per device, with `world` (the rank count)
@@ -50,8 +58,10 @@ const BYTES_PER_SAMPLE: u64 = 256 * 1024;
 #[derive(Clone)]
 pub struct RunConfig {
     /// CUPTI subscribers to attach before the run (profiling tools; the
-    /// debloater's kernel detector rides here). A distributed run
-    /// simulates one rank per distinct device, so a subscriber sees
+    /// debloater's kernel detector rides here). Their overhead slows
+    /// [`RunOutcome::metrics`] only; [`RunOutcome::unprofiled`] is the
+    /// same run without it, so one run gives both clocks. A distributed
+    /// run simulates one rank per distinct device, so a subscriber sees
     /// each distinct device's rank once, not every replica of it.
     pub subscribers: Vec<Arc<dyn CuptiSubscriber>>,
     /// Steps executed in full before fast-forwarding the remainder.
@@ -90,8 +100,12 @@ pub struct RunOutcome {
     /// before and after a *correct* debloat; different if any executed
     /// code byte changed.
     pub checksum: u64,
-    /// Runtime metrics (merged across ranks for distributed runs).
+    /// Runtime metrics (merged across ranks for distributed runs), on
+    /// the clock the attached subscribers slowed.
     pub metrics: WorkloadMetrics,
+    /// The same run's metrics without the subscribers' overhead: equal
+    /// to `metrics` when nothing is attached.
+    pub unprofiled: WorkloadMetrics,
 }
 
 /// FNV-1a-style order-sensitive checksum fold.
@@ -173,8 +187,12 @@ pub fn run_workload_indexed(
             actual: distinct[replica[rank]].1.checksum,
         });
     }
-    let metrics = WorkloadMetrics::merge_ranks(replica.iter().map(|&i| &distinct[i].1.metrics));
-    Ok(RunOutcome { checksum, metrics })
+    let ranks = || replica.iter().map(|&i| &distinct[i].1);
+    Ok(RunOutcome {
+        checksum,
+        metrics: WorkloadMetrics::merge_ranks(ranks().map(|r| &r.metrics)),
+        unprofiled: WorkloadMetrics::merge_ranks(ranks().map(|r| &r.unprofiled)),
+    })
 }
 
 /// Simulate one rank of a `world`-rank run of `workload` on `device`.
@@ -246,7 +264,7 @@ fn run_rank(
     let batch_bytes = workload.batch_size as u64 * BYTES_PER_SAMPLE;
     let mut handles: HashMap<String, FnHandle> = HashMap::new();
     let mut step_digest = 0u64;
-    let sampling_started = sim.elapsed_ns();
+    let sampling_started = sim.stats();
     for step in 0..sample_steps {
         let mut this_step = stable_hash(&["step"]);
         sim.memcpy_h2d(0, batch_bytes)?;
@@ -273,21 +291,23 @@ fn run_rank(
         }
         mix(&mut checksum, this_step);
     }
-    // Remainder-exact fast-forward: advancing by the *truncated*
-    // per-step average would drift up to `sample_steps - 1` ns behind a
-    // fully executed run for every remaining step.
-    let measured_total = sim.elapsed_ns() - sampling_started;
     let remaining = total_steps - sample_steps;
-    let skipped_ns =
-        (u128::from(measured_total) * u128::from(remaining) / u128::from(sample_steps)) as u64;
-    sim.advance_clock(skipped_ns);
+    sim.fast_forward(&sampling_started, sample_steps, remaining);
     for _ in 0..remaining {
         mix(&mut checksum, step_digest);
     }
 
-    let mut metrics = WorkloadMetrics::from_stats(&sim.stats());
-    metrics.load_ns = sampling_started;
-    Ok(RunOutcome { checksum, metrics })
+    let stats = sim.stats();
+    let metrics = WorkloadMetrics {
+        load_ns: sampling_started.elapsed_ns,
+        ..WorkloadMetrics::from_stats(&stats)
+    };
+    let unprofiled = WorkloadMetrics {
+        elapsed_ns: stats.unprofiled_ns,
+        load_ns: sampling_started.unprofiled_ns,
+        ..metrics.clone()
+    };
+    Ok(RunOutcome { checksum, metrics, unprofiled })
 }
 
 /// Map each op instance to its provider library, dispatch function, and
@@ -397,24 +417,24 @@ mod tests {
         w.inference_steps = 64;
         // 3 does not divide the 61 fast-forwarded steps' cost evenly, so
         // truncating per-step division would fall behind the fully
-        // executed clock here.
-        let sampled = run_workload(
-            &w,
-            bundle.libraries(),
-            &RunConfig { sample_steps: 3, ..RunConfig::default() },
-        )
-        .unwrap();
-        let full = run_workload(
-            &w,
-            bundle.libraries(),
-            &RunConfig { sample_steps: 64, ..RunConfig::default() },
-        )
-        .unwrap();
-        assert_eq!(sampled.checksum, full.checksum, "fast-forward must not change output");
-        assert_eq!(
-            sampled.metrics.elapsed_ns, full.metrics.elapsed_ns,
-            "fast-forwarded clock must match full execution exactly"
-        );
+        // executed clock here. A tracer's overhead lands on the other
+        // clock (and is heavier in the first step, where kernels
+        // resolve), so the workload's own clock must still match.
+        for traced in [false, true] {
+            let run = |sample_steps| {
+                let subscribers: Vec<Arc<dyn CuptiSubscriber>> =
+                    if traced { vec![Arc::new(NsysTracer::new())] } else { Vec::new() };
+                let config = RunConfig { subscribers, sample_steps, ..RunConfig::default() };
+                run_workload(&w, bundle.libraries(), &config).unwrap()
+            };
+            let (sampled, full) = (run(3), run(64));
+            assert_eq!(sampled.checksum, full.checksum, "fast-forward must not change output");
+            assert_eq!(
+                (sampled.unprofiled.elapsed_ns, sampled.unprofiled.load_ns),
+                (full.unprofiled.elapsed_ns, full.unprofiled.load_ns),
+                "traced {traced}: fast-forwarded clock must match full execution exactly"
+            );
+        }
     }
 
     #[test]
@@ -441,6 +461,8 @@ mod tests {
         assert_eq!(plain.checksum, traced.checksum);
         assert!(traced.metrics.elapsed_ns > plain.metrics.elapsed_ns);
         assert!(tracer.event_count() > 0);
+        assert_eq!(plain.metrics, plain.unprofiled, "nothing attached, one clock");
+        assert_eq!(traced.unprofiled, plain.metrics, "the unprofiled clock is the plain run");
     }
 
     #[test]
@@ -486,6 +508,7 @@ mod tests {
             let expected = RunOutcome {
                 checksum: one.checksum,
                 metrics: WorkloadMetrics::merge_ranks(vec![&one.metrics; world]),
+                unprofiled: WorkloadMetrics::merge_ranks(vec![&one.unprofiled; world]),
             };
             assert_eq!(merged, expected, "world {world}");
             let n = world as u64;
@@ -521,8 +544,16 @@ mod tests {
         let tracer = Arc::new(NsysTracer::new());
         let config = RunConfig { subscribers: vec![tracer.clone()], ..RunConfig::default() };
         let merged = run_workload(&w, bundle.libraries(), &config).unwrap();
-        let expected = WorkloadMetrics::merge_ranks([&a100.metrics, &t4.metrics, &a100.metrics]);
-        assert_eq!(merged, RunOutcome { checksum: a100.checksum, metrics: expected });
+        let expected = RunOutcome {
+            checksum: a100.checksum,
+            metrics: WorkloadMetrics::merge_ranks([&a100.metrics, &t4.metrics, &a100.metrics]),
+            unprofiled: WorkloadMetrics::merge_ranks([
+                &a100.unprofiled,
+                &t4.unprofiled,
+                &a100.unprofiled,
+            ]),
+        };
+        assert_eq!(merged, expected);
         assert_eq!(tracer.event_count(), a100_events + t4_events, "two distinct devices, two runs");
     }
 

@@ -4,7 +4,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NegativaError {
-    /// A workload execution (baseline or detection run) failed before
+    /// A detection run (which also measures the baseline) failed before
     /// any compaction happened — the input bundle itself is broken.
     Workload(simml::SimmlError),
     /// The verification run hit a zeroed function or unresolvable kernel:

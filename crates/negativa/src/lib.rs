@@ -17,7 +17,10 @@
 //! 1. **Detect** ([`DebloatSession::detect`], module [`detect`]) — run
 //!    each workload once with a CUPTI `cuModuleGetFunction` hook (plus
 //!    host-call probes) attached and record every kernel and CPU
-//!    function actually used, as a [`UsageMap`]. A distributed
+//!    function actually used, as a [`UsageMap`]. One run, two clocks:
+//!    the simulator keeps the hook's overhead on a clock of its own, so
+//!    the same run also gives the workload's baseline checksum and
+//!    metrics (§4.6's overhead compares the two clocks). A distributed
 //!    workload's ranks are replicas of one simulated rank per distinct
 //!    device, so one detector per workload sees all of its usage;
 //!    multiple workloads sharing the bundle union their maps.
@@ -515,9 +518,11 @@ impl DebloatSession {
         Ok(workload)
     }
 
-    /// Phase 1 — run every workload twice on the original bundle:
-    /// baseline (no profiler) and detection (one [`KernelDetector`] per
-    /// workload), unioning the workloads' usage via [`UsageMap::merge`].
+    /// Phase 1 — run every workload once on the original bundle with one
+    /// [`KernelDetector`] attached, unioning the workloads' usage via
+    /// [`UsageMap::merge`]. One run, two clocks: the run gives both the
+    /// detection metrics and the baseline ones (the same run without
+    /// the detector's overhead).
     /// Detection is a pure measurement, so a workload this session's
     /// debloater has measured before is served from its memo instead.
     ///
@@ -551,8 +556,13 @@ impl DebloatSession {
         Ok(Detection { usage, baselines })
     }
 
-    /// Run one workload twice — baseline, then detection with one fresh
-    /// [`KernelDetector`] — and return its usage and baseline record.
+    /// Run one workload once with one fresh [`KernelDetector`] and return
+    /// its usage and baseline record. One run, two clocks: a subscriber
+    /// changes nothing a run does but its time, so the run's checksum is
+    /// the baseline checksum, its overhead-free clock
+    /// ([`RunOutcome::unprofiled`]) the baseline metrics, and its
+    /// profiled clock the detection metrics — exactly what a baseline
+    /// run and a separate detection run would report.
     /// The detector sees one simulated rank per distinct device; ranks
     /// on one device are replicas, so their usage sets are identical and
     /// their union is that one set. The detector's costs are stateless,
@@ -560,25 +570,20 @@ impl DebloatSession {
     /// Pure measurement of a deterministic run: the result depends only
     /// on (workload, bundle).
     fn detect_one(&self, workload: &Workload) -> Result<(UsageMap, WorkloadBaseline)> {
-        let libraries = self.bundle.libraries();
-        let baseline = self.run(workload, libraries, &RunConfig::default())?;
-
         let detector = Arc::new(KernelDetector::new());
-        let detect_config =
-            RunConfig { subscribers: vec![detector.clone()], ..RunConfig::default() };
-        let detection = self.run(workload, libraries, &detect_config)?;
-        let usage = detector.snapshot();
+        let config = RunConfig { subscribers: vec![detector.clone()], ..RunConfig::default() };
+        let run = self.run(workload, self.bundle.libraries(), &config)?;
         let baseline = WorkloadBaseline {
             label: workload.label(),
-            checksum: baseline.checksum,
-            baseline: baseline.metrics,
-            detection: detection.metrics,
+            checksum: run.checksum,
+            baseline: run.unprofiled,
+            detection: run.metrics,
         };
-        Ok((usage, baseline))
+        Ok((detector.snapshot(), baseline))
     }
 
     /// [`DebloatSession::detect_one`] through the shared memo: a hit
-    /// skips both runs (detection is a pure measurement), a miss
+    /// skips the run (detection is a pure measurement), a miss
     /// measures and writes through.
     fn detect_one_memoized(&self, workload: &Workload) -> Result<DetectionMemo> {
         let key = plan::workload_fingerprint(workload);
@@ -856,8 +861,9 @@ impl DebloatSession {
 mod tests {
     use super::*;
     use crate::arbitrary::{Arbitrary, Gen};
+    use simcuda::cupti::{CuptiSubscriber, NsysTracer};
     use simcuda::LoadMode;
-    use simml::{ModelKind, Operation};
+    use simml::{cached_bundle, run_workload, Dataset, ModelKind, Operation};
     use std::collections::HashSet;
 
     fn inference(model: ModelKind) -> Workload {
@@ -910,6 +916,122 @@ mod tests {
             walked_workloads.len(),
             "the detection memo holds exactly the distinct workloads walked"
         );
+    }
+
+    /// `workload` cut to `steps` total steps: an inference decodes that
+    /// many steps, a training run makes that many one-batch epochs.
+    fn cut_to(workload: &Workload, steps: u64) -> Workload {
+        let mut w = workload.clone();
+        match w.operation {
+            Operation::Inference => w.inference_steps = steps as u32,
+            Operation::Train => {
+                w.dataset = Dataset::ManualPrompt;
+                w.epochs = steps as u32;
+            }
+        }
+        assert_eq!(w.total_steps(), steps);
+        w
+    }
+
+    /// One run, two clocks, over generated (workload, `sample_steps`,
+    /// subscriber set) triples: every Table-1 workload, the H100 lazy
+    /// one, an 8×A100 one and a mixed A100/T4 device list, each with a
+    /// generated sample count and no subscriber, a [`KernelDetector`] or
+    /// an [`NsysTracer`]. Each case checks that
+    /// 1. a profiled run's unprofiled clock and checksum are a plain
+    ///    run's metrics and checksum;
+    /// 2. a fast-forward extrapolates each clock from its own sampled
+    ///    steps, rounded down once, and equals full execution where
+    ///    every step costs the same: on the workload's own clock under
+    ///    eager loading (checked on copies cut to a few steps, so full
+    ///    execution stays cheap). The first step also resolves every
+    ///    kernel, which costs a profiler callback and, under lazy
+    ///    loading, an element load, so there the sampled mean runs
+    ///    ahead of full execution;
+    /// 3. [`DebloatSession::detect`] gives the usage and baseline that
+    ///    a plain run followed by a separate detection run give.
+    #[test]
+    fn one_profiled_run_gives_both_clocks_over_generated_runs() {
+        let cheapest = || ModelKind::leaderboard_top9().remove(1);
+        let mut mixed = Workload::distributed_a100(FrameworkKind::Vllm, cheapest());
+        mixed.devices = vec![GpuModel::A100, GpuModel::T4, GpuModel::A100];
+        let mut workloads = Workload::paper_set();
+        workloads.push(Workload::h100(FrameworkKind::Vllm, LoadMode::Lazy));
+        workloads.push(Workload::distributed_a100(FrameworkKind::Vllm, cheapest()));
+        workloads.push(mixed);
+        let mut g = Gen(0x0c10_c4ed_7e1c_0002);
+        // The tools take turns from a generated start, so every kind of
+        // workload meets a profiler.
+        let tools = ["none", "detector", "nsys"];
+        let first_tool = usize::arbitrary(&mut g);
+        for (i, workload) in workloads.iter().enumerate() {
+            let sample_steps = 1 + u64::arbitrary(&mut g) % 4;
+            let tool = tools[(first_tool + i) % tools.len()];
+            let case = format!(
+                "{} on {:?}, {sample_steps} sampled, {tool}",
+                workload.label(),
+                workload.devices
+            );
+            let config = |sample_steps| {
+                let subscribers: Vec<Arc<dyn CuptiSubscriber>> = match tool {
+                    "detector" => vec![Arc::new(KernelDetector::new())],
+                    "nsys" => vec![Arc::new(NsysTracer::new())],
+                    _ => Vec::new(),
+                };
+                RunConfig { subscribers, sample_steps, ..RunConfig::default() }
+            };
+            let bundle = cached_bundle(workload.framework);
+            let libraries = bundle.libraries();
+
+            let profiled = run_workload(workload, libraries, &config(sample_steps)).unwrap();
+            let plain = run_workload(
+                workload,
+                libraries,
+                &RunConfig { sample_steps, ..RunConfig::default() },
+            )
+            .unwrap();
+            assert_eq!(profiled.checksum, plain.checksum, "{case}");
+            assert_eq!(profiled.unprofiled, plain.metrics, "{case}");
+
+            let steps = sample_steps + 1 + u64::arbitrary(&mut g) % 8;
+            let run_cut = |steps, sample_steps| {
+                run_workload(&cut_to(workload, steps), libraries, &config(sample_steps)).unwrap()
+            };
+            let sampled = run_cut(sample_steps, sample_steps);
+            let forwarded = run_cut(steps, sample_steps);
+            let full = run_cut(steps, steps);
+            assert_eq!(forwarded.checksum, full.checksum, "{case}");
+            for (s, f, x) in [
+                (&sampled.metrics, &forwarded.metrics, &full.metrics),
+                (&sampled.unprofiled, &forwarded.unprofiled, &full.unprofiled),
+            ] {
+                let measured = s.elapsed_ns - s.load_ns;
+                let extrapolated = f.load_ns + measured * steps / sample_steps;
+                assert_eq!(f.elapsed_ns, extrapolated, "{case}");
+                assert_eq!(f.load_ns, x.load_ns, "{case}");
+            }
+            if workload.load_mode == LoadMode::Eager {
+                let (f, x) = (&forwarded.unprofiled, &full.unprofiled);
+                assert_eq!(f.elapsed_ns, x.elapsed_ns, "{case}");
+            }
+
+            let session = Debloater::new(workload.devices[0]).session(workload.framework);
+            let detection = session.detect(std::slice::from_ref(workload)).unwrap();
+            let normalized = session.normalize(workload).unwrap();
+            let baseline = run_workload(&normalized, libraries, &RunConfig::default()).unwrap();
+            let detector = Arc::new(KernelDetector::new());
+            let detect_config =
+                RunConfig { subscribers: vec![detector.clone()], ..RunConfig::default() };
+            let detected = run_workload(&normalized, libraries, &detect_config).unwrap();
+            assert_eq!(detection.usage, detector.snapshot(), "{case}");
+            let expected = WorkloadBaseline {
+                label: workload.label(),
+                checksum: baseline.checksum,
+                baseline: baseline.metrics,
+                detection: detected.metrics,
+            };
+            assert_eq!(detection.baselines, [expected], "{case}");
+        }
     }
 
     /// With room for one plan, S → T → S evicts S's plan, and the

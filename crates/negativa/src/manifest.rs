@@ -134,7 +134,8 @@ pub struct WorkloadRecord {
     pub workload: Workload,
     /// Workload label (e.g. `PyTorch/Train/MobileNetV2`).
     pub label: String,
-    /// Output checksum of the baseline run on the *original* bundle.
+    /// Baseline output checksum on the *original* bundle, measured by
+    /// the detection run (a profiler does not change a run's output).
     pub baseline_checksum: u64,
 }
 

@@ -153,16 +153,20 @@ pub fn bundle_fingerprint(libraries: &[GeneratedLibrary]) -> u64 {
 
 /// What detection measured for one workload on the *original* bundle:
 /// the reference checksum verification must reproduce, plus the metrics
-/// the report compares against.
+/// the report compares against. One run, two clocks: the detection run
+/// gives all three, because the detector changes nothing but its time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadBaseline {
     /// Workload label (e.g. `PyTorch/Train/MobileNetV2`).
     pub label: String,
-    /// Output checksum of the baseline run — the correctness reference.
+    /// Output checksum of the detection run, which is the baseline
+    /// output — the correctness reference.
     pub checksum: u64,
-    /// Metrics of the baseline run (no profiler attached).
+    /// Baseline metrics: the detection run on its overhead-free clock,
+    /// as if no profiler were attached.
     pub baseline: WorkloadMetrics,
-    /// Metrics of the detection run (kernel detector attached).
+    /// Detection metrics: the same run on the clock the kernel
+    /// detector's overhead slowed.
     pub detection: WorkloadMetrics,
 }
 

@@ -203,7 +203,8 @@ impl Totals {
 
 /// Verification record of one workload in a multi-workload debloat: the
 /// baseline reference checksum next to what the debloated bundle
-/// actually produced, plus the three measured runs' metrics.
+/// actually produced, plus the metrics of the two measured runs: the
+/// detection run on both of its clocks, and the verification run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadVerification {
     /// Workload label.
@@ -212,9 +213,10 @@ pub struct WorkloadVerification {
     pub baseline_checksum: u64,
     /// Output checksum of the verification run on the debloated bundle.
     pub verified_checksum: u64,
-    /// Metrics of the baseline run.
+    /// Baseline metrics: the detection run on its overhead-free clock
+    /// (one run, two clocks).
     pub baseline: WorkloadMetrics,
-    /// Metrics of the detection run.
+    /// Metrics of the detection run, the detector's overhead included.
     pub detection: WorkloadMetrics,
     /// Metrics of the verification run on the debloated bundle.
     pub debloated: WorkloadMetrics,
@@ -245,7 +247,8 @@ impl WorkloadVerification {
     }
 
     /// Virtual-time overhead of running with the detector attached, in
-    /// percent over baseline (the paper's §4.6 comparison).
+    /// percent over baseline (the paper's §4.6 comparison): the
+    /// detection run's two clocks compared.
     pub fn detection_overhead_pct(&self) -> f64 {
         if self.baseline.elapsed_ns == 0 {
             return 0.0;

@@ -412,7 +412,7 @@ impl StoredArtifact {
 
     /// Seed `cache` with the stored plan under the artifact's own key,
     /// so the next debloat of the same workload set is a cache hit —
-    /// zero baseline or detection runs — even in a process that never
+    /// zero detection runs — even in a process that never
     /// planned anything.
     ///
     /// # Errors
